@@ -14,7 +14,8 @@ sym:7, affine:9:2) or explicit cycle-notation generators separated by
 semicolons, e.g. "(0,1,2,3)(4,5);(0,4)".
 
 Exit codes: 0 success (all verdicts hold), 1 a mathematical verdict
-failed, 2 usage or input error.  BURNSIDE_JOBS sets the default worker
+failed, 2 usage or input error, 3 internal error (a checked invariant
+broke; never a verdict).  BURNSIDE_JOBS sets the default worker
 count.  Sweep output is one JSON object per line so long runs can be
 monitored; results are canonically ordered and independent of the worker
 count.
@@ -33,6 +34,7 @@ from . import coprime, method, nullsets, permgroup, ramanujan
 EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _default_jobs() -> int:
@@ -391,6 +393,9 @@ def run(argv: list[str]) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     finally:
         if out is not None:
             out.close()

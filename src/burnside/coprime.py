@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ramanujan import RamanujanMatrix, matrix_formula
+from .ramanujan import RamanujanMatrix, divisor_data, matrix_formula
 from .cyclotomic import _factorize, prime_power_split
 
 _BLOCK_BITS = 16
@@ -44,12 +44,12 @@ class RowSubset:
     mask: int
 
     def divisors(self) -> tuple[int, ...]:
-        divs = matrix_formula(self.d).divisors
+        divs = divisor_data(self.d).divisors
         return tuple(r for i, r in enumerate(divs) if self.mask >> i & 1)
 
     @classmethod
     def from_divisors(cls, d: int, rows) -> "RowSubset":
-        divs = matrix_formula(d).divisors
+        divs = divisor_data(d).divisors
         mask = 0
         for r in rows:
             try:
@@ -202,7 +202,8 @@ def verify_degree(d: int) -> ConjectureReport:
         raise ValueError(f"{d} has {k} divisors, beyond the mask width")
     # Row for divisor 1 must be constant: this is what lets the scan fix
     # 1 in E without losing any partitions.
-    assert all(v == 1 for v in R.entries[0]), "row 1 of R(d) is not constant"
+    if any(v != 1 for v in R.entries[0]):
+        raise RuntimeError(f"row 1 of R({d}) is not constant")
 
     entries = np.array(R.entries, dtype=np.int64)
     columns = entries[:, : k - 1]  # D \ {d}
@@ -249,7 +250,7 @@ def verify_degree(d: int) -> ConjectureReport:
 def _verify_degree_guarded(d: int) -> ConjectureReport:
     try:
         return verify_degree(d)
-    except Exception as exc:  # surfaced per degree without killing the sweep
+    except ValueError as exc:  # surfaced per degree without killing the sweep
         return ConjectureReport(d, 0, 0, (), False, 0, error=str(exc))
 
 

@@ -76,7 +76,8 @@ def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[
     Returns (quotient, remainder) with deg(remainder) < deg(den).  All
     arithmetic is over Z; monicity of `den` guarantees integrality.
     """
-    assert den[-1] == 1, "divisor must be monic"
+    if den[-1] != 1:
+        raise RuntimeError("divisor must be monic")
     rem = list(num)
     dd = len(den) - 1
     if dd == 0:
@@ -119,7 +120,8 @@ def cyclotomic_poly(d: int) -> CycPoly:
     num = [-1] + [0] * (d - 1) + [1]  # X^d - 1
     for e in _proper_divisors(d):
         num, rem = _poly_divmod_monic(num, list(cyclotomic_poly(e).coeffs))
-        assert not any(rem), f"non-exact division while building Phi_{d}"
+        if any(rem):
+            raise RuntimeError(f"non-exact division while building Phi_{d}")
     return CycPoly(d, tuple(num))
 
 

@@ -23,6 +23,12 @@ examples below validate it against independently known basis sets.
 implicitly; the 1/d normalisation is the only sensible one even though
 sources sometimes misprint the factor.)
 
+`suborbit_sums` relabels the group and reduces the sums once, and every
+consumer takes that matrix, as `diagnose` does:
+
+    M = suborbit_sums(G, g)
+    B, rows = basis_partition(M), orbit_row_subset(M)
+
 The pair variants handle a regular product C_da x C_db inside a group on
 da*db points, with sums valued in Z[z_L], L = lcm(da, db).
 """
@@ -67,6 +73,7 @@ class SuborbitSumMatrix:
     """Reduced cyclotomic sums indexed by (suborbit, exponent column)."""
 
     d: int
+    group: PermGroup  # relabelled so that the cycle is (0,1,...,d-1)
     suborbits: tuple[tuple[int, ...], ...]
     reduced: tuple[tuple[tuple[int, ...], ...], ...]  # [orbit][j] -> canonical coeffs
     relabelling: tuple[int, ...]  # new label -> original point
@@ -83,8 +90,8 @@ class SuborbitSumMatrix:
 def suborbit_sums(G: PermGroup, g: Permutation) -> SuborbitSumMatrix:
     """Indicator sums of every stabiliser orbit at every exponent.
 
-    Points are relabelled so that g = (0,1,...,d-1); the relabelling is
-    recorded in the result.
+    Points are relabelled so that g = (0,1,...,d-1); the relabelled group
+    and the relabelling are recorded in the result.
     """
     H, relab = relabel_by_cycle(G, g)
     d = H.degree
@@ -96,7 +103,7 @@ def suborbit_sums(G: PermGroup, g: Permutation) -> SuborbitSumMatrix:
             s = cyclotomic.from_indices(d, [(i * j) % d for i in orbit])
             row.append(cyclotomic.reduced_coeffs(s))
         rows.append(tuple(row))
-    return SuborbitSumMatrix(d, subs, tuple(rows), relab)
+    return SuborbitSumMatrix(d, H, subs, tuple(rows), relab)
 
 
 @dataclass(frozen=True)
@@ -128,9 +135,8 @@ def _classes_by_equal_columns(columns: dict) -> tuple[tuple, ...]:
     return tuple(sorted(classes, key=lambda cl: cl[0]))
 
 
-def basis_partition(G: PermGroup, g: Permutation) -> BasisPartition:
+def basis_partition(M: SuborbitSumMatrix) -> BasisPartition:
     """Equality classes of the suborbit-sum columns."""
-    M = suborbit_sums(G, g)
     columns = {j: M.column(j) for j in range(M.d)}
     return BasisPartition(_classes_by_equal_columns(columns))
 
@@ -256,18 +262,15 @@ def manning_invariance_check(d: int) -> ManningReport:
 # Galois action, divisor sets, imprimitivity prediction
 
 
-def galois_orbit_action_check(G: PermGroup, g: Permutation) -> bool:
+def galois_orbit_action_check(M: SuborbitSumMatrix) -> bool:
     """True iff every unit scaling i -> s*i permutes the suborbits setwise."""
-    M = suborbit_sums(G, g)
     d = M.d
     original = {frozenset(o) for o in M.suborbits}
-    for s in range(1, d):
-        if math.gcd(s, d) != 1:
-            continue
-        mapped = {frozenset((s * i) % d for i in o) for o in original}
-        if mapped != original:
-            return False
-    return True
+    return all(
+        {frozenset((s * i) % d for i in o) for o in original} == original
+        for s in range(1, d)
+        if math.gcd(s, d) == 1
+    )
 
 
 @dataclass(frozen=True)
@@ -281,7 +284,7 @@ class OrbitRowReport:
     equivalence_ok: bool  # (rows = D \ {1}) iff 2-transitive
 
 
-def orbit_row_subset(G: PermGroup, g: Permutation) -> OrbitRowReport:
+def orbit_row_subset(M: SuborbitSumMatrix) -> OrbitRowReport:
     """Decompose the stabiliser orbit containing d/2 into primitive classes.
 
     For even d the orbit through d/2 is a union of the Galois-orbit index
@@ -290,12 +293,10 @@ def orbit_row_subset(G: PermGroup, g: Permutation) -> OrbitRowReport:
     A decomposition failure is reported rather than raised, since it would
     falsify the Galois-invariance of that orbit.
     """
-    M = suborbit_sums(G, g)
     d = M.d
     if d % 2:
         raise ValueError("the half-degree orbit needs even degree")
-    half = d // 2
-    orbit = next(o for o in M.suborbits if half in o)
+    orbit = next(o for o in M.suborbits if d // 2 in o)
     members = set(orbit)
     divisors = divisor_data(d).divisors
     rows = []
@@ -329,9 +330,7 @@ class BlockPrediction:
     confirmed: bool | None  # a non-trivial system exists through (0, d/p)
 
 
-def predict_blocks_from_basis(
-    G: PermGroup, g: Permutation, p: int
-) -> BlockPrediction:
+def predict_blocks_from_basis(M: SuborbitSumMatrix, p: int) -> BlockPrediction:
     """Imprimitivity prediction from a p-divisible basis class.
 
     If some basis class other than {0} consists entirely of indices
@@ -339,21 +338,16 @@ def predict_blocks_from_basis(
     whose blocks are unions of orbits of g^{d/p}; the prediction is
     cross-checked by gluing the points 0 and d/p.
     """
-    d = G.degree
+    d = M.d
     if d % p:
         raise ValueError(f"{p} does not divide the degree {d}")
-    B = basis_partition(G, g)
-    witness = None
-    for cl in B.classes:
-        if cl == (0,):
-            continue
-        if all(j % p == 0 for j in cl):
-            witness = cl
-            break
+    B = basis_partition(M)
+    witness = next(
+        (cl for cl in B.classes if cl != (0,) and all(j % p == 0 for j in cl)), None
+    )
     if witness is None:
         return BlockPrediction(d, p, False, None, None, None)
-    H, _ = relabel_by_cycle(G, g)
-    system = permgroup.minimal_blocks(H, 0, d // p)
+    system = permgroup.minimal_blocks(M.group, 0, d // p)
     return BlockPrediction(d, p, True, witness, system, not system.is_trivial)
 
 
@@ -426,17 +420,9 @@ def diagnose(G: PermGroup, g: Permutation) -> DiagnosisReport:
     d = G.degree
     if cyclotomic.prime_power_split(d) == (d, 1) or d < 4:
         raise ValueError(f"the dichotomy concerns composite degrees, got {d}")
-    H, relab = relabel_by_cycle(G, g)
     M = suborbit_sums(G, g)
-    B = basis_partition(G, g)
-    orbit_rows = orbit_row_subset(G, g) if d % 2 == 0 else None
-
-    blocks = None
-    for beta in range(1, d):
-        system = permgroup.minimal_blocks(H, 0, beta)
-        if not system.is_trivial:
-            blocks = system
-            break
+    orbit_rows = orbit_row_subset(M) if d % 2 == 0 else None
+    blocks = permgroup.first_nontrivial_blocks(M.group, M.suborbits)
     if blocks is not None:
         verdict = "imprimitive"
     elif len(M.suborbits) == 2:
@@ -450,7 +436,7 @@ def diagnose(G: PermGroup, g: Permutation) -> DiagnosisReport:
         verdict=verdict,
         blocks=blocks,
         suborbits=M.suborbits,
-        basis_classes=B.classes,
+        basis_classes=basis_partition(M).classes,
         orbit_rows=orbit_rows,
-        relabelling=relab,
+        relabelling=M.relabelling,
     )

@@ -251,7 +251,8 @@ def _flip_rows(p: int, n: int) -> np.ndarray:
         )
         rows.append(cyclotomic.reduced_coeffs(diff))
     arr = np.array(rows, dtype=np.int64)
-    assert np.abs(arr).max() < 2**14  # entries are O(p); int16 is ample
+    if np.abs(arr).max() >= 2**14:  # entries are O(p); int16 is ample
+        raise RuntimeError(f"flip rows at {p}^{n} exceed the int16 range")
     return arr.astype(np.int16)
 
 

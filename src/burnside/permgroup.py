@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 
@@ -171,9 +172,11 @@ def suborbits(G: PermGroup, base: int = 0) -> list[list[int]]:
     with first coordinate `base`.  The stabiliser itself is never formed.
     Returns all suborbits including {base}, sorted by least element.
     """
+    m = G.degree
+    if not 0 <= base < m:
+        raise ValueError(f"base point {base} outside 0..{m - 1}")
     if not is_transitive(G):
         raise ValueError("suborbits require a transitive group")
-    m = G.degree
     assigned = [False] * m
     out = []
     for x in range(m):
@@ -256,18 +259,27 @@ def minimal_blocks(G: PermGroup, alpha: int, beta: int) -> BlockSystem:
     ids = {r: i for i, r in enumerate(reps)}
     block_of = tuple(ids[find(x)] for x in range(G.degree))
     count = len(reps)
-    assert G.degree % count == 0
+    if G.degree % count:
+        raise RuntimeError(f"{count} blocks do not divide the degree {G.degree}")
     return BlockSystem(block_of, G.degree // count, count)
+
+
+def first_nontrivial_blocks(G: PermGroup, subs: Sequence) -> BlockSystem | None:
+    """minimal_blocks(G, 0, beta) for the least beta making it non-trivial,
+    or None when G is primitive; `subs` are the base-0 suborbits of G.
+    A stabiliser element h maps the system through (0, beta) to the one
+    through (0, h(beta)) and fixes every G-invariant partition, so only the
+    least point of each suborbit is tried."""
+    for orbit in subs[1:]:
+        system = minimal_blocks(G, 0, orbit[0])
+        if not system.is_trivial:
+            return system
+    return None
 
 
 def is_primitive(G: PermGroup) -> bool:
     """Transitive with no non-trivial block system."""
-    if G.degree == 1:
-        return True
-    for beta in range(1, G.degree):
-        if not minimal_blocks(G, 0, beta).is_trivial:
-            return False
-    return True
+    return first_nontrivial_blocks(G, suborbits(G)) is None
 
 
 def regular_check(degree: int, gens: list[Permutation]) -> bool:

@@ -87,7 +87,8 @@ def matrix_formula(d: int) -> RamanujanMatrix:
             g = math.gcd(r, c)
             q = r // g
             num = data.mobius[q] * data.totient[r]
-            assert num % data.totient[q] == 0
+            if num % data.totient[q]:
+                raise RuntimeError(f"phi({r}) / phi({q}) is not exact")
             row.append(num // data.totient[q])
         rows.append(tuple(row))
     return RamanujanMatrix(d, data.divisors, tuple(rows))
@@ -180,7 +181,8 @@ def bareiss_determinant(mat: list[list[int]]) -> int:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                assert num % prev == 0
+                if num % prev:
+                    raise RuntimeError("non-exact Bareiss division")
                 m[i][j] = num // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]

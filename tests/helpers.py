@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import random
 from contextlib import redirect_stdout
 
 from burnside import cli, permgroup
@@ -36,6 +37,31 @@ def cyclic_regular_corpus(max_degree: int = 100) -> list[tuple[PermGroup, Permut
         if d <= max_degree:
             corpus.append((permgroup.affine(d, s), full_cycle(d)))
     return [(G, g) for G, g in corpus if G.degree <= max_degree]
+
+
+def random_relabelling(rng: random.Random, G: PermGroup, *perms: Permutation):
+    """G and the given permutations with the points relabelled by a random
+    sigma: every permutation x becomes sigma^-1 x sigma."""
+    images = list(range(G.degree))
+    rng.shuffle(images)
+    sigma = Permutation(tuple(images))
+    sigma_inv = permgroup.inverse(sigma)
+
+    def conj(x: Permutation) -> Permutation:
+        return permgroup.compose(permgroup.compose(sigma_inv, x), sigma)
+
+    K = PermGroup(G.degree, tuple(map(conj, G.generators)), name=G.name)
+    return (K, *map(conj, perms))
+
+
+def exhaustive_first_blocks(G: PermGroup) -> permgroup.BlockSystem | None:
+    """Reference block search: glue 0 to every beta = 1, 2, ... in turn and
+    return the first non-trivial system."""
+    for beta in range(1, G.degree):
+        system = permgroup.minimal_blocks(G, 0, beta)
+        if not system.is_trivial:
+            return system
+    return None
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:

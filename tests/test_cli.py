@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from burnside import cli
+from burnside import cli, coprime
 from helpers import masked_report_lines, run_cli
 
 
@@ -86,6 +87,13 @@ class TestSuborbitsCommand:
     def test_bad_spec(self):
         code, _ = run_cli(["suborbits", "--group", "frobnicate:9"])
         assert code == 2
+
+    @pytest.mark.parametrize("group, base", [("cyclic:6", "10"), ("dihedral:5", "-1")])
+    def test_base_out_of_range(self, group, base, capsys):
+        code, out = run_cli(["suborbits", "--group", group, "--base", base])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: base point") and "Traceback" not in err
 
 
 class TestDiagnoseCommand:
@@ -201,6 +209,20 @@ class TestPlumbing:
     def test_negative_jobs_clamped(self):
         code, out = run_cli(["conjecture", "--max-d", "8", "--jobs", "-2"])
         assert code == 0 and len(out.strip().splitlines()) == 4
+
+    def test_internal_error_is_not_a_verdict(self, monkeypatch, capsys):
+        formula = coprime.matrix_formula
+
+        def broken(d):
+            R = formula(d)
+            row1 = (1,) * (len(R.divisors) - 1) + (2,)
+            return dataclasses.replace(R, entries=(row1,) + R.entries[1:])
+
+        monkeypatch.setattr(coprime, "matrix_formula", broken)
+        code, out = run_cli(["conjecture", "--max-d", "4", "--jobs", "1"])
+        assert code == cli.EXIT_INTERNAL == 3
+        assert "fails" not in out
+        assert capsys.readouterr().err.startswith("internal error: row 1 of R(2)")
 
     def test_unwritable_out_path(self):
         code, _ = run_cli(

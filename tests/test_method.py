@@ -5,7 +5,12 @@ import pytest
 from burnside import cyclotomic as cy
 from burnside import method as me
 from burnside import permgroup as pg
-from helpers import cyclic_regular_corpus, full_cycle
+from helpers import (
+    cyclic_regular_corpus,
+    exhaustive_first_blocks,
+    full_cycle,
+    random_relabelling,
+)
 
 
 def reduced_constant(d, value):
@@ -57,29 +62,29 @@ class TestSuborbitSums:
 
 class TestBasisPartition:
     def test_symmetric(self):
-        B = me.basis_partition(pg.symmetric(7), full_cycle(7))
+        B = me.basis_partition(me.suborbit_sums(pg.symmetric(7), full_cycle(7)))
         assert B.classes == ((0,), (1, 2, 3, 4, 5, 6))
 
     def test_dihedral6(self):
-        B = me.basis_partition(pg.dihedral(6), full_cycle(6))
+        B = me.basis_partition(me.suborbit_sums(pg.dihedral(6), full_cycle(6)))
         assert B.classes == ((0,), (1, 5), (2, 4), (3,))
 
     def test_zero_class_always_singleton(self):
         for G, g in cyclic_regular_corpus(30):
-            B = me.basis_partition(G, g)
+            B = me.basis_partition(me.suborbit_sums(G, g))
             assert B.class_of(0) == (0,), G.name
 
     def test_class_count_equals_suborbit_count(self):
         for G, g in cyclic_regular_corpus(40):
             M = me.suborbit_sums(G, g)
-            B = me.basis_partition(G, g)
+            B = me.basis_partition(M)
             assert B.count == len(M.suborbits), G.name
 
     def test_sums_constant_on_classes_as_values(self):
         # exact value equality of the sums across each class, for every suborbit
         for G, g in cyclic_regular_corpus(24):
             M = me.suborbit_sums(G, g)
-            B = me.basis_partition(G, g)
+            B = me.basis_partition(M)
             for cl in B.classes:
                 for oi in range(len(M.suborbits)):
                     first = M.sum(oi, cl[0])
@@ -123,7 +128,7 @@ class TestPairPartitions:
         g2 = pg.parse_permutation("(0,2,4)(1,3,5)", 6)
         B = me.pair_basis_partition(pg.dihedral(6), g3, 2, g2, 3)
         assert B.count == len(pg.suborbits(pg.dihedral(6)))
-        B1 = me.basis_partition(pg.dihedral(6), g)
+        B1 = me.basis_partition(me.suborbit_sums(pg.dihedral(6), g))
         assert B.count == B1.count
 
     def test_non_regular_pair_rejected(self):
@@ -152,58 +157,60 @@ class TestManningInvariance:
 
 class TestGaloisOrbitAction:
     def test_dihedral8(self):
-        assert me.galois_orbit_action_check(pg.dihedral(8), full_cycle(8))
+        assert me.galois_orbit_action_check(me.suborbit_sums(pg.dihedral(8), full_cycle(8)))
 
     def test_symmetric(self):
-        assert me.galois_orbit_action_check(pg.symmetric(5), full_cycle(5))
+        assert me.galois_orbit_action_check(me.suborbit_sums(pg.symmetric(5), full_cycle(5)))
 
     def test_corpus(self):
         for G, g in cyclic_regular_corpus(40):
-            assert me.galois_orbit_action_check(G, g), G.name
+            assert me.galois_orbit_action_check(me.suborbit_sums(G, g)), G.name
 
 
 class TestOrbitRowSubset:
     def test_symmetric6(self):
-        rep = me.orbit_row_subset(pg.symmetric(6), full_cycle(6))
+        rep = me.orbit_row_subset(me.suborbit_sums(pg.symmetric(6), full_cycle(6)))
         assert rep.rows.divisors() == (2, 3, 6)
         assert rep.is_full_complement and rep.two_transitive
         assert rep.decomposition_ok and rep.equivalence_ok
 
     def test_dihedral4(self):
-        rep = me.orbit_row_subset(pg.dihedral(4), full_cycle(4))
+        rep = me.orbit_row_subset(me.suborbit_sums(pg.dihedral(4), full_cycle(4)))
         assert rep.rows.divisors() == (2,)
         assert not rep.two_transitive and rep.equivalence_ok
 
     def test_dihedral6(self):
-        rep = me.orbit_row_subset(pg.dihedral(6), full_cycle(6))
+        rep = me.orbit_row_subset(me.suborbit_sums(pg.dihedral(6), full_cycle(6)))
         assert rep.orbit == (3,) and rep.rows.divisors() == (2,)
 
     def test_rows_always_contain_two(self):
         for G, g in cyclic_regular_corpus(40):
             if G.degree % 2 == 0:
-                rep = me.orbit_row_subset(G, g)
+                rep = me.orbit_row_subset(me.suborbit_sums(G, g))
                 assert 2 in rep.rows.divisors(), G.name
                 assert rep.decomposition_ok and rep.equivalence_ok, G.name
 
     def test_rejects_odd_degree(self):
+        M = me.suborbit_sums(pg.dihedral(9), full_cycle(9))
         with pytest.raises(ValueError):
-            me.orbit_row_subset(pg.dihedral(9), full_cycle(9))
+            me.orbit_row_subset(M)
 
 
 class TestBlockPrediction:
     def test_dihedral6(self):
-        pred = me.predict_blocks_from_basis(pg.dihedral(6), full_cycle(6), 2)
+        pred = me.predict_blocks_from_basis(me.suborbit_sums(pg.dihedral(6), full_cycle(6)), 2)
         assert pred.predicted and pred.confirmed
         assert pred.witness_class == (2, 4)
         assert sorted(map(tuple, pred.blocks.blocks())) == [(0, 3), (1, 4), (2, 5)]
 
     def test_symmetric_no_prediction(self):
+        M = me.suborbit_sums(pg.symmetric(6), full_cycle(6))
         for p in (2, 3):
-            pred = me.predict_blocks_from_basis(pg.symmetric(6), full_cycle(6), p)
+            pred = me.predict_blocks_from_basis(M, p)
             assert not pred.predicted
 
     def test_dihedral4(self):
-        pred = me.predict_blocks_from_basis(pg.dihedral(4), full_cycle(4), 2)
+        pred = me.predict_blocks_from_basis(me.suborbit_sums(pg.dihedral(4), full_cycle(4)), 2)
         assert pred.predicted and pred.confirmed and pred.witness_class == (2,)
         assert sorted(map(tuple, pred.blocks.blocks())) == [(0, 2), (1, 3)]
 
@@ -211,32 +218,33 @@ class TestBlockPrediction:
         # whenever a p-divisible class exists, the block cross-check succeeds
         for G, g in cyclic_regular_corpus(40):
             d = G.degree
+            M = me.suborbit_sums(G, g)
             for p in {q for q in range(2, d + 1) if d % q == 0 and all(q % t for t in range(2, q))}:
-                pred = me.predict_blocks_from_basis(G, g, p)
+                pred = me.predict_blocks_from_basis(M, p)
                 if pred.predicted:
                     assert pred.confirmed, (G.name, p)
 
 
 class TestCosetStructure:
     def test_two_transitive_clean(self):
-        B = me.basis_partition(pg.symmetric(6), full_cycle(6))
+        B = me.basis_partition(me.suborbit_sums(pg.symmetric(6), full_cycle(6)))
         for p in (2, 3):
             rep = me.coset_structure_report(B, 6, p)
             assert all(ok for _, ok, _ in rep.per_class)
 
     def test_imprimitive_flagged(self):
-        B = me.basis_partition(pg.dihedral(6), full_cycle(6))
+        B = me.basis_partition(me.suborbit_sums(pg.dihedral(6), full_cycle(6)))
         rep = me.coset_structure_report(B, 6, 2)
         flagged = {cl for cl, ok, _ in rep.per_class if not ok}
         assert (2, 4) in flagged
 
     def test_dihedral10_runs(self):
-        B = me.basis_partition(pg.dihedral(10), full_cycle(10))
+        B = me.basis_partition(me.suborbit_sums(pg.dihedral(10), full_cycle(10)))
         rep = me.coset_structure_report(B, 10, 5)
         assert len(rep.per_class) == len(B.classes)
 
     def test_rejects_prime_power_degree(self):
-        B = me.basis_partition(pg.dihedral(8), full_cycle(8))
+        B = me.basis_partition(me.suborbit_sums(pg.dihedral(8), full_cycle(8)))
         with pytest.raises(ValueError):
             me.coset_structure_report(B, 8, 2)
 
@@ -258,6 +266,39 @@ class TestDiagnose:
     def test_rejects_prime_degree(self):
         with pytest.raises(ValueError):
             me.diagnose(pg.dihedral(7), full_cycle(7))
+
+    def test_blocks_match_exhaustive_search_on_corpus(self):
+        for G, g in cyclic_regular_corpus(100):
+            H, _ = me.relabel_by_cycle(G, g)
+            assert me.diagnose(G, g).blocks == exhaustive_first_blocks(H), G.name
+
+    def test_blocks_match_exhaustive_search_on_conjugates(self):
+        rng = random.Random(20170522)
+        for G, g in cyclic_regular_corpus(100):
+            K, k = random_relabelling(rng, G, g)
+            H, _ = me.relabel_by_cycle(K, k)
+            assert me.diagnose(K, k).blocks == exhaustive_first_blocks(H), G.name
+
+    def test_matrix_built_once(self, monkeypatch):
+        counts = {"suborbit_sums": 0, "relabel_by_cycle": 0, "minimal_blocks": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(me, "suborbit_sums")
+        counted(me, "relabel_by_cycle")
+        counted(pg, "minimal_blocks")
+        for G, g in cyclic_regular_corpus(30):
+            counts.update(dict.fromkeys(counts, 0))
+            rep = me.diagnose(G, g)
+            assert counts["suborbit_sums"] == counts["relabel_by_cycle"] == 1, G.name
+            assert counts["minimal_blocks"] <= len(rep.suborbits) - 1, G.name
 
     def test_never_counterexample_on_corpus_sample(self):
         for G, g in cyclic_regular_corpus(30):

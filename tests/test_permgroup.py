@@ -1,9 +1,15 @@
+import random
 from collections import deque
 
 import pytest
 
 from burnside import permgroup as pg
-from helpers import cyclic_regular_corpus, full_cycle
+from helpers import (
+    cyclic_regular_corpus,
+    exhaustive_first_blocks,
+    full_cycle,
+    random_relabelling,
+)
 
 
 def closure(gens, degree, cap=100_000):
@@ -88,6 +94,21 @@ class TestSuborbits:
         with pytest.raises(ValueError):
             pg.suborbits(G)
 
+    @pytest.mark.parametrize("base", [-1, 4, 10])
+    def test_base_out_of_range(self, base):
+        with pytest.raises(ValueError):
+            pg.suborbits(pg.cyclic(4), base)
+
+    def test_base_shift_on_corpus(self):
+        # the canonical cycle raised to the power b sends 0 to b, so the
+        # stabiliser of b has the base-0 suborbits moved by x -> x + b
+        for G, _ in cyclic_regular_corpus():
+            d = G.degree
+            base0 = pg.suborbits(G)
+            for b in range(d):
+                shifted = sorted(sorted((x + b) % d for x in o) for o in base0)
+                assert pg.suborbits(G, b) == shifted, (G.name, b)
+
     def test_sizes_sum_to_degree_on_corpus(self):
         for G, _ in cyclic_regular_corpus(40):
             subs = pg.suborbits(G)
@@ -148,6 +169,25 @@ class TestBlocks:
         for d in range(3, 31):
             is_prime = all(d % q for q in range(2, d))
             assert pg.is_primitive(pg.dihedral(d)) == is_prime, d
+
+    SEARCH_GROUPS = (
+        [pg.dihedral(d) for d in range(3, 41)]
+        + [pg.cyclic(d) for d in range(2, 31)]
+        + [pg.symmetric(d) for d in range(3, 12)]
+        + [pg.wreath_product_action(d).group for d in range(2, 7)]
+    )
+
+    def test_primitivity_matches_exhaustive_search(self):
+        for G in self.SEARCH_GROUPS:
+            assert pg.is_primitive(G) == (exhaustive_first_blocks(G) is None), G.name
+
+    def test_first_blocks_match_exhaustive_search_on_conjugates(self):
+        # random labels move the point 1 off the first non-base suborbit
+        rng = random.Random(1975)
+        for G in self.SEARCH_GROUPS:
+            (K,) = random_relabelling(rng, G)
+            found = pg.first_nontrivial_blocks(K, pg.suborbits(K))
+            assert found == exhaustive_first_blocks(K), G.name
 
     def test_blocks_respected_by_generators(self):
         G = pg.dihedral(12)
