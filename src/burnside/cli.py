@@ -72,9 +72,10 @@ def parse_group(spec: str) -> permgroup.PermGroup:
     if head == "affine":
         try:
             d_text, s_text = rest.split(":")
-            return permgroup.affine(int(d_text), int(s_text))
+            d, s = int(d_text), int(s_text)
         except ValueError:
             raise ValueError(f"expected affine:<degree>:<multiplier>, got {spec!r}") from None
+        return permgroup.affine(d, s)
     if spec.lstrip().startswith("("):
         gens = permgroup.parse_generators(spec)
         return permgroup.PermGroup(gens[0].degree, tuple(gens), name="custom")
@@ -208,7 +209,7 @@ def _cmd_diagnose(args, out: _Output) -> int:
 
 def _cmd_nullsets(args, out: _Output) -> int:
     if args.verify:
-        rep = nullsets.verify_classification(args.p, args.n, jobs=args.jobs)
+        rep = nullsets.verify_classification(args.p, args.n)
         payload = dataclasses.asdict(rep)
         payload["verdict"] = "holds" if rep.ok else "fails"
         if args.format == "pretty":
@@ -220,7 +221,7 @@ def _cmd_nullsets(args, out: _Output) -> int:
         else:
             out.line(_json(payload))
         return EXIT_OK if rep.ok else EXIT_VERDICT
-    sols = nullsets.enumerate_solutions(args.p, args.n, jobs=args.jobs)
+    sols = nullsets.enumerate_solutions(args.p, args.n)
     for O in sols:
         cls = nullsets.classify(O)
         payload = {
@@ -245,8 +246,8 @@ def _cmd_nullsets(args, out: _Output) -> int:
 
 def _cmd_examples(args, out: _Output) -> int:
     name = args.name
+    d = 3 if args.d is None else args.d
     if name == "wreath":
-        d = args.d or 3
         W = permgroup.wreath_product_action(d)
         subs = permgroup.suborbits(W.group)
         payload = {
@@ -267,7 +268,6 @@ def _cmd_examples(args, out: _Output) -> int:
             and payload["embedded_regular"]
         ) or d == 2
     elif name == "manning":
-        d = args.d or 3
         rep = method.manning_invariance_check(d)
         payload = {
             "construction": "manning",
@@ -336,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs",
             type=int,
             default=_default_jobs(),
-            help="worker count (default $BURNSIDE_JOBS or 1)",
+            help="worker count for conjecture; accepted and unused elsewhere "
+            "(default $BURNSIDE_JOBS or 1)",
         )
 
     p = sub.add_parser("ramanujan", help="print R(d) and its identity report")

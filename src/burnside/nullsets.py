@@ -1,4 +1,4 @@
-"""Brute-force enumeration and classification of cyclotomic-sum solution sets.
+"""Exhaustive enumeration and classification of cyclotomic-sum solution sets.
 
 Fix a prime power p^n with n >= 2, let z be a primitive p^n-th root of
 unity and w = z^{p^{n-1}} (a primitive p-th root).  A set O inside
@@ -19,14 +19,16 @@ with empty remainder); for n >= 3 this is strictly smaller than the full
 set, so a solver that assumes |O| = p^n - 1 is the only solution is wrong
 for every such modulus.
 
-Enumeration sweeps all 2^(p^n - 1) subsets in Gray-code order while
-maintaining the difference of the two sums as its exact canonical vector
-(reduction mod Phi is linear, so one flip updates the reduced vector by a
-precomputed row); steps are batched as numpy cumulative sums.  The choice
-w = z^{p^{n-1}} (rather than another primitive p-th root) is harmless:
-other choices are reached by the exponent scalings i -> s*i with
-s = 1 mod p, and the solution family is closed under those maps, which
-the test suite checks.
+Enumeration decides all 2^(p^n - 1) subsets by a meet-in-the-middle
+join (Horowitz-Sahni): the difference of the two sums, as its exact
+canonical vector, is linear in the chosen elements (reduction mod Phi is
+linear), so a subset is a solution exactly when the reduced vector of
+its lower elements equals minus that of its upper ones.  Each half's
+2^((p^n - 1)/2) subset sums form one table and the two tables are
+joined on exact equality.  The choice w = z^{p^{n-1}} (rather than
+another primitive p-th root) is harmless: other choices are reached by
+the exponent scalings i -> s*i with s = 1 mod p, and the solution family
+is closed under those maps, which the test suite checks.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ import numpy as np
 from . import cyclotomic
 from .cyclotomic import CycSum, ProgressionSet, prime_power_split
 
-_BLOCK_BITS = 16
-MAX_MODULUS = 27  # 2^(p^n - 1) subsets; keep the sweep at desk scale
+MAX_MODULUS = 27  # 3^3: two half tables of 2^13 rows
 
 
 def _check_modulus(p: int, n: int, enforce_bound: bool = False) -> int:
@@ -51,7 +52,7 @@ def _check_modulus(p: int, n: int, enforce_bound: bool = False) -> int:
         raise ValueError("need exponent n >= 2")
     N = p**n
     if enforce_bound and N > MAX_MODULUS:
-        raise ValueError(f"modulus {N} exceeds the sweep bound {MAX_MODULUS}")
+        raise ValueError(f"modulus {N} exceeds the enumeration bound {MAX_MODULUS}")
     return N
 
 
@@ -251,85 +252,45 @@ def _flip_rows(p: int, n: int) -> np.ndarray:
         )
         rows.append(cyclotomic.reduced_coeffs(diff))
     arr = np.array(rows, dtype=np.int64)
-    if np.abs(arr).max() >= 2**14:  # entries are O(p); int16 is ample
-        raise RuntimeError(f"flip rows at {p}^{n} exceed the int16 range")
+    # a subset sum adds up to N - 1 rows, and each must fit int16
+    if len(arr) * int(np.abs(arr).max()) > np.iinfo(np.int16).max:
+        raise RuntimeError(f"subset sums of the flip rows at {p}^{n} exceed the int16 range")
     return arr.astype(np.int16)
 
 
-def _scan_range(p: int, n: int, t_start: int, t_stop: int) -> list[int]:
-    """Gray-walk the subset counters [t_start, t_stop) and return the
-    counters whose running difference vector is exactly zero."""
-    rows = _flip_rows(p, n)
-    width = rows.shape[1]
-    hits: list[int] = []
-    # seed: reduced difference of the subset at t_start
-    g0 = t_start ^ (t_start >> 1)
-    prev = np.zeros(width, dtype=np.int16)
-    for b in range(rows.shape[0]):
-        if g0 >> b & 1:
-            prev = prev + rows[b]
-    block = 1 << _BLOCK_BITS
-    for t0 in range(t_start, t_stop, block):
-        t1 = min(t0 + block, t_stop)
-        # prev is the profile at t0 for the seeded first block, and at
-        # t0 - 1 afterwards; the flip range starts accordingly
-        ts = np.arange(t0 + 1 if t0 == t_start else t0, t1, dtype=np.int64)
-        if ts.size:
-            low = ts & -ts
-            bits = np.log2(low.astype(np.float64)).astype(np.int64)
-            gs = ts ^ (ts >> 1)
-            signs = np.where((gs >> bits) & 1, 1, -1).astype(np.int16)
-            deltas = rows[bits] * signs[:, None]
-            np.cumsum(deltas, axis=0, out=deltas)
-        else:
-            deltas = np.zeros((0, width), dtype=np.int16)
-        if t0 == t_start:
-            profiles = np.empty((t1 - t0, width), dtype=np.int16)
-            profiles[0] = prev
-            profiles[1:] = prev + deltas
-        else:
-            profiles = prev + deltas
-        zero = ~profiles.any(axis=1)
-        for offset in np.nonzero(zero)[0]:
-            hits.append(t0 + int(offset))
-        prev = profiles[-1].copy()
-    return hits
+def _subset_sums(rows: np.ndarray) -> np.ndarray:
+    """Row k is the sum of rows[j] over the set bits j of k (built by doubling)."""
+    table = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
+    for row in rows:
+        table = np.concatenate([table, table + row])
+    return table
 
 
-def _scan_worker(args) -> list[int]:
-    return _scan_range(*args)
-
-
-def enumerate_solutions(p: int, n: int, jobs: int = 1) -> list[IndexSet]:
+def enumerate_solutions(p: int, n: int) -> list[IndexSet]:
     """All solution sets for the modulus p^n, sorted by bitmask.
 
-    Sweeps every subset of {1..p^n-1}; with jobs > 1 the counter range is
-    split into contiguous chunks with independently seeded Gray walks and
-    the merged result is identical to the serial one.
+    Joins the subset sums of the first h flip rows with the negated
+    subset sums of the rest on exact row bytes, so every match is a
+    solution and no hit needs re-verifying.
     """
     N = _check_modulus(p, n, enforce_bound=True)
-    total = 1 << (N - 1)
-    if jobs <= 1:
-        counters = _scan_range(p, n, 0, total)
-    else:
-        bounds = [total * i // jobs for i in range(jobs + 1)]
-        chunks = [
-            (p, n, bounds[i], bounds[i + 1])
-            for i in range(jobs)
-            if bounds[i] < bounds[i + 1]
-        ]
-        import multiprocessing
-
-        with multiprocessing.Pool(min(jobs, len(chunks))) as pool:
-            counters = [t for part in pool.map(_scan_worker, chunks) for t in part]
-    masks = sorted((t ^ (t >> 1)) << 1 for t in counters)
+    rows = _flip_rows(p, n)
+    h = (N - 1) // 2
+    left: dict[bytes, list[int]] = {}
+    for a, row in enumerate(_subset_sums(rows[:h])):
+        left.setdefault(row.tobytes(), []).append(a)
+    masks = sorted(
+        (a | b << h) << 1
+        for b, row in enumerate(_subset_sums(-rows[h:]))
+        for a in left.get(row.tobytes(), ())
+    )
     return [IndexSet(p, n, m) for m in masks]
 
 
 def enumerate_certificates(p: int, n: int):
     """All balanced certificates and all layered configurations for p^n.
 
-    Independent of the sweep: generated combinatorially from the
+    Independent of the enumeration: generated combinatorially from the
     progression residues.  Returns (null_certs, layered_configs) with
     layered_configs a list of (residue_reps, remainder_certificate).
     """
@@ -361,6 +322,9 @@ def enumerate_certificates(p: int, n: int):
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """Outcome of `verify_classification`; subsets_scanned is the number
+    of subsets decided, 2^(p^n - 1)."""
+
     p: int
     n: int
     subsets_scanned: int
@@ -383,8 +347,9 @@ class ClassificationReport:
         )
 
 
-def verify_classification(p: int, n: int, jobs: int = 1) -> ClassificationReport:
-    """Run the sweep and check it against the structural classification.
+def verify_classification(p: int, n: int) -> ClassificationReport:
+    """Enumerate the solutions and check them against the structural
+    classification.
 
     (a) every enumerated solution classifies as balanced or layered;
     (b) the sets built from all certificates are exactly the enumerated
@@ -394,7 +359,7 @@ def verify_classification(p: int, n: int, jobs: int = 1) -> ClassificationReport
     """
     start = time.perf_counter()
     N = _check_modulus(p, n, enforce_bound=True)
-    sols = enumerate_solutions(p, n, jobs=jobs)
+    sols = enumerate_solutions(p, n)
     all_classified = all(classify(O).kind != NOT_SOLUTION for O in sols)
 
     null_certs, layered = enumerate_certificates(p, n)

@@ -79,7 +79,7 @@ def test_criterion_05_solution_set_classification():
     summaries = []
     for p, n in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]:
         start = time.perf_counter()
-        rep = nullsets.verify_classification(p, n, jobs=2)
+        rep = nullsets.verify_classification(p, n)
         wall = time.perf_counter() - start
         assert rep.ok, (p, n, rep)
         assert wall < budgets.get((p, n), 120.0), (p, n, wall)

@@ -1,8 +1,12 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import burnside
 from burnside import cli, coprime
 from helpers import masked_report_lines, run_cli
 
@@ -124,6 +128,11 @@ class TestDiagnoseCommand:
         code, _ = run_cli(["diagnose", "--group", "wreath:3"])
         assert code == 2
 
+    def test_affine_reason_reported(self, capsys):
+        code, _ = run_cli(["diagnose", "--group", "affine:9:3"])
+        assert code == 2
+        assert "not coprime" in capsys.readouterr().err
+
 
 class TestNullsetsCommand:
     def test_enumerate(self):
@@ -181,6 +190,12 @@ class TestExamplesCommand:
         code, _ = run_cli(["examples", "ex42", "--d", "5"])
         assert code == 2
 
+    @pytest.mark.parametrize("name", ["wreath", "manning"])
+    @pytest.mark.parametrize("d", ["0", "1"])
+    def test_degenerate_degree_rejected(self, name, d):
+        code, out = run_cli(["examples", name, "--d", d])
+        assert code == 2 and out == ""
+
 
 class TestPlumbing:
     def test_out_file(self, tmp_path):
@@ -223,6 +238,17 @@ class TestPlumbing:
         assert code == cli.EXIT_INTERNAL == 3
         assert "fails" not in out
         assert capsys.readouterr().err.startswith("internal error: row 1 of R(2)")
+
+    def test_module_entry_point(self):
+        src = os.path.dirname(os.path.dirname(burnside.__file__))
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "burnside", "ramanujan", "2"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert "identities ok: True" in proc.stdout
 
     def test_unwritable_out_path(self):
         code, _ = run_cli(

@@ -114,12 +114,25 @@ class TestEnumerate:
         assert null_sizes and min(null_sizes) < 7
         assert all(ns.classify(s).kind != ns.NOT_SOLUTION for s in sols)
 
-    def test_jobs_split_deterministic(self):
-        for p, n in [(3, 2), (2, 4)]:
-            serial = [s.mask for s in ns.enumerate_solutions(p, n)]
-            for jobs in (2, 4, 8):
-                split = [s.mask for s in ns.enumerate_solutions(p, n, jobs=jobs)]
-                assert split == serial, (p, n, jobs)
+    def test_matches_is_solution_on_every_subset(self):
+        # the join against the subset-by-subset exact test
+        for p, n in [(2, 2), (2, 3), (3, 2), (2, 4)]:
+            expected = [
+                mask
+                for mask in range(0, 1 << p**n, 2)
+                if ns.is_solution(ns.IndexSet(p, n, mask))
+            ]
+            assert [s.mask for s in ns.enumerate_solutions(p, n)] == expected, (p, n)
+
+    @pytest.mark.parametrize("entry, fits", [(1260, True), (1261, False), (2000, False)])
+    def test_int16_guard_bounds_subset_sums(self, monkeypatch, entry, fits):
+        # 26 flip rows at 3^3: 26 * 1260 = 32760 fits int16, 26 * 1261 does not
+        monkeypatch.setattr(ns.cyclotomic, "reduced_coeffs", lambda diff: [entry] * 18)
+        if fits:
+            assert [s.mask for s in ns.enumerate_solutions(3, 3)] == [0]
+        else:
+            with pytest.raises(RuntimeError, match="int16"):
+                ns.enumerate_solutions(3, 3)
 
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
