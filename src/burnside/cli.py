@@ -49,8 +49,11 @@ def parse_group(spec: str) -> permgroup.PermGroup:
     """A named family, cycle-notation generators, or JSON image arrays."""
     if spec.lstrip().startswith("["):
         try:
-            arrays = json.loads(spec)
-            gens = [permgroup.Permutation(tuple(a)) for a in arrays]
+            images = [tuple(a) for a in json.loads(spec)]
+            # `type(i) is int` also refuses true/false, which are ints to Python
+            if any(type(i) is not int for a in images for i in a):
+                raise ValueError("images must be integers")
+            gens = [permgroup.Permutation(a) for a in images]
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad image-array group spec: {exc}") from None
         if not gens:

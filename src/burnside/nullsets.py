@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cyclotomic
+from .coprime import subset_sums
 from .cyclotomic import CycSum, ProgressionSet, prime_power_split
 
 MAX_MODULUS = 27  # 3^3: two half tables of 2^13 rows
@@ -258,14 +259,6 @@ def _flip_rows(p: int, n: int) -> np.ndarray:
     return arr.astype(np.int16)
 
 
-def _subset_sums(rows: np.ndarray) -> np.ndarray:
-    """Row k is the sum of rows[j] over the set bits j of k (built by doubling)."""
-    table = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
-    for row in rows:
-        table = np.concatenate([table, table + row])
-    return table
-
-
 def enumerate_solutions(p: int, n: int) -> list[IndexSet]:
     """All solution sets for the modulus p^n, sorted by bitmask.
 
@@ -277,11 +270,11 @@ def enumerate_solutions(p: int, n: int) -> list[IndexSet]:
     rows = _flip_rows(p, n)
     h = (N - 1) // 2
     left: dict[bytes, list[int]] = {}
-    for a, row in enumerate(_subset_sums(rows[:h])):
+    for a, row in enumerate(subset_sums(rows[:h])):
         left.setdefault(row.tobytes(), []).append(a)
     masks = sorted(
         (a | b << h) << 1
-        for b, row in enumerate(_subset_sums(-rows[h:]))
+        for b, row in enumerate(subset_sums(-rows[h:]))
         for a in left.get(row.tobytes(), ())
     )
     return [IndexSet(p, n, m) for m in masks]

@@ -58,6 +58,17 @@ class TestConjectureCommand:
         code, _ = run_cli(["conjecture", "--max-d", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_scan_bound_is_usage_error(self, jobs, monkeypatch, capsys):
+        # d = 24 has 8 divisors, 6 free rows; every smaller even degree has
+        # at most 4.  The pool forks, so its workers see the patched bound.
+        monkeypatch.setattr(coprime, "MAX_FREE_ROWS", 4)
+        code, out = run_cli(["conjecture", "--max-d", "24", "--jobs", jobs])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: 24 has 6 free divisor rows")
+        assert "fails" not in out
+        assert [json.loads(line)["d"] for line in out.splitlines()] == list(range(2, 24, 2))
+
 
 def range_divisors(d):
     return [e for e in range(1, d + 1) if d % e == 0]
@@ -91,6 +102,20 @@ class TestSuborbitsCommand:
     def test_bad_spec(self):
         code, _ = run_cli(["suborbits", "--group", "frobnicate:9"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["suborbits", "--group", "[[1.0,0.0]]"],
+            ["diagnose", "--group", "[[1.0,2.0,3.0,0.0]]"],
+            ["suborbits", "--group", "[[true,false]]"],
+        ],
+    )
+    def test_non_integer_images_rejected(self, argv, capsys):
+        code, out = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad image-array group spec: images must be integers")
 
     @pytest.mark.parametrize("group, base", [("cyclic:6", "10"), ("dihedral:5", "-1")])
     def test_base_out_of_range(self, group, base, capsys):

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import time
 
 import numpy as np
 import pytest
@@ -90,31 +92,53 @@ class TestConjectureScan:
                 P = cp.partition_for(R, cp.RowSubset.from_divisors(d, E))
                 assert len(P.classes) == 1 and cp.is_coprime(P), (d, E)
 
-    def test_gray_checkpoints_match_scratch_profiles(self):
-        for d in [12, 60, 96]:
+    def test_table_checkpoints_match_scratch_profiles(self):
+        # 240 and 360 have more free rows than _BLOCK_BITS, so the high
+        # table has several rows there
+        for d in [12, 60, 96, 240, 360]:
             R = matrix_formula(d)
             k = len(R.divisors)
-            entries = np.array(R.entries, dtype=np.int64)
-            base = entries[0, : k - 1] + entries[1, : k - 1]
-            C_free = entries[2:, : k - 1]
+            columns = np.array(R.entries, dtype=np.int64)[:, : k - 1]
+            low_bits = min(k - 2, cp._BLOCK_BITS)
+            low = cp.subset_sums(columns[2:][:low_bits])
+            high = cp.subset_sums(columns[2:][low_bits:]) + columns[0] + columns[1]
+            assert len(high) == 1 << (k - 2 - low_bits) and (len(high) > 1) == (d >= 240)
             rng = random.Random(d)
-            total = 1 << (k - 2)
-            wanted = {rng.randrange(total) for _ in range(1000)}
-            seen = {}
+            for _ in range(1000):
+                t = rng.randrange(1 << (k - 2))
+                lo, hi = t & ((1 << low_bits) - 1), t >> low_bits
+                profile = [int(v) for v in low[lo] + high[hi]]
+                assert profile == cp.subset_profile(R, 0b11 | t << 2), (d, t)
 
-            def collector(profiles, _start=[0]):
-                t0 = _start[0]
-                for t in wanted:
-                    if t0 <= t < t0 + profiles.shape[0]:
-                        seen[t] = [int(v) for v in profiles[t - t0]]
-                _start[0] += profiles.shape[0]
-                return np.zeros(profiles.shape[0], dtype=bool)
+    def test_every_hit_reported_in_ascending_order(self, monkeypatch):
+        # rows 2.. zeroed: every profile is constant, so every E containing
+        # {1, 2} is coprime; four low bits span four high rows
+        formula = cp.matrix_formula
 
-            for _t0, _good in cp._scan_gray_blocks(C_free, base, collector):
-                pass
-            for t in wanted:
-                mask = 0b11 | (cp.gray_mask(t) << 2)
-                assert seen[t] == cp.subset_profile(R, mask), (d, t)
+        def flat(d):
+            R = formula(d)
+            zero = tuple((0,) * len(row) for row in R.entries[1:])
+            return dataclasses.replace(R, entries=R.entries[:1] + zero)
+
+        monkeypatch.setattr(cp, "matrix_formula", flat)
+        monkeypatch.setattr(cp, "_BLOCK_BITS", 2)
+        R = flat(12)
+        expected = []
+        for t in range(16):
+            E = cp.RowSubset(12, 0b11 | t << 2)
+            if cp.is_coprime(cp.partition_for(R, E)):
+                expected.append(E.divisors())
+        rep = cp.verify_degree(12)
+        assert len(expected) == 16
+        assert list(rep.coprime_masks) == expected
+        assert not rep.holds
+
+    def test_scan_bound_refused_before_tables(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="beyond the scan bound"):
+            cp.verify_degree(1260)
+        assert time.perf_counter() - start < 1.0
+        assert len(matrix_formula(840).divisors) - 2 <= cp.MAX_FREE_ROWS
 
     def test_range_deterministic_across_worker_counts(self):
         serial = cp.verify_range(60, jobs=1)
@@ -192,8 +216,3 @@ class TestRowSubset:
     def test_rejects_non_divisor(self):
         with pytest.raises(ValueError):
             cp.RowSubset.from_divisors(12, [5])
-
-    def test_gray_mask_changes_one_bit(self):
-        for t in range(1, 4096):
-            diff = cp.gray_mask(t) ^ cp.gray_mask(t - 1)
-            assert diff and diff & (diff - 1) == 0
