@@ -54,11 +54,12 @@ def parse_group(spec: str) -> permgroup.PermGroup:
             if any(type(i) is not int for a in images for i in a):
                 raise ValueError("images must be integers")
             gens = [permgroup.Permutation(a) for a in images]
-        except (TypeError, ValueError) as exc:
+            if not gens:
+                raise ValueError("no generators given")
+            return permgroup.PermGroup(gens[0].degree, tuple(gens), name="custom")
+        # json raises RecursionError, an internal error by type, on deep nesting
+        except (TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"bad image-array group spec: {exc}") from None
-        if not gens:
-            raise ValueError("no generators given")
-        return permgroup.PermGroup(gens[0].degree, tuple(gens), name="custom")
     head, _, rest = spec.partition(":")
     families = {
         "cyclic": permgroup.cyclic,
@@ -385,7 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str]) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error or help
+        return exc.code
     if args.format == "csv" and args.command != "ramanujan":
         print("csv output is only available for the ramanujan subcommand", file=sys.stderr)
         return EXIT_USAGE

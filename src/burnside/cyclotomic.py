@@ -5,18 +5,20 @@ sum_i a_i z^i, where z is a primitive d-th root of unity.  Vectors live in
 the group ring Z[Z/dZ] and are *not* reduced on construction: the index map
 i -> i*j stays well defined even when gcd(j, d) > 1, which matters because
 all the index-set manipulations in this package act on formal sums.
-Reduction happens only inside equality tests: two formal sums are
-value-equal exactly when their difference is divisible by the d-th
-cyclotomic polynomial Phi_d, which is monic, so the divisibility test is
-plain integer arithmetic with no tolerances.
+Two formal sums are value-equal exactly when their difference is
+divisible by the d-th cyclotomic polynomial Phi_d, which is monic, so the
+divisibility test is plain integer arithmetic with no tolerances.
 
 Canonical form of a value is the remainder mod Phi_d, a vector of length
-phi(d).  For d = p^n the remainder has a simple shape: the coefficient
-polynomial is divisible by Phi_{p^n} iff the coefficients are constant on
-each arithmetic progression {r, r + p^{n-1}, ..., r + (p-1)p^{n-1}}.
+phi(d): `reduced_coeffs` for one sum in Python integers, and for batches
+the rows of `reduction_matrix(d)` indexed by the exponents, summed.  For
+d = p^n the coefficient polynomial is divisible by Phi_{p^n} iff the
+coefficients are constant on each arithmetic progression
+{r, r + p^{n-1}, ..., r + (p-1)p^{n-1}}.
 
 All values are immutable after construction and safe to share between
-threads; the Phi_d cache is a memoised pure function (idempotent fill).
+threads; the Phi_d and table caches are memoised pure functions
+(idempotent fill), and the tables are read-only.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+
+import numpy as np
+
+INT16_MAX = int(np.iinfo(np.int16).max)
 
 
 def _proper_divisors(d: int) -> list[int]:
@@ -59,15 +65,6 @@ def prime_power_split(d: int) -> tuple[int, int] | None:
 
 # ---------------------------------------------------------------------------
 # polynomials over Z (dense ascending coefficient lists)
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
 
 
 def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -132,22 +129,32 @@ def _reduction_rows(d: int) -> tuple[tuple[int, ...], ...]:
     Row t is X^{phi(d)+t} reduced to degree < phi(d); these let a group-ring
     vector be reduced by a sparse sum instead of a fresh long division.
     """
-    phi = cyclotomic_poly(d).degree
     den = cyclotomic_poly(d).coeffs
+    phi = len(den) - 1
     rows = []
-    cur = [0] * phi  # X^{phi} mod Phi = -(low part of Phi)
-    for j in range(phi):
-        cur[j] = -den[j]
-    rows.append(tuple(cur))
-    for _ in range(phi + 1, d):
-        nxt = [0] + cur[:-1]
+    cur = [0] * (phi - 1) + [1]  # X^{phi-1}
+    for _ in range(phi, d):
         lead = cur[-1]
+        cur = [0] + cur[:-1]  # times X, then X^phi = -(low part of Phi)
         if lead:
             for j in range(phi):
-                nxt[j] -= lead * den[j]
-        rows.append(tuple(nxt))
-        cur = nxt
+                cur[j] -= lead * den[j]
+        rows.append(tuple(cur))
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def reduction_matrix(d: int) -> np.ndarray:
+    """Read-only int16 table of shape (d, phi(d)) whose row k is X^k mod Phi_d,
+    so the canonical form of sum_{i in I} z^i is `table[I].sum(axis=0)`."""
+    phi = cyclotomic_poly(d).degree
+    rows = np.array(_reduction_rows(d), dtype=np.int64).reshape(d - phi, phi)
+    table = np.vstack([np.eye(phi, dtype=np.int64), rows])
+    if int(np.abs(table).max()) > INT16_MAX:
+        raise ValueError(f"the reduction table mod Phi_{d} exceeds the int16 range")
+    table = table.astype(np.int16)
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +317,6 @@ class PrimitiveClass:
                 m * step for m in range(1, self.r) if math.gcd(m, self.r) == 1
             )
         object.__setattr__(self, "elements", elems)
-
-
-def progression_classes(p: int, n: int) -> list[ProgressionSet]:
-    """All progression sets R(r) for 0 < r < p^{n-1}."""
-    return [ProgressionSet(p, n, r) for r in range(1, p ** (n - 1))]
 
 
 def progression_constancy_check(x: CycSum) -> bool:

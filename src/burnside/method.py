@@ -23,8 +23,10 @@ examples below validate it against independently known basis sets.
 implicitly; the 1/d normalisation is the only sensible one even though
 sources sometimes misprint the factor.)
 
-`suborbit_sums` relabels the group and reduces the sums once, and every
-consumer takes that matrix, as `diagnose` does:
+Column j of the matrix is the rows (O*j) mod d of the reduction table
+`cyclotomic.reduction_matrix(d)`, summed per suborbit O.  `suborbit_sums`
+streams the columns, keeps only their classes, and every consumer takes
+that result, as `diagnose` does:
 
     M = suborbit_sums(G, g)
     B, rows = basis_partition(M), orbit_row_subset(M)
@@ -38,8 +40,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import cyclotomic, permgroup
-from .cyclotomic import CycSum, PrimitiveClass
+from .cyclotomic import PrimitiveClass
 from .permgroup import BlockSystem, PermGroup, Permutation, WreathAction
 from .ramanujan import divisor_data
 from .coprime import RowSubset
@@ -70,25 +74,41 @@ def relabel_by_cycle(G: PermGroup, g: Permutation) -> tuple[PermGroup, tuple[int
 
 @dataclass(frozen=True)
 class SuborbitSumMatrix:
-    """Reduced cyclotomic sums indexed by (suborbit, exponent column)."""
+    """The suborbit-sum matrix of a relabelled group, kept as the classes
+    of exponent columns j on which the reduced sums agree."""
 
     d: int
     group: PermGroup  # relabelled so that the cycle is (0,1,...,d-1)
     suborbits: tuple[tuple[int, ...], ...]
-    reduced: tuple[tuple[tuple[int, ...], ...], ...]  # [orbit][j] -> canonical coeffs
+    column_classes: tuple[tuple[int, ...], ...]  # ascending, by least member
     relabelling: tuple[int, ...]  # new label -> original point
 
-    def sum(self, orbit_index: int, j: int) -> CycSum:
-        phi = len(self.reduced[orbit_index][j])
-        coeffs = self.reduced[orbit_index][j] + (0,) * (self.d - phi)
-        return CycSum(self.d, coeffs)
 
-    def column(self, j: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(row[j] for row in self.reduced)
+def _column_classes(L: int, subs, columns) -> tuple[tuple, ...]:
+    """Classes of equal suborbit-sum columns, keyed on exact int16 bytes.
+
+    `columns` yields (label, exponents) in ascending label order, so the
+    classes come out sorted; exponents[t] is the power of z_L at the t-th
+    point of the concatenated suborbits `subs`.
+    """
+    table = cyclotomic.reduction_matrix(L)
+    # a sum adds one table row per orbit point, and must fit int16
+    largest = max(len(o) for o in subs)
+    if largest * int(np.abs(table).max()) > cyclotomic.INT16_MAX:
+        raise ValueError(
+            f"suborbit sums of {largest} points mod Phi_{L} exceed the int16 range"
+        )
+    starts = np.cumsum([0] + [len(o) for o in subs[:-1]])
+    groups: dict[bytes, list] = {}
+    for label, exponents in columns:
+        sums = np.add.reduceat(table[exponents], starts, dtype=np.int16)
+        groups.setdefault(sums.tobytes(), []).append(label)
+    return tuple(map(tuple, groups.values()))
 
 
 def suborbit_sums(G: PermGroup, g: Permutation) -> SuborbitSumMatrix:
-    """Indicator sums of every stabiliser orbit at every exponent.
+    """Classes of equal columns of the stabiliser-orbit sums
+    sum_{i in O} z^{ij}, over every exponent j.
 
     Points are relabelled so that g = (0,1,...,d-1); the relabelled group
     and the relabelling are recorded in the result.
@@ -96,14 +116,9 @@ def suborbit_sums(G: PermGroup, g: Permutation) -> SuborbitSumMatrix:
     H, relab = relabel_by_cycle(G, g)
     d = H.degree
     subs = tuple(tuple(o) for o in permgroup.suborbits(H))
-    rows = []
-    for orbit in subs:
-        row = []
-        for j in range(d):
-            s = cyclotomic.from_indices(d, [(i * j) % d for i in orbit])
-            row.append(cyclotomic.reduced_coeffs(s))
-        rows.append(tuple(row))
-    return SuborbitSumMatrix(d, H, subs, tuple(rows), relab)
+    pts = np.array([i for o in subs for i in o], dtype=np.int64)
+    classes = _column_classes(d, subs, ((j, pts * j % d) for j in range(d)))
+    return SuborbitSumMatrix(d, H, subs, classes, relab)
 
 
 @dataclass(frozen=True)
@@ -127,18 +142,9 @@ class BasisPartition:
         raise KeyError(j)
 
 
-def _classes_by_equal_columns(columns: dict) -> tuple[tuple, ...]:
-    groups: dict = {}
-    for j, col in columns.items():
-        groups.setdefault(col, []).append(j)
-    classes = tuple(tuple(sorted(g)) for g in groups.values())
-    return tuple(sorted(classes, key=lambda cl: cl[0]))
-
-
 def basis_partition(M: SuborbitSumMatrix) -> BasisPartition:
     """Equality classes of the suborbit-sum columns."""
-    columns = {j: M.column(j) for j in range(M.d)}
-    return BasisPartition(_classes_by_equal_columns(columns))
+    return BasisPartition(M.column_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -163,37 +169,19 @@ def _coordinates(degree: int, a: Permutation, b: Permutation, da: int, db: int):
     return coords
 
 
-def pair_suborbit_sums(
-    G: PermGroup, a: Permutation, da: int, b: Permutation, db: int
-):
-    """Reduced sums sum_{(x,y) in O} z_L^{x j L/da + y j' L/db} on the
-    (j, j') grid, L = lcm(da, db), for every stabiliser orbit O."""
-    L = da * db // math.gcd(da, db)
-    coords = _coordinates(G.degree, a, b, da, db)
-    subs = tuple(tuple(o) for o in permgroup.suborbits(G))
-    wa, wb = L // da, L // db
-    rows = []
-    for orbit in subs:
-        row = {}
-        pts = [coords[p] for p in orbit]
-        for j in range(da):
-            for jp in range(db):
-                s = cyclotomic.from_indices(
-                    L, [(x * j * wa + y * jp * wb) % L for x, y in pts]
-                )
-                row[(j, jp)] = cyclotomic.reduced_coeffs(s)
-        rows.append(row)
-    return subs, rows
-
-
 def pair_basis_partition(
     G: PermGroup, a: Permutation, da: int, b: Permutation, db: int
 ) -> BasisPartition:
-    subs, rows = pair_suborbit_sums(G, a, da, b, db)
-    columns = {
-        key: tuple(row[key] for row in rows) for key in rows[0]
-    }
-    return BasisPartition(_classes_by_equal_columns(columns))
+    """Equality classes of the columns of the sums
+    sum_{(x,y) in O} z_L^{x j L/da + y j' L/db} on the (j, j') grid,
+    L = lcm(da, db), over every stabiliser orbit O."""
+    L = da * db // math.gcd(da, db)
+    coords = _coordinates(G.degree, a, b, da, db)
+    subs = tuple(tuple(o) for o in permgroup.suborbits(G))
+    xy = np.array([coords[p] for o in subs for p in o], dtype=np.int64)
+    x, y = xy[:, 0] * (L // da), xy[:, 1] * (L // db)
+    columns = (((j, jp), (x * j + y * jp) % L) for j in range(da) for jp in range(db))
+    return BasisPartition(_column_classes(L, subs, columns))
 
 
 def basis_partition_pair(

@@ -240,19 +240,14 @@ def layered_set(
 
 
 def _flip_rows(p: int, n: int) -> np.ndarray:
-    """Canonical vector of z^i - w^i for each element i, as int16 rows."""
+    """Canonical vector of z^i - w^i for each element i, as int16 rows:
+    the difference of rows i and i*p^(n-1) of the reduction table mod
+    Phi_{p^n}."""
     N = p**n
     step = p ** (n - 1)
-    rows = []
-    for i in range(1, N):
-        diff = cyclotomic.combine(
-            cyclotomic.from_indices(N, [i]),
-            cyclotomic.from_indices(N, [(i * step) % N]),
-            1,
-            -1,
-        )
-        rows.append(cyclotomic.reduced_coeffs(diff))
-    arr = np.array(rows, dtype=np.int64)
+    i = np.arange(1, N)
+    table = cyclotomic.reduction_matrix(N).astype(np.int64)
+    arr = table[i] - table[i * step % N]
     # a subset sum adds up to N - 1 rows, and each must fit int16
     if len(arr) * int(np.abs(arr).max()) > np.iinfo(np.int16).max:
         raise RuntimeError(f"subset sums of the flip rows at {p}^{n} exceed the int16 range")

@@ -12,6 +12,7 @@ Groups are immutable and all functions are pure.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import deque
 from collections.abc import Sequence
@@ -131,6 +132,8 @@ class PermGroup:
     name: str = ""
 
     def __post_init__(self) -> None:
+        if self.degree < 1:
+            raise ValueError("a group needs at least one point")
         if not self.generators:
             raise ValueError("a group needs at least one generator")
         for g in self.generators:
@@ -339,9 +342,9 @@ def symmetric(d: int) -> PermGroup:
 
 def affine(d: int, multiplier: int) -> PermGroup:
     """⟨ the d-cycle, x -> multiplier*x mod d ⟩; multiplier must be a unit."""
-    import math as _math
-
-    if _math.gcd(multiplier, d) != 1:
+    if d < 2:
+        raise ValueError("degree must be at least 2")
+    if math.gcd(multiplier, d) != 1:
         raise ValueError(f"multiplier {multiplier} is not coprime to {d}")
     mult = Permutation(tuple((multiplier * i) % d for i in range(d)))
     return PermGroup(d, (cycle(range(d), d), mult), name=f"affine:{d}:{multiplier}")

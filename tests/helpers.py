@@ -7,7 +7,7 @@ import json
 import random
 from contextlib import redirect_stdout
 
-from burnside import cli, permgroup
+from burnside import cli, cyclotomic, permgroup
 from burnside.permgroup import PermGroup, Permutation
 
 
@@ -62,6 +62,24 @@ def exhaustive_first_blocks(G: PermGroup) -> permgroup.BlockSystem | None:
         if not system.is_trivial:
             return system
     return None
+
+
+def orbit_sum(M, orbit_index: int, j: int) -> cyclotomic.CycSum:
+    """Reference for one entry of the suborbit-sum matrix M: the sum of
+    z^(i*j) over suborbit `orbit_index`, as a formal sum."""
+    return cyclotomic.from_indices(M.d, [(i * j) % M.d for i in M.suborbits[orbit_index]])
+
+
+def scalar_column_classes(M) -> tuple[tuple[int, ...], ...]:
+    """Reference for M.column_classes: every column reduced one sum at a
+    time by `reduced_coeffs`, grouped by tuple equality."""
+    groups: dict = {}
+    for j in range(M.d):
+        column = tuple(
+            cyclotomic.reduced_coeffs(orbit_sum(M, oi, j)) for oi in range(len(M.suborbits))
+        )
+        groups.setdefault(column, []).append(j)
+    return tuple(sorted((tuple(g) for g in groups.values()), key=lambda cl: cl[0]))
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:

@@ -4,10 +4,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import burnside
-from burnside import cli, coprime
+from burnside import cli, coprime, method
 from helpers import masked_report_lines, run_cli
 
 
@@ -117,6 +120,25 @@ class TestSuborbitsCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: bad image-array group spec: images must be integers")
 
+    @pytest.mark.parametrize(
+        "group, message",
+        [
+            ("[[]]", "bad image-array group spec: a group needs at least one point"),
+            ("affine:0:1", "degree must be at least 2"),
+            ("affine:1:1", "degree must be at least 2"),
+            ("affine:-3:1", "degree must be at least 2"),
+        ],
+    )
+    def test_group_without_points_rejected(self, group, message, capsys):
+        code, out = run_cli(["suborbits", "--group", group])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_deeply_nested_json_is_usage_error(self, capsys):
+        code, out = run_cli(["suborbits", "--group", "[" * 3000 + "]" * 3000])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: bad image-array group spec")
+
     @pytest.mark.parametrize("group, base", [("cyclic:6", "10"), ("dihedral:5", "-1")])
     def test_base_out_of_range(self, group, base, capsys):
         code, out = run_cli(["suborbits", "--group", group, "--base", base])
@@ -157,6 +179,17 @@ class TestDiagnoseCommand:
         code, _ = run_cli(["diagnose", "--group", "affine:9:3"])
         assert code == 2
         assert "not coprime" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, code", [(6553, 0), (6554, 2)])
+    def test_suborbit_sum_bound_is_usage_error(self, entry, code, monkeypatch, capsys):
+        # sym:6 has a suborbit of 5 points: 5 * 6553 = 32765 fits int16,
+        # 5 * 6554 does not.  phi(6) = 2.
+        table = np.full((6, 2), entry, dtype=np.int16)
+        monkeypatch.setattr(method.cyclotomic, "reduction_matrix", lambda d: table)
+        assert run_cli(["diagnose", "--group", "sym:6"])[0] == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == "error: suborbit sums of 5 points mod Phi_6 exceed the int16 range\n"
 
 
 class TestNullsetsCommand:
@@ -280,3 +313,93 @@ class TestPlumbing:
             ["ramanujan", "4", "--out", "/nonexistent-dir/matrix.csv"]
         )
         assert code == 2
+
+
+# --- argv fuzzing over a bounded grammar -----------------------------------
+
+SMALL = st.integers(min_value=-3, max_value=12).map(str)
+FAMILY_SPEC = st.one_of(
+    st.builds(
+        "{}:{}".format,
+        st.sampled_from(["cyclic", "dihedral", "sym", "wreath", "frob", ""]),
+        st.one_of(SMALL, st.sampled_from(["", "x", "2.5"])),
+    ),
+    st.builds("affine:{}:{}".format, SMALL, SMALL),
+    st.sampled_from(["affine:9", "affine:9:2:1", "dihedral", ":", ""]),
+)
+JSON_SPEC = st.one_of(
+    st.lists(st.permutations(range(4)), max_size=3).map(json.dumps),
+    st.lists(st.permutations(range(6)), min_size=1, max_size=2).map(json.dumps),
+    st.recursive(
+        st.one_of(
+            st.integers(min_value=-2, max_value=6), st.booleans(), st.none(),
+            st.floats(allow_nan=False, width=16), st.text(max_size=2),
+        ),
+        lambda inner: st.lists(inner, max_size=4),
+        max_leaves=12,
+    ).map(json.dumps),
+    st.sampled_from(["[", "[[1,0]", "[[1,0]]]", "{}", "[{}]"]),
+    st.integers(min_value=1, max_value=3000).map(lambda k: "[" * k + "]" * k),
+)
+CYCLES = st.lists(st.integers(min_value=-1, max_value=7).map(str), max_size=5).map(
+    lambda pts: "(" + ",".join(pts) + ")"
+)
+CYCLE_SPEC = st.one_of(
+    st.lists(CYCLES, min_size=1, max_size=3).map(";".join),
+    st.sampled_from(["(0,1", "(a,b)", "(0,0)", "()", "(0,1))", ";", "(0,,1)"]),
+)
+GROUP_SPEC = st.one_of(FAMILY_SPEC, JSON_SPEC, CYCLE_SPEC)
+FORMAT = st.sampled_from([[], ["--format", "json"], ["--format", "pretty"],
+                          ["--format", "csv"], ["--format", "xml"]])
+JOBS = st.sampled_from(["-2", "0", "1", "x"]).map(lambda j: ["--jobs", j])
+
+
+def _one(values):
+    return values.map(lambda v: [v])
+
+
+def _optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _argv(*parts):
+    """Concatenate strategies of argv fragments."""
+    return st.tuples(*parts).map(lambda t: [token for part in t for token in part])
+
+
+WELL_FORMED = st.one_of(
+    _argv(st.just(["ramanujan"]), _one(SMALL)),
+    _argv(st.just(["conjecture", "--max-d"]), _one(SMALL)),
+    _argv(st.just(["suborbits", "--group"]), _one(GROUP_SPEC), _optional("--base", SMALL)),
+    _argv(
+        st.just(["diagnose", "--group"]), _one(GROUP_SPEC), _optional("--cycle", CYCLE_SPEC)
+    ),
+    _argv(
+        st.just(["nullsets"]), _one(SMALL), _one(SMALL),
+        st.sampled_from([[], ["--enumerate"], ["--verify"]]),
+    ),
+    _argv(
+        st.just(["examples"]), _one(st.sampled_from(["wreath", "manning", "ex42", "frob"])),
+        _optional("--d", SMALL),
+    ),
+)
+TOKENS = st.lists(
+    st.one_of(
+        st.sampled_from(["ramanujan", "conjecture", "suborbits", "diagnose", "nullsets",
+                         "examples", "wreath", "--group", "--base", "--max-d", "--d",
+                         "--cycle", "--enumerate", "--verify", "--format", "--help", "-h"]),
+        SMALL,
+        GROUP_SPEC,
+    ),
+    max_size=6,
+)
+ARGV = _argv(st.one_of(WELL_FORMED, TOKENS), FORMAT, JOBS)
+
+
+@given(ARGV)
+@settings(max_examples=300, deadline=1000)
+def test_argv_fuzz_keeps_exit_code_contract(argv):
+    # deadline: every argv of this grammar is decided within milliseconds.
+    # Exit 3 would mean a checked invariant broke, which no input may cause.
+    code, _ = run_cli(argv)
+    assert code in (0, 1, 2)

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +120,22 @@ class TestIsZero:
         x = cy.CycSum(p, tuple(coeffs[:p]))
         shifted = cy.combine(x, cy.from_indices(p, range(p)), 1, k)
         assert cy.is_zero(x) == cy.is_zero(shifted)
+
+
+class TestReductionMatrix:
+    def test_rows_are_remainders_of_powers(self):
+        for d in range(1, 121):
+            table = cy.reduction_matrix(d)
+            den = list(cy.cyclotomic_poly(d).coeffs)
+            phi = len(den) - 1
+            assert table.shape == (d, phi) and table.dtype == np.int16, d
+            for k in range(d):
+                _, rem = cy._poly_divmod_monic([0] * k + [1], den)
+                assert table[k].tolist() == rem + [0] * (phi - len(rem)), (d, k)
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            cy.reduction_matrix(12)[0, 0] = 2
 
 
 class TestPowerMap:

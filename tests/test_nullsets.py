@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from burnside import cyclotomic as cy
@@ -126,8 +127,14 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("entry, fits", [(1260, True), (1261, False), (2000, False)])
     def test_int16_guard_bounds_subset_sums(self, monkeypatch, entry, fits):
-        # 26 flip rows at 3^3: 26 * 1260 = 32760 fits int16, 26 * 1261 does not
-        monkeypatch.setattr(ns.cyclotomic, "reduced_coeffs", lambda diff: [entry] * 18)
+        # 26 flip rows at 3^3: 26 * 1260 = 32760 fits int16, 26 * 1261 does not.
+        # Row k of the patched table is (k != 0) + (3 does not divide k) times
+        # `entry`, so row i minus row 9i mod 27 is `entry` in every column.
+        k = np.arange(27)[:, None]
+        table = ((k != 0).astype(int) + (k % 3 != 0)) * np.full((27, 18), entry)
+        monkeypatch.setattr(
+            ns.cyclotomic, "reduction_matrix", lambda N: table.astype(np.int16)
+        )
         if fits:
             assert [s.mask for s in ns.enumerate_solutions(3, 3)] == [0]
         else:

@@ -49,6 +49,10 @@ class TestBasics:
         with pytest.raises(ValueError):
             pg.Permutation((0, 0, 1))
 
+    def test_group_needs_a_point(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            pg.PermGroup(0, (pg.Permutation(()),))
+
     def test_parse_and_str(self):
         perm = pg.parse_permutation("(0,1,2,3)(4,5)", 6)
         assert perm.images == (1, 2, 3, 0, 5, 4)
@@ -253,6 +257,11 @@ class TestAffine:
     def test_multiplier_must_be_unit(self):
         with pytest.raises(ValueError):
             pg.affine(9, 3)
+
+    @pytest.mark.parametrize("d", [-3, 0, 1])
+    def test_degree_below_two_rejected(self, d):
+        with pytest.raises(ValueError, match="degree must be at least 2"):
+            pg.affine(d, 1)
 
     def test_order(self):
         G = pg.affine(9, 2)
