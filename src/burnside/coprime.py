@@ -14,8 +14,10 @@ solutions collapse to the single full mask.  The scan splits the free
 rows in two and builds each part's table of all subset sums by doubling
 (`subset_sums`, the enumerator `nullsets` shares): every row of the high
 table, shifted by rows 1 and 2, is added to the whole low table, and the
-resulting block of profiles is tested at once.  Profile values are
-bounded by sum_{r|d} phi(r) = d, far inside int64.
+resulting block of profiles is tested one column at a time, keeping only
+the low rows that pass each column.  Every table entry and
+profile is bounded by the largest column abs-sum of R(d), which is d: the
+tables are int16 while that bound fits and int64 beyond it.
 
 A coprime partition is detected per prime q dividing d: some class lies
 entirely inside the q-divisible columns iff some q-divisible column's
@@ -31,13 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ramanujan import RamanujanMatrix, divisor_data, matrix_formula
-from .cyclotomic import _factorize, prime_power_split
+from .cyclotomic import INT16_MAX, _factorize, prime_power_split
 
 _BLOCK_BITS = 16
-# Each high-table row costs one test of a 2^_BLOCK_BITS-profile block, 50-70
-# ms on one core of a 2-vCPU VM at 24 divisors.  32 free rows is 2^16 such
-# blocks, about an hour; the next degree over the bound (1260, 34 free rows)
-# would take four times that, so it is refused before any table is built.
+# Each high-table row costs one test of a 2^_BLOCK_BITS-row block, measured
+# on one core of a 2-vCPU VM at 1.25 ms for 30 divisors (720: 4 096 blocks in
+# 5.1 s) and 1.5 ms for 32 (840: 16 384 blocks in 24 s).  32 free rows is 2^16
+# such blocks, a few minutes; the next degree over the bound (1260, 34 free
+# rows, 2^18 blocks) is unmeasured, so it is refused before any table is built.
 MAX_FREE_ROWS = 32
 
 
@@ -165,8 +168,12 @@ def verify_degree(d: int) -> ConjectureReport:
     iff the only coprime subset is the full divisor set.  The first
     min(|D|-2, _BLOCK_BITS) free rows make the low table, the rest (with
     rows 1 and 2 added) the high one, and each high row plus the whole
-    low table is one block for the coprime test.  Raises ValueError when
-    |D|-2 exceeds MAX_FREE_ROWS.
+    low table is one block for the coprime test.  The test keeps the
+    indices of the surviving low rows and, after each q-divisible column,
+    drops the dead rows from them and from its copy of the low table, so
+    later columns compare only survivors (about 30% survive the first
+    column and almost none survive ten).  Raises ValueError when |D|-2
+    exceeds MAX_FREE_ROWS.
     """
     if d < 2 or d % 2:
         raise ValueError(f"degree must be even and >= 2, got {d}")
@@ -183,36 +190,45 @@ def verify_degree(d: int) -> ConjectureReport:
     if any(v != 1 for v in R.entries[0]):
         raise RuntimeError(f"row 1 of R({d}) is not constant")
 
-    entries = np.array(R.entries, dtype=np.int64)
-    columns = entries[:, : k - 1]  # D \ {d}
+    columns = np.array(R.entries, dtype=np.int64)[:, : k - 1]  # D \ {d}
+    # Every partial subset sum of a column lies within its abs-sum, so no
+    # table entry or profile can wrap in a dtype that holds the largest.
+    bound = int(np.abs(columns).sum(axis=0).max())
+    columns = columns.astype(np.int16 if bound <= INT16_MAX else np.int64)
     base = columns[0] + columns[1]  # rows for divisors 1 and 2
     C_free = columns[2:]
     col_divs = np.array(divs[: k - 1], dtype=np.int64)
 
-    primes = [p for p, _ in _factorize(d)]
-    tests = []
-    for q in primes:
-        A = np.nonzero(col_divs % q == 0)[0]
+    # one (q-divisible column, q-free columns) check per column, q ascending
+    checks = []
+    for q, _ in _factorize(d):
         B = np.nonzero(col_divs % q != 0)[0]
-        if A.size:
-            tests.append((A, B))
-
-    def coprime_test(profiles: np.ndarray) -> np.ndarray:
-        ok = np.ones(profiles.shape[0], dtype=bool)
-        for A, B in tests:
-            qfree = profiles[:, B]
-            for a in A:
-                ok &= (qfree == profiles[:, a : a + 1]).any(axis=1)
-                if not ok.any():
-                    return ok
-        return ok
+        checks.extend((a, B) for a in np.nonzero(col_divs % q == 0)[0])
 
     low_bits = min(k - 2, _BLOCK_BITS)
-    low = subset_sums(C_free[:low_bits])
+    # transposed, so each profile column is one contiguous row of low_t
+    low_t = np.ascontiguousarray(subset_sums(C_free[:low_bits]).T)
     high = subset_sums(C_free[low_bits:]) + base
+
+    def coprime_test(row: np.ndarray) -> np.ndarray:
+        """Ascending indices of the low rows whose profile plus `row` is coprime."""
+        idx = np.arange(low_t.shape[1])
+        block = low_t
+        for a, B in checks:
+            col = block[a] + row[a]
+            keep = block[B[0]] + row[B[0]] == col
+            for b in B[1:]:
+                keep |= block[b] + row[b] == col
+            survivors = np.flatnonzero(keep)
+            idx = idx[survivors]
+            if not idx.size:
+                break
+            block = block.take(survivors, axis=1)
+        return idx
+
     masks = []
     for hi, row in enumerate(high):
-        for lo in np.nonzero(coprime_test(low + row))[0]:
+        for lo in coprime_test(row):
             mask = 0b11 | (int(lo) | hi << low_bits) << 2
             masks.append(tuple(r for i, r in enumerate(divs) if mask >> i & 1))
     holds = masks == [tuple(divs)]

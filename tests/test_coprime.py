@@ -15,6 +15,16 @@ def all_row_subsets(d):
         yield cp.RowSubset(d, mask)
 
 
+def brute_force_hits(R):
+    """Divisor tuples of every coprime E containing {1, 2}, ascending mask."""
+    hits = []
+    for t in range(1 << (len(R.divisors) - 2)):
+        E = cp.RowSubset(R.d, 0b11 | t << 2)
+        if cp.is_coprime(cp.partition_for(R, E)):
+            hits.append(E.divisors())
+    return hits
+
+
 class TestPartition:
     def test_d4_single_row(self):
         P = cp.partition_for(matrix_formula(4), cp.RowSubset.from_divisors(4, [2]))
@@ -122,16 +132,68 @@ class TestConjectureScan:
 
         monkeypatch.setattr(cp, "matrix_formula", flat)
         monkeypatch.setattr(cp, "_BLOCK_BITS", 2)
-        R = flat(12)
-        expected = []
-        for t in range(16):
-            E = cp.RowSubset(12, 0b11 | t << 2)
-            if cp.is_coprime(cp.partition_for(R, E)):
-                expected.append(E.divisors())
+        expected = brute_force_hits(flat(12))
         rep = cp.verify_degree(12)
         assert len(expected) == 16
         assert list(rep.coprime_masks) == expected
         assert not rep.holds
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_partial_survivors_match_brute_force(self, monkeypatch, seed):
+        # a seeded sparse 0/1 matrix with row 1 constant: in 8-row blocks
+        # some rows die at one column and others survive to the end, so
+        # the surviving indices must be carried through every compaction
+        formula = cp.matrix_formula
+
+        def scrambled(d):
+            R = formula(d)
+            k = len(R.divisors)
+            rng = random.Random(seed)
+            rows = tuple(tuple(rng.choice((0, 0, 1)) for _ in range(k)) for _ in range(k - 1))
+            return dataclasses.replace(R, entries=((1,) * k,) + rows)
+
+        monkeypatch.setattr(cp, "matrix_formula", scrambled)
+        monkeypatch.setattr(cp, "_BLOCK_BITS", 3)
+        R = scrambled(60)
+        free = len(R.divisors) - 2
+        assert free == 10
+        expected = brute_force_hits(R)
+        assert 0 < len(expected) < 1 << free
+        per_block = {}
+        for E in expected:
+            t = cp.RowSubset.from_divisors(60, E).mask >> 2
+            per_block[t >> 3] = per_block.get(t >> 3, 0) + 1
+        assert any(n < 8 for n in per_block.values())
+        assert list(cp.verify_degree(60).coprime_masks) == expected
+
+    @pytest.mark.parametrize("d", [32766, 32768])
+    def test_dtype_boundary_matches_brute_force(self, d):
+        # the largest column abs-sum of R(d) is d: 32766 scans in int16,
+        # 32768 is the first even degree past it; both have 14 free rows.
+        # The true profiles at 32768 stay within +-2^14, so an int16 wrap
+        # is pinned by test_profile_past_int16_matches_brute_force instead.
+        R = matrix_formula(d)
+        assert len(R.divisors) - 2 == 14
+        assert list(cp.verify_degree(d).coprime_masks) == brute_force_hits(R)
+
+    @pytest.mark.parametrize("entry", [16383, 16384])
+    def test_profile_past_int16_matches_brute_force(self, monkeypatch, entry):
+        # rows 6 and 12 are (-entry, ..., -entry, entry): with both in E the
+        # profile is 1 - 2 entry on columns 1..4 and 1 + 2 entry on column 6.
+        # At 16384 those are -32767 and 32769, equal modulo 2^16, so a scan
+        # kept in int16 would report four spurious coprime subsets.
+        formula = cp.matrix_formula
+
+        def widened(d):
+            R = formula(d)
+            wide = (-entry,) * 4 + (entry, 0)
+            zero = (0,) * 6
+            return dataclasses.replace(R, entries=((1,) * 6,) + (zero,) * 3 + (wide,) * 2)
+
+        monkeypatch.setattr(cp, "matrix_formula", widened)
+        expected = brute_force_hits(widened(12))
+        assert len(expected) == 4
+        assert list(cp.verify_degree(12).coprime_masks) == expected
 
     def test_scan_bound_refused_before_tables(self):
         start = time.perf_counter()
