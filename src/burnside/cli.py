@@ -328,10 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, default_format):
+    def add_common(p, default_format, formats=("json", "pretty")):
         p.add_argument(
             "--format",
-            choices=["json", "csv", "pretty"],
+            choices=formats,
             default=default_format,
             help=f"output format (default {default_format})",
         )
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ramanujan", help="print R(d) and its identity report")
     p.add_argument("d", type=int)
-    add_common(p, "pretty")
+    add_common(p, "pretty", ("json", "csv", "pretty"))
     p.set_defaults(handler=_cmd_ramanujan)
 
     p = sub.add_parser("conjecture", help="coprime-partition sweep over even degrees")
@@ -390,9 +390,6 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error or help
         return exc.code
-    if args.format == "csv" and args.command != "ramanujan":
-        print("csv output is only available for the ramanujan subcommand", file=sys.stderr)
-        return EXIT_USAGE
     args.jobs = max(1, args.jobs)
     out = None
     try:

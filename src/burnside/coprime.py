@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ramanujan import RamanujanMatrix, divisor_data, matrix_formula
-from .cyclotomic import INT16_MAX, _factorize, prime_power_split
+from .cyclotomic import _factorize, int_dtype, prime_power_split
 
 _BLOCK_BITS = 16
 # Each high-table row costs one test of a 2^_BLOCK_BITS-row block, measured
@@ -142,16 +142,6 @@ class ConjectureReport:
         }
 
 
-def subset_profile(R: RamanujanMatrix, mask: int) -> list[int]:
-    """Profile vector over D \\ {d}, recomputed from scratch for a bitmask.
-
-    Reference implementation used to cross-check the table scan.
-    """
-    k = len(R.divisors)
-    rows = [i for i in range(k) if mask >> i & 1]
-    return [sum(R.entries[i][j] for i in rows) for j in range(k - 1)]
-
-
 def subset_sums(rows: np.ndarray) -> np.ndarray:
     """Row t is the sum of rows[j] over the set bits j of t (built by doubling)."""
     table = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
@@ -194,7 +184,7 @@ def verify_degree(d: int) -> ConjectureReport:
     # Every partial subset sum of a column lies within its abs-sum, so no
     # table entry or profile can wrap in a dtype that holds the largest.
     bound = int(np.abs(columns).sum(axis=0).max())
-    columns = columns.astype(np.int16 if bound <= INT16_MAX else np.int64)
+    columns = columns.astype(int_dtype(bound))
     base = columns[0] + columns[1]  # rows for divisors 1 and 2
     C_free = columns[2:]
     col_divs = np.array(divs[: k - 1], dtype=np.int64)
@@ -229,8 +219,7 @@ def verify_degree(d: int) -> ConjectureReport:
     masks = []
     for hi, row in enumerate(high):
         for lo in coprime_test(row):
-            mask = 0b11 | (int(lo) | hi << low_bits) << 2
-            masks.append(tuple(r for i, r in enumerate(divs) if mask >> i & 1))
+            masks.append(RowSubset(d, 0b11 | (int(lo) | hi << low_bits) << 2).divisors())
     holds = masks == [tuple(divs)]
     millis = int((time.perf_counter() - start) * 1000)
     return ConjectureReport(d, k, 1 << (k - 2), tuple(masks), holds, millis)

@@ -10,9 +10,12 @@ divisible by the d-th cyclotomic polynomial Phi_d, which is monic, so the
 divisibility test is plain integer arithmetic with no tolerances.
 
 Canonical form of a value is the remainder mod Phi_d, a vector of length
-phi(d): `reduced_coeffs` for one sum in Python integers, and for batches
-the rows of `reduction_matrix(d)` indexed by the exponents, summed.  For
-d = p^n the coefficient polynomial is divisible by Phi_{p^n} iff the
+phi(d).  It has one source, `reduction_matrix(d)`, whose row k is X^k mod
+Phi_d: reduction is linear, so the rows indexed by the exponents, summed,
+give the remainder.  `reduced_coeffs` sums them in Python integers for
+one value; the batch sites sum them in the width `int_dtype` derives from
+a bound on every partial sum, so nothing wraps and no input is refused.
+For d = p^n the coefficient polynomial is divisible by Phi_{p^n} iff the
 coefficients are constant on each arithmetic progression
 {r, r + p^{n-1}, ..., r + (p-1)p^{n-1}}.
 
@@ -122,37 +125,28 @@ def cyclotomic_poly(d: int) -> CycPoly:
     return CycPoly(d, tuple(num))
 
 
-@lru_cache(maxsize=None)
-def _reduction_rows(d: int) -> tuple[tuple[int, ...], ...]:
-    """Remainders of X^k mod Phi_d for phi(d) <= k < d, as coefficient rows.
-
-    Row t is X^{phi(d)+t} reduced to degree < phi(d); these let a group-ring
-    vector be reduced by a sparse sum instead of a fresh long division.
-    """
-    den = cyclotomic_poly(d).coeffs
-    phi = len(den) - 1
-    rows = []
-    cur = [0] * (phi - 1) + [1]  # X^{phi-1}
-    for _ in range(phi, d):
-        lead = cur[-1]
-        cur = [0] + cur[:-1]  # times X, then X^phi = -(low part of Phi)
-        if lead:
-            for j in range(phi):
-                cur[j] -= lead * den[j]
-        rows.append(tuple(cur))
-    return tuple(rows)
+def int_dtype(bound: int) -> type:
+    """The integer width for arrays whose every value is known to lie in
+    [-bound, bound]: int16 when the bound fits it, int64 otherwise."""
+    return np.int16 if bound <= INT16_MAX else np.int64
 
 
 @lru_cache(maxsize=None)
 def reduction_matrix(d: int) -> np.ndarray:
-    """Read-only int16 table of shape (d, phi(d)) whose row k is X^k mod Phi_d,
-    so the canonical form of sum_{i in I} z^i is `table[I].sum(axis=0)`."""
-    phi = cyclotomic_poly(d).degree
-    rows = np.array(_reduction_rows(d), dtype=np.int64).reshape(d - phi, phi)
-    table = np.vstack([np.eye(phi, dtype=np.int64), rows])
-    if int(np.abs(table).max()) > INT16_MAX:
-        raise ValueError(f"the reduction table mod Phi_{d} exceeds the int16 range")
-    table = table.astype(np.int16)
+    """Read-only table of shape (d, phi(d)) whose row k is X^k mod Phi_d,
+    so the canonical form of sum_{i in I} z^i is `table[I].sum(axis=0)`.
+
+    Rows phi(d).. follow by the shift recurrence: times X, then X^phi(d) =
+    -(low part of Phi_d).  The dtype is `int_dtype` of the largest |entry|.
+    """
+    den = np.array(cyclotomic_poly(d).coeffs, dtype=np.int64)
+    phi = len(den) - 1
+    table = np.zeros((d, phi), dtype=np.int64)
+    table[:phi] = np.eye(phi, dtype=np.int64)
+    for k in range(phi, d):
+        table[k, 1:] = table[k - 1, :-1]
+        table[k] -= table[k - 1, -1] * den[:phi]
+    table = table.astype(int_dtype(int(np.abs(table).max())))
     table.flags.writeable = False
     return table
 
@@ -204,18 +198,14 @@ def combine(a: CycSum, b: CycSum, sa: int, sb: int) -> CycSum:
 
 
 def reduced_coeffs(x: CycSum) -> tuple[int, ...]:
-    """Canonical form: remainder mod Phi_d, a vector of length phi(d)."""
-    d = x.order
-    phi = cyclotomic_poly(d).degree
-    out = list(x.coeffs[:phi])
-    rows = _reduction_rows(d)
-    for k in range(phi, d):
-        a = x.coeffs[k]
-        if a:
-            row = rows[k - phi]
-            for j in range(phi):
-                out[j] += a * row[j]
-    return tuple(out)
+    """Canonical form: remainder mod Phi_d, a vector of length phi(d).
+
+    The table rows of the nonzero coefficients, weighted and summed in
+    Python integers (object dtype), so no coefficient size can wrap.
+    """
+    a = np.array(x.coeffs, dtype=object)
+    nz = a.nonzero()[0]
+    return tuple(a[nz].dot(reduction_matrix(x.order)[nz].astype(object)).tolist())
 
 
 def is_zero(x: CycSum) -> bool:

@@ -85,23 +85,19 @@ class SuborbitSumMatrix:
 
 
 def _column_classes(L: int, subs, columns) -> tuple[tuple, ...]:
-    """Classes of equal suborbit-sum columns, keyed on exact int16 bytes.
+    """Classes of equal suborbit-sum columns, keyed on exact bytes.
 
     `columns` yields (label, exponents) in ascending label order, so the
     classes come out sorted; exponents[t] is the power of z_L at the t-th
     point of the concatenated suborbits `subs`.
     """
     table = cyclotomic.reduction_matrix(L)
-    # a sum adds one table row per orbit point, and must fit int16
-    largest = max(len(o) for o in subs)
-    if largest * int(np.abs(table).max()) > cyclotomic.INT16_MAX:
-        raise ValueError(
-            f"suborbit sums of {largest} points mod Phi_{L} exceed the int16 range"
-        )
+    # a sum adds one table row per orbit point
+    dtype = cyclotomic.int_dtype(max(map(len, subs)) * int(np.abs(table).max()))
     starts = np.cumsum([0] + [len(o) for o in subs[:-1]])
     groups: dict[bytes, list] = {}
     for label, exponents in columns:
-        sums = np.add.reduceat(table[exponents], starts, dtype=np.int16)
+        sums = np.add.reduceat(table[exponents], starts, dtype=dtype)
         groups.setdefault(sums.tobytes(), []).append(label)
     return tuple(map(tuple, groups.values()))
 

@@ -240,18 +240,15 @@ def layered_set(
 
 
 def _flip_rows(p: int, n: int) -> np.ndarray:
-    """Canonical vector of z^i - w^i for each element i, as int16 rows:
-    the difference of rows i and i*p^(n-1) of the reduction table mod
-    Phi_{p^n}."""
+    """Canonical vector of z^i - w^i for each element i: the difference of
+    rows i and i*p^(n-1) of the reduction table mod Phi_{p^n}."""
     N = p**n
     step = p ** (n - 1)
     i = np.arange(1, N)
     table = cyclotomic.reduction_matrix(N).astype(np.int64)
     arr = table[i] - table[i * step % N]
-    # a subset sum adds up to N - 1 rows, and each must fit int16
-    if len(arr) * int(np.abs(arr).max()) > np.iinfo(np.int16).max:
-        raise RuntimeError(f"subset sums of the flip rows at {p}^{n} exceed the int16 range")
-    return arr.astype(np.int16)
+    # every subset sum of a column lies within its abs-sum
+    return arr.astype(cyclotomic.int_dtype(int(np.abs(arr).sum(axis=0).max())))
 
 
 def enumerate_solutions(p: int, n: int) -> list[IndexSet]:

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import burnside
-from burnside import cli, coprime, method
-from helpers import masked_report_lines, run_cli
+from burnside import cli, coprime, method, permgroup
+from helpers import full_cycle, masked_report_lines, run_cli, scalar_column_classes
 
 
 class TestRamanujanCommand:
@@ -180,16 +180,22 @@ class TestDiagnoseCommand:
         assert code == 2
         assert "not coprime" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("entry, code", [(6553, 0), (6554, 2)])
-    def test_suborbit_sum_bound_is_usage_error(self, entry, code, monkeypatch, capsys):
-        # sym:6 has a suborbit of 5 points: 5 * 6553 = 32765 fits int16,
-        # 5 * 6554 does not.  phi(6) = 2.
-        table = np.full((6, 2), entry, dtype=np.int16)
+    @pytest.mark.parametrize("entry", [6553, 16384])
+    def test_suborbit_sums_past_int16_keep_classes(self, entry, monkeypatch):
+        # Row k of the patched table (phi(6) = 2) is `entry` where 3 does not
+        # divide k and 0 elsewhere.  sym:6 has a suborbit of 5 points, so
+        # 5 * 6553 = 32765 sums in int16 and 5 * 16384 in int64.  Columns 0
+        # and 3 sum to 0, columns 1, 2, 4, 5 to 4 * entry: at 16384 that is
+        # 65536, which int16 sums would wrap to 0 and merge every column.
+        k = np.arange(6)[:, None]
+        table = np.where(k % 3 != 0, entry, 0) * np.ones((6, 2), dtype=np.int16)
         monkeypatch.setattr(method.cyclotomic, "reduction_matrix", lambda d: table)
-        assert run_cli(["diagnose", "--group", "sym:6"])[0] == code
-        err = capsys.readouterr().err
-        if code:
-            assert err == "error: suborbit sums of 5 points mod Phi_6 exceed the int16 range\n"
+        code, out = run_cli(["diagnose", "--group", "sym:6"])
+        assert code == 0
+        classes = json.loads(out)["basis_classes"]
+        M = method.suborbit_sums(permgroup.symmetric(6), full_cycle(6))
+        assert classes == [[0, 3], [1, 2, 4, 5]]
+        assert classes == [list(c) for c in scalar_column_classes(M)]
 
 
 class TestNullsetsCommand:

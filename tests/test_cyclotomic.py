@@ -137,6 +137,24 @@ class TestReductionMatrix:
         with pytest.raises(ValueError):
             cy.reduction_matrix(12)[0, 0] = 2
 
+    @pytest.mark.parametrize("d, height", [(385, 3), (935, 5), (1155, 9)])
+    def test_scalar_reduction_matches_long_division(self, d, height):
+        # tables whose rows past phi(d) carry entries above 1, so a wrong
+        # weight or sign on a row shows; one coefficient is past int64
+        den = list(cy.cyclotomic_poly(d).coeffs)
+        phi = len(den) - 1
+        assert int(np.abs(cy.reduction_matrix(d)).max()) == height
+        rng = random.Random(d)
+        for _ in range(4):
+            coeffs = [rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(d)]
+            coeffs[rng.randrange(phi, d)] = rng.choice((-1, 1)) * 10**20
+            _, rem = cy._poly_divmod_monic(coeffs, den)
+            assert cy.reduced_coeffs(cy.CycSum(d, tuple(coeffs))) == tuple(rem), d
+
+    @pytest.mark.parametrize("bound, dtype", [(32767, np.int16), (32768, np.int64)])
+    def test_int_dtype_boundary(self, bound, dtype):
+        assert cy.int_dtype(bound) is dtype
+
 
 class TestPowerMap:
     def test_identity(self):

@@ -125,21 +125,22 @@ class TestEnumerate:
             ]
             assert [s.mask for s in ns.enumerate_solutions(p, n)] == expected, (p, n)
 
-    @pytest.mark.parametrize("entry, fits", [(1260, True), (1261, False), (2000, False)])
+    @pytest.mark.parametrize(
+        "entry, fits", [(1260, True), (1261, False), (2000, False), (4096, False)]
+    )
     def test_int16_guard_bounds_subset_sums(self, monkeypatch, entry, fits):
         # 26 flip rows at 3^3: 26 * 1260 = 32760 fits int16, 26 * 1261 does not.
         # Row k of the patched table is (k != 0) + (3 does not divide k) times
-        # `entry`, so row i minus row 9i mod 27 is `entry` in every column.
+        # `entry`, so row i minus row 9i mod 27 is `entry` in every column and
+        # only the empty set balances.  At 4096, 16 rows sum to 2^16, so an
+        # int16 join would report millions of spurious hits.
         k = np.arange(27)[:, None]
         table = ((k != 0).astype(int) + (k % 3 != 0)) * np.full((27, 18), entry)
         monkeypatch.setattr(
             ns.cyclotomic, "reduction_matrix", lambda N: table.astype(np.int16)
         )
-        if fits:
-            assert [s.mask for s in ns.enumerate_solutions(3, 3)] == [0]
-        else:
-            with pytest.raises(RuntimeError, match="int16"):
-                ns.enumerate_solutions(3, 3)
+        assert ns._flip_rows(3, 3).dtype == (np.int16 if fits else np.int64)
+        assert [s.mask for s in ns.enumerate_solutions(3, 3)] == [0]
 
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
