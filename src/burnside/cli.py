@@ -14,11 +14,12 @@ sym:7, affine:9:2) or explicit cycle-notation generators separated by
 semicolons, e.g. "(0,1,2,3)(4,5);(0,4)".
 
 Exit codes: 0 success (all verdicts hold), 1 a mathematical verdict
-failed, 2 usage or input error, 3 internal error (a checked invariant
-broke; never a verdict).  BURNSIDE_JOBS sets the default worker
-count.  Sweep output is one JSON object per line so long runs can be
-monitored; results are canonically ordered and independent of the worker
-count.
+failed, 2 usage or input error (including an input past a stated budget
+or too large to hold in memory), 3 internal error (a checked invariant
+broke, or any other unexpected exception; never a verdict).
+BURNSIDE_JOBS sets the default worker count.  Sweep output is one JSON
+object per line so long runs can be monitored; results are canonically
+ordered and independent of the worker count.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import dataclasses
 import json
 import os
 import sys
+import traceback
 
 from . import coprime, method, nullsets, permgroup, ramanujan
 
@@ -259,8 +261,8 @@ def _cmd_examples(args, out: _Output) -> int:
             "d": d,
             "degree": d * d,
             "encoding": "pair (i, j) is the point i*d + j",
-            "primitive": permgroup.is_primitive(W.group),
-            "two_transitive": permgroup.is_2transitive(W.group),
+            "primitive": permgroup.first_nontrivial_blocks(W.group, subs) is None,
+            "two_transitive": len(subs) == 2,
             "suborbit_sizes": sorted(len(s) for s in subs),
             "embedded_regular": permgroup.regular_check(
                 d * d, list(W.embedded_abelian)
@@ -281,10 +283,11 @@ def _cmd_examples(args, out: _Output) -> int:
             "violation": [list(x) for x in rep.violation] if rep.violation else None,
         }
         ok = rep.galois_invariant and (rep.violation is not None or d <= 2)
-    elif name == "ex42":
+    else:  # ex42
         if args.d not in (None, 4):
             raise ValueError("the three-generator counterexample is specific to d=4")
         W = permgroup.wreath_product_action(4)
+        subs = permgroup.suborbits(W.group)
         a = W.embedded_abelian[0]
         k1 = permgroup.second_coordinate_perm(
             permgroup.parse_permutation("(0,1)(2,3)", 4), 4
@@ -298,16 +301,14 @@ def _cmd_examples(args, out: _Output) -> int:
             "degree": 16,
             "generators": [str(a), str(k1), str(k2)],
             "regular_c4xc2xc2": permgroup.regular_check(16, [a, k1, k2]),
-            "primitive": permgroup.is_primitive(W.group),
-            "two_transitive": permgroup.is_2transitive(W.group),
+            "primitive": permgroup.first_nontrivial_blocks(W.group, subs) is None,
+            "two_transitive": len(subs) == 2,
         }
         ok = (
             payload["regular_c4xc2xc2"]
             and payload["primitive"]
             and not payload["two_transitive"]
         )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown example {name!r}")
     payload["verdict"] = "holds" if ok else "fails"
     if args.format == "pretty":
         for key, value in payload.items():
@@ -390,16 +391,16 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error or help
         return exc.code
-    args.jobs = max(1, args.jobs)
     out = None
     try:
         out = _Output(args.out)
         return args.handler(args, out)
-    except (ValueError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
+    except Exception as exc:  # a checked invariant broke, or a bug: never a verdict
         print(f"internal error: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return EXIT_INTERNAL
     finally:
         if out is not None:

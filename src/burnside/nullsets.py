@@ -47,14 +47,17 @@ MAX_MODULUS = 27  # 3^3: two half tables of 2^13 rows
 
 
 def _check_modulus(p: int, n: int, enforce_bound: bool = False) -> int:
-    if prime_power_split(p) != (p, 1):
-        raise ValueError(f"{p} is not prime")
+    """p**n for a prime p and n >= 2.  The bound is decided from p and n
+    before p is tested for primality, and p**n >= 2**n > MAX_MODULUS once n
+    exceeds the bound's bit length, so no over-bound modulus is factorised
+    or formed."""
     if n < 2:
         raise ValueError("need exponent n >= 2")
-    N = p**n
-    if enforce_bound and N > MAX_MODULUS:
-        raise ValueError(f"modulus {N} exceeds the enumeration bound {MAX_MODULUS}")
-    return N
+    if enforce_bound and p >= 2 and (n > MAX_MODULUS.bit_length() or p**n > MAX_MODULUS):
+        raise ValueError(f"modulus {p}^{n} exceeds the enumeration bound {MAX_MODULUS}")
+    if prime_power_split(p) != (p, 1):
+        raise ValueError(f"{p} is not prime")
+    return p**n
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,10 @@
 """Generator-driven permutation group computations.
 
 Permutations act on the right and compose left to right: the image of a
-point i under first a then b is b[a[i]].  Everything here (orbits,
-orbitals, block systems, small-subgroup closure) is polynomial in the
-degree and works straight from generator lists; no stabiliser chains are
-built.  Suborbits are computed from orbitals, so the point stabiliser is
-never constructed explicitly.
+point i under first a then b is b[a[i]].  Everything here is polynomial
+in the degree and works straight from generator lists.  Suborbits come
+from one transversal of the base point and its Schreier generators; a
+transitive group is regular when every suborbit is a single point.
 
 Groups are immutable and all functions are pure.
 """
@@ -17,6 +16,10 @@ import re
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
+
+from .cyclotomic import int_dtype
 
 
 @dataclass(frozen=True)
@@ -167,43 +170,55 @@ def is_transitive(G: PermGroup) -> bool:
     return len(orbits(G)) == 1
 
 
-def suborbits(G: PermGroup, base: int = 0) -> list[list[int]]:
-    """Orbits of the stabiliser of `base`, via orbits on ordered pairs.
+MAX_DEGREE = 2**14  # the transversal and its inverses: two int16 m x m tables, 1 GiB here
 
-    The orbital of (base, x) is the orbit of that pair under the diagonal
-    action; the suborbit of x is the set of second coordinates of pairs
-    with first coordinate `base`.  The stabiliser itself is never formed.
-    Returns all suborbits including {base}, sorted by least element.
+
+def suborbits(G: PermGroup, base: int = 0) -> list[list[int]]:
+    """Orbits of the stabiliser of `base` in a transitive group, including
+    {base}, each sorted and listed by least element.
+
+    A search over points, which is also the transitivity check, fills a
+    transversal: t[a] takes `base` to a, inv[a] is its inverse.  Each point
+    of an orbit goes through all Schreier generators t[a] h t[h(a)]^-1
+    (Seress 2003, Lemma 4.2.1) at once, one length-m gather per h.
     """
     m = G.degree
     if not 0 <= base < m:
         raise ValueError(f"base point {base} outside 0..{m - 1}")
-    if not is_transitive(G):
+    if m > MAX_DEGREE:
+        raise ValueError(f"degree {m} exceeds the point budget of {MAX_DEGREE} points")
+    dtype = int_dtype(m - 1)
+    points = np.arange(m, dtype=dtype)
+    gens = [np.array(g.images, dtype=dtype) for g in G.generators]
+    t, inv = np.empty((2, m, m), dtype)
+    t[base] = inv[base] = points
+    queue, found = [base], {base}
+    for a in queue:
+        for g, perm in zip(gens, G.generators):
+            b = perm.images[a]
+            if b not in found:
+                found.add(b)
+                t[b] = g[t[a]]
+                inv[b, t[b]] = points
+                queue.append(b)
+    if len(queue) < m:
         raise ValueError("suborbits require a transitive group")
-    assigned = [False] * m
+    assigned, hit = np.zeros((2, m), dtype=bool)
     out = []
-    for x in range(m):
+    for x in range(m):  # x is the least point of its suborbit
         if assigned[x]:
             continue
-        visited = set()
-        start = base * m + x
-        visited.add(start)
-        queue = deque([start])
-        suborbit = set()
-        while queue:
-            code = queue.popleft()
-            a, b = divmod(code, m)
-            if a == base:
-                suborbit.add(b)
-            for g in G.generators:
-                nxt = g[a] * m + g[b]
-                if nxt not in visited:
-                    visited.add(nxt)
-                    queue.append(nxt)
-        for y in suborbit:
-            assigned[y] = True
-        out.append(sorted(suborbit))
-    out.sort(key=lambda s: s[0])
+        assigned[x] = True
+        orbit = [x]
+        for y in orbit:
+            column = t[:, y]
+            for g in gens:
+                hit[inv[g, g[column]]] = True
+            fresh = np.flatnonzero(hit & ~assigned)
+            hit[:] = False
+            assigned[fresh] = True
+            orbit.extend(fresh.tolist())
+        out.append(sorted(orbit))
     return out
 
 
@@ -286,30 +301,11 @@ def is_primitive(G: PermGroup) -> bool:
 
 
 def regular_check(degree: int, gens: list[Permutation]) -> bool:
-    """True iff the generated subgroup is transitive of order exactly `degree`.
-
-    The order is found by closure enumeration, so this is only meant for
-    small subgroups; a closure exceeding `degree` elements is reported as
-    non-regular without being enumerated further.
-    """
-    for g in gens:
-        if g.degree != degree:
-            raise ValueError("generator degree mismatch")
+    """True iff the generated subgroup is transitive of order exactly `degree`:
+    transitive with every suborbit a single point, since a stabiliser that
+    fixes every point is trivial."""
     group = PermGroup(degree, tuple(gens))
-    if not is_transitive(group):
-        return False
-    elements = {identity(degree).images}
-    frontier = deque([identity(degree)])
-    while frontier:
-        h = frontier.popleft()
-        for g in gens:
-            nxt = compose(h, g)
-            if nxt.images not in elements:
-                elements.add(nxt.images)
-                if len(elements) > degree:
-                    return False
-                frontier.append(nxt)
-    return len(elements) == degree
+    return is_transitive(group) and len(suborbits(group)) == degree
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import burnside
-from burnside import cli, coprime, method, permgroup
+from burnside import cli, coprime, method, nullsets, permgroup
 from helpers import full_cycle, masked_report_lines, run_cli, scalar_column_classes
 
 
@@ -228,6 +228,18 @@ class TestNullsetsCommand:
         code, _ = run_cli(["nullsets", "2", "9"])
         assert code == 2
 
+    # a prime near 10**18 takes minutes of trial division, and 2**(10**12)
+    # is a ~125 GB integer: both must be refused from p and n alone
+    @pytest.mark.parametrize("p, n", [(10**18 + 3, 2), (2, 10**12)])
+    def test_over_bound_modulus_refused_at_once(self, p, n, monkeypatch, capsys):
+        def factorise(d):
+            raise AssertionError(f"factorised {d} before checking the bound")
+
+        monkeypatch.setattr(nullsets, "prime_power_split", factorise)
+        code, out = run_cli(["nullsets", str(p), str(n), "--verify"])
+        assert code == cli.EXIT_USAGE and out == ""
+        assert "exceeds the enumeration bound 27" in capsys.readouterr().err
+
 
 class TestExamplesCommand:
     def test_wreath(self):
@@ -249,6 +261,29 @@ class TestExamplesCommand:
         assert code == 0
         obj = json.loads(out)
         assert obj["regular_c4xc2xc2"] and obj["verdict"] == "holds"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["examples", "wreath", "--d", "4"],
+            ["examples", "wreath", "--format", "pretty"],
+            ["examples", "ex42"],
+        ],
+    )
+    def test_suborbits_computed_once(self, argv, monkeypatch):
+        # regular_check's own call on the embedded subgroup is not counted
+        expected = run_cli(argv)
+        real = permgroup.suborbits
+        calls = []
+
+        def counting(G, base=0):
+            if G.name.startswith("wreath"):
+                calls.append(G.name)
+            return real(G, base)
+
+        monkeypatch.setattr(permgroup, "suborbits", counting)
+        assert run_cli(argv) == expected
+        assert len(calls) == 1
 
     def test_ex42_wrong_degree(self):
         code, _ = run_cli(["examples", "ex42", "--d", "5"])
@@ -302,6 +337,18 @@ class TestPlumbing:
         assert code == cli.EXIT_INTERNAL == 3
         assert "fails" not in out
         assert capsys.readouterr().err.startswith("internal error: row 1 of R(2)")
+
+    @pytest.mark.parametrize(
+        "exc, code", [(KeyError("k"), cli.EXIT_INTERNAL), (MemoryError(), cli.EXIT_USAGE)]
+    )
+    def test_unexpected_exception_is_not_a_verdict(self, exc, code, monkeypatch, capsys):
+        def broken(args, out):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_conjecture", broken)
+        assert run_cli(["conjecture", "--max-d", "4"]) == (code, "")
+        prefix = "internal error: " if code == cli.EXIT_INTERNAL else "error: "
+        assert capsys.readouterr().err.startswith(prefix)
 
     def test_module_entry_point(self):
         src = os.path.dirname(os.path.dirname(burnside.__file__))

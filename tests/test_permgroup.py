@@ -2,13 +2,16 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from burnside import permgroup as pg
+from burnside import cli, permgroup as pg
 from helpers import (
     cyclic_regular_corpus,
     exhaustive_first_blocks,
     full_cycle,
     random_relabelling,
+    run_cli,
 )
 
 
@@ -24,6 +27,38 @@ def closure(gens, degree, cap=100_000):
                 assert len(elems) <= cap
                 queue.append(nxt)
     return elems
+
+
+def stabiliser_orbits(G, base=0):
+    """Brute-force oracle: enumerate the group, keep the elements fixing
+    `base`, and take the orbits of that stabiliser directly."""
+    stab = [e for e in closure(G.generators, G.degree) if e[base] == base]
+    seen = set()
+    orbits = []
+    for x in range(G.degree):
+        if x in seen:
+            continue
+        orbit = {x}
+        frontier = [x]
+        while frontier:
+            y = frontier.pop()
+            for e in stab:
+                z = e[y]
+                if z not in orbit:
+                    orbit.add(z)
+                    frontier.append(z)
+        seen |= orbit
+        orbits.append(sorted(orbit))
+    return orbits
+
+
+@st.composite
+def small_groups(draw):
+    """Random generator sets on 2-7 points; unlike the cyclic-regular
+    corpus they normalise nothing, so few Schreier generators coincide."""
+    m = draw(st.integers(2, 7))
+    gens = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=3))
+    return pg.PermGroup(m, tuple(pg.Permutation(tuple(g)) for g in gens))
 
 
 class TestBasics:
@@ -119,34 +154,46 @@ class TestSuborbits:
             assert sum(len(s) for s in subs) == G.degree, G.name
 
     def test_agrees_with_stabiliser_orbits(self):
-        # brute-force oracle: enumerate the group, form the stabiliser of 0,
-        # and take its orbits directly
         small = [
             (G, g)
             for G, g in cyclic_regular_corpus(30)
             if G.name.startswith(("dihedral", "cyclic", "affine"))
         ] + [(pg.symmetric(d), full_cycle(d)) for d in (4, 5, 6)]
         for G, _ in small:
-            elements = closure(G.generators, G.degree)
-            stab = [e for e in elements if e[0] == 0]
-            seen = set()
-            orbits = []
-            for x in range(G.degree):
-                if x in seen:
-                    continue
-                orbit = {x}
-                frontier = [x]
-                while frontier:
-                    y = frontier.pop()
-                    for e in stab:
-                        z = e[y]
-                        if z not in orbit:
-                            orbit.add(z)
-                            frontier.append(z)
-                seen |= orbit
-                orbits.append(sorted(orbit))
-            orbits.sort(key=lambda o: o[0])
-            assert orbits == pg.suborbits(G), G.name
+            assert stabiliser_orbits(G) == pg.suborbits(G), G.name
+
+    @settings(max_examples=150, deadline=None)
+    @given(G=small_groups(), data=st.data())
+    def test_random_generators_agree_with_brute_force(self, G, data):
+        if not pg.is_transitive(G):
+            with pytest.raises(ValueError, match="transitive"):
+                pg.suborbits(G)
+            assert not pg.regular_check(G.degree, list(G.generators))
+            return
+        base = data.draw(st.integers(0, G.degree - 1))
+        assert pg.suborbits(G, base) == stabiliser_orbits(G, base)
+        order = len(closure(G.generators, G.degree))
+        assert pg.regular_check(G.degree, list(G.generators)) == (order == G.degree)
+
+    def test_point_budget_refused_before_tables(self, monkeypatch):
+        G = pg.cyclic(pg.MAX_DEGREE + 1)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("allocated a table past the point budget")
+
+        monkeypatch.setattr(pg.np, "empty", forbidden)
+        with pytest.raises(ValueError, match="point budget of 16384"):
+            pg.suborbits(G)
+        with pytest.raises(ValueError, match="point budget"):
+            pg.regular_check(G.degree, list(G.generators))
+
+    def test_point_budget_cli(self, capsys):
+        code, out = run_cli(["suborbits", "--group", "cyclic:16385"])
+        assert code == cli.EXIT_USAGE and out == ""
+        assert "point budget of 16384 points" in capsys.readouterr().err
+
+    def test_degree_1024_admitted(self):
+        assert pg.suborbits(pg.cyclic(1024)) == [[x] for x in range(1024)]
 
 
 class TestTwoTransitivity:
