@@ -69,11 +69,13 @@ def parse_group(spec: str) -> permgroup.PermGroup:
         "sym": permgroup.symmetric,
         "wreath": lambda d: permgroup.wreath_product_action(d).group,
     }
+    # the degree a spec asks for is checked before any point is built
     if head in families:
         try:
             d = int(rest)
         except ValueError:
             raise ValueError(f"expected {head}:<degree>, got {spec!r}") from None
+        permgroup.check_point_budget(d * d if head == "wreath" and d > 0 else d)
         return families[head](d)
     if head == "affine":
         try:
@@ -81,6 +83,7 @@ def parse_group(spec: str) -> permgroup.PermGroup:
             d, s = int(d_text), int(s_text)
         except ValueError:
             raise ValueError(f"expected affine:<degree>:<multiplier>, got {spec!r}") from None
+        permgroup.check_point_budget(d)
         return permgroup.affine(d, s)
     if spec.lstrip().startswith("("):
         gens = permgroup.parse_generators(spec)
@@ -254,6 +257,7 @@ def _cmd_examples(args, out: _Output) -> int:
     name = args.name
     d = 3 if args.d is None else args.d
     if name == "wreath":
+        permgroup.check_point_budget(d * d)
         W = permgroup.wreath_product_action(d)
         subs = permgroup.suborbits(W.group)
         payload = {

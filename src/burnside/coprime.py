@@ -6,18 +6,19 @@ equivalent; the resulting partition is *coprime* when every class has
 gcd 1.  The conjecture under test: for even d and E containing 2, the
 partition is coprime exactly when E is D or D \\ {1}.
 
-The verifier enumerates every E containing {1, 2}.  Dropping the
+The verifier decides every E containing {1, 2}.  Dropping the
 complementary half of the space is sound because row 1 of R(d) is
 constant, so adding divisor 1 to E shifts every profile equally and
 leaves the partition unchanged; under this convention the two conjectured
 solutions collapse to the single full mask.  The scan splits the free
-rows in two and builds each part's table of all subset sums by doubling
-(`subset_sums`, the enumerator `nullsets` shares): every row of the high
-table, shifted by rows 1 and 2, is added to the whole low table, and the
-resulting block of profiles is tested one column at a time, keeping only
-the low rows that pass each column.  Every table entry and
-profile is bounded by the largest column abs-sum of R(d), which is d: the
-tables are int16 while that bound fits and int64 beyond it.
+rows in two and builds each half's table of all subset sums by doubling
+(`subset_sums`, the enumerator `nullsets` shares), so every profile is a
+low-table row plus a high-table row.  It never forms most profiles: the
+two most selective checks (below) become sort keys on each table, a
+Horowitz-Sahni join matches them, and only the subsets passing both are
+tested against every check.  Every table entry and profile is bounded by
+the largest column abs-sum of R(d), which is d: the tables are int16
+while that bound fits and int64 beyond it.
 
 A coprime partition is detected per prime q dividing d: some class lies
 entirely inside the q-divisible columns iff some q-divisible column's
@@ -26,6 +27,7 @@ profile matches no q-free column.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -35,13 +37,13 @@ import numpy as np
 from .ramanujan import RamanujanMatrix, divisor_data, matrix_formula
 from .cyclotomic import _factorize, int_dtype, prime_power_split
 
-_BLOCK_BITS = 16
-# Each high-table row costs one test of a 2^_BLOCK_BITS-row block, measured
-# on one core of a 2-vCPU VM at 1.25 ms for 30 divisors (720: 4 096 blocks in
-# 5.1 s) and 1.5 ms for 32 (840: 16 384 blocks in 24 s).  32 free rows is 2^16
-# such blocks, a few minutes; the next degree over the bound (1260, 34 free
-# rows, 2^18 blocks) is unmeasured, so it is refused before any table is built.
-MAX_FREE_ROWS = 32
+_SAMPLE = 1 << 14  # at most this many masks rank the checks by pass rate
+_CHUNK = 1 << 14  # join keys per batch of (b1, b2) pairs; candidates per test
+# 38 free rows is every even degree below 2520 (1680 and 2160 have 40
+# divisors, 2520 has 48).  There the two half tables are 2^19 x 39 int16,
+# 39 MiB each, and each (b1, b2) join sorts 2^19 int64 keys per half: 1680
+# took 15 s at 250 MB peak RSS on one core of a 2-vCPU Xeon VM.
+MAX_FREE_ROWS = 38
 
 
 @dataclass(frozen=True)
@@ -150,20 +152,93 @@ def subset_sums(rows: np.ndarray) -> np.ndarray:
     return table
 
 
+def _passing(profiles: np.ndarray, checks) -> np.ndarray:
+    """Ascending indices of the profile rows that pass every check, dropping
+    the dead rows after each one so later checks compare only survivors."""
+    idx = np.arange(len(profiles))
+    for a, B in checks:
+        keep = (profiles[:, B] == profiles[:, a, None]).any(axis=1)
+        idx, profiles = idx[keep], profiles[keep]
+        if not idx.size:
+            break
+    return idx
+
+
+def _rank_checks(checks, passes: np.ndarray):
+    """The checks to join and the order to test them in, from their passes
+    on the sample (column i of `passes` is check i).  The join takes the
+    check of least pass rate and its best partner on another column, by
+    the pass rate of the two together.  The test takes the other checks in
+    ascending pass rate, then the joined ones, which every candidate has
+    already passed."""
+    rank = np.argsort(passes.mean(axis=0), kind="stable")
+    picked = list(rank[:1])
+    others = [i for i in rank if checks[i][0] != checks[rank[0]][0]]
+    if others:
+        joint = (passes[:, others] & passes[:, rank[:1]]).mean(axis=0)
+        picked.append(others[np.argmin(joint)])
+    order = [i for i in rank if i not in picked] + picked
+    return [checks[i] for i in order], [checks[i] for i in picked]
+
+
+def _join_keys(low: np.ndarray, high: np.ndarray, span: int):
+    """Flat int64 keys for two (batch, m, rows) arrays of differences, equal
+    exactly when the batch index and all m differences agree.  Each
+    difference lies in (-span/2, span/2), so a key packs them as base-`span`
+    digits under the batch index while that fits int64; past that the
+    tuples are sorted as rows and keyed by rank."""
+    batch, m = low.shape[:2]
+    if batch * span**m < 2**62:
+        keys = []
+        for diffs in (low, high):
+            key = np.arange(batch, dtype=np.int64)[:, None]
+            for j in range(m):
+                key = key * span + diffs[:, j]
+            keys.append(np.broadcast_to(key, (batch, diffs.shape[2])).ravel())
+        return keys
+    tuples = []
+    for diffs in (low, high):
+        index = np.broadcast_to(np.arange(batch)[:, None, None], (batch, 1, diffs.shape[2]))
+        rows = np.concatenate([index, diffs], axis=1).transpose(0, 2, 1)
+        tuples.append(rows.reshape(-1, m + 1))
+    rank = np.unique(np.concatenate(tuples), axis=0, return_inverse=True)[1].ravel()
+    return rank[: len(tuples[0])], rank[len(tuples[0]) :]
+
+
+def _match(low_key: np.ndarray, high_key: np.ndarray):
+    """Every index pair (i, j) with low_key[i] == high_key[j]: both sides
+    sorted, then each high key's run located in the low keys."""
+    low_order, high_order = np.argsort(low_key), np.argsort(high_key)
+    low_key, high_key = low_key[low_order], high_key[high_order]
+    first = np.searchsorted(low_key, high_key, "left")
+    count = np.searchsorted(low_key, high_key, "right") - first
+    offset = np.repeat(first - np.cumsum(count) + count, count)
+    return low_order[np.arange(offset.size) + offset], np.repeat(high_order, count)
+
+
 def verify_degree(d: int) -> ConjectureReport:
     """Exhaustively test the conjecture at one even degree.
 
-    Scans all 2^(|D|-2) row subsets containing {1, 2} and records every
+    Decides all 2^(|D|-2) row subsets containing {1, 2} and records every
     coprime partition found, in ascending mask order; the verdict holds
-    iff the only coprime subset is the full divisor set.  The first
-    min(|D|-2, _BLOCK_BITS) free rows make the low table, the rest (with
-    rows 1 and 2 added) the high one, and each high row plus the whole
-    low table is one block for the coprime test.  The test keeps the
-    indices of the surviving low rows and, after each q-divisible column,
-    drops the dead rows from them and from its copy of the low table, so
-    later columns compare only survivors (about 30% survive the first
-    column and almost none survive ten).  Raises ValueError when |D|-2
-    exceeds MAX_FREE_ROWS.
+    iff the only coprime subset is the full divisor set.  The free rows
+    split into a low half of h = (|D|-2)//2 rows and a high half (plus rows
+    1 and 2), each tabulated by `subset_sums`, so a subset t is the pair
+    (t mod 2^h, t >> h) and its profile is low[lo] + high[hi].
+
+    The scan is a Horowitz-Sahni join on the two most selective checks,
+    ranked by their pass rate on a fixed sample of masks: the best check
+    (a1, B1) and its best partner (a2, B2) on another column.  For each
+    (b1, b2) in B1 x B2 the two equalities profile[a] == profile[b] become
+    one key, (low[a1]-low[b1], low[a2]-low[b2]) against (high[b1]-high[a1],
+    high[b2]-high[a2]); both sides are sorted and every equal pair is
+    matched.  Passing both checks is necessary for a hit, and every matched
+    (lo, hi) is tested against every check, _CHUNK at a time, so the
+    sample changes only the speed; the hits are sorted and a subset that
+    matched several (b1, b2) is reported once.  Degrees with one check
+    column (4) or none (2) join on a key of one difference or of none,
+    where every pair matches.  Raises ValueError when |D|-2 exceeds
+    MAX_FREE_ROWS.
     """
     if d < 2 or d % 2:
         raise ValueError(f"degree must be even and >= 2, got {d}")
@@ -182,47 +257,54 @@ def verify_degree(d: int) -> ConjectureReport:
 
     columns = np.array(R.entries, dtype=np.int64)[:, : k - 1]  # D \ {d}
     # Every partial subset sum of a column lies within its abs-sum, so no
-    # table entry or profile can wrap in a dtype that holds the largest.
+    # table entry or profile can wrap in a dtype that holds the largest,
+    # and a difference of two of them lies within twice that.
     bound = int(np.abs(columns).sum(axis=0).max())
     columns = columns.astype(int_dtype(bound))
-    base = columns[0] + columns[1]  # rows for divisors 1 and 2
-    C_free = columns[2:]
     col_divs = np.array(divs[: k - 1], dtype=np.int64)
 
-    # one (q-divisible column, q-free columns) check per column, q ascending
-    checks = []
+    free = k - 2
+    h = free // 2
+    low = subset_sums(columns[2:][:h])
+    high = subset_sums(columns[2:][h:])
+    high += columns[0] + columns[1]  # in place: at 38 free rows a copy is 39 MiB
+
+    def profiles(masks: np.ndarray) -> np.ndarray:
+        return low[masks & ((1 << h) - 1)] + high[masks >> h]
+
+    # one (q-divisible column a, q-free columns B) check per a, q ascending,
+    # with its passes on a fixed sample of 1/16 of the masks, at most
+    # _SAMPLE, taken by an odd multiplicative stride (distinct masks)
+    stride = np.arange(max(1, min(_SAMPLE, 1 << free >> 4)), dtype=np.int64) * 0x9E3779B1
+    sample = profiles(stride % (1 << free))
+    checks, passes = [], []
     for q, _ in _factorize(d):
-        B = np.nonzero(col_divs % q != 0)[0]
-        checks.extend((a, B) for a in np.nonzero(col_divs % q == 0)[0])
+        A, B = np.nonzero(col_divs % q == 0)[0], np.nonzero(col_divs % q != 0)[0]
+        checks.extend((a, B) for a in A)
+        passes.append((sample[:, A, None] == sample[:, None, B]).any(axis=2))
+    checks, joined = _rank_checks(checks, np.concatenate(passes, axis=1))
 
-    low_bits = min(k - 2, _BLOCK_BITS)
-    # transposed, so each profile column is one contiguous row of low_t
-    low_t = np.ascontiguousarray(subset_sums(C_free[:low_bits]).T)
-    high = subset_sums(C_free[low_bits:]) + base
-
-    def coprime_test(row: np.ndarray) -> np.ndarray:
-        """Ascending indices of the low rows whose profile plus `row` is coprime."""
-        idx = np.arange(low_t.shape[1])
-        block = low_t
-        for a, B in checks:
-            col = block[a] + row[a]
-            keep = block[B[0]] + row[B[0]] == col
-            for b in B[1:]:
-                keep |= block[b] + row[b] == col
-            survivors = np.flatnonzero(keep)
-            idx = idx[survivors]
-            if not idx.size:
-                break
-            block = block.take(survivors, axis=1)
-        return idx
-
-    masks = []
-    for hi, row in enumerate(high):
-        for lo in coprime_test(row):
-            masks.append(RowSubset(d, 0b11 | (int(lo) | hi << low_bits) << 2).divisors())
+    a_cols = np.array([a for a, _ in joined], dtype=np.intp)
+    combos = list(itertools.product(*(B for _, B in joined)))
+    combos = np.array(combos, dtype=np.intp).reshape(len(combos), len(joined))
+    per_batch = max(1, _CHUNK // max(len(low), len(high)))
+    hits = [np.zeros(0, dtype=np.int64)]
+    for i in range(0, len(combos), per_batch):
+        bs = combos[i : i + per_batch]
+        lo, hi = _match(*_join_keys(
+            low[:, a_cols].T.astype(np.int64) - low[:, bs].transpose(1, 2, 0),
+            high[:, bs].transpose(1, 2, 0).astype(np.int64) - high[:, a_cols].T,
+            4 * bound + 1,
+        ))
+        candidates = lo % len(low) | hi % len(high) << h
+        for j in range(0, len(candidates), _CHUNK):
+            chunk = candidates[j : j + _CHUNK]
+            hits.append(chunk[_passing(profiles(chunk), checks)])
+    hits = np.unique(np.concatenate(hits))
+    masks = [RowSubset(d, 0b11 | int(t) << 2).divisors() for t in hits]
     holds = masks == [tuple(divs)]
     millis = int((time.perf_counter() - start) * 1000)
-    return ConjectureReport(d, k, 1 << (k - 2), tuple(masks), holds, millis)
+    return ConjectureReport(d, k, 1 << free, tuple(masks), holds, millis)
 
 
 def iter_verify_range(d_max: int, jobs: int = 1):
@@ -234,7 +316,7 @@ def iter_verify_range(d_max: int, jobs: int = 1):
     """
     if d_max < 2:
         raise ValueError(f"d_max must be at least 2, got {d_max}")
-    degrees = list(range(2, d_max + 1, 2))
+    degrees = range(2, d_max + 1, 2)
     if jobs <= 1:
         for d in degrees:
             yield verify_degree(d)

@@ -115,7 +115,8 @@ def parse_permutation(text: str, degree: int) -> Permutation:
 def parse_generators(text: str, degree: int | None = None) -> list[Permutation]:
     """Parse ';'-separated cycle-notation generators.
 
-    If degree is None it is inferred as 1 + the largest point mentioned.
+    If degree is None it is inferred as 1 + the largest point mentioned,
+    and checked against the point budget before any permutation is built.
     """
     parts = [p for p in (s.strip() for s in text.split(";")) if p]
     if not parts:
@@ -125,6 +126,7 @@ def parse_generators(text: str, degree: int | None = None) -> list[Permutation]:
         if not points:
             raise ValueError(f"no points found in generator string: {text!r}")
         degree = max(points) + 1
+        check_point_budget(degree)
     return [parse_permutation(p, degree) for p in parts]
 
 
@@ -173,6 +175,12 @@ def is_transitive(G: PermGroup) -> bool:
 MAX_DEGREE = 2**14  # the transversal and its inverses: two int16 m x m tables, 1 GiB here
 
 
+def check_point_budget(points: int) -> None:
+    """Refuse a degree past MAX_DEGREE; callers check before building."""
+    if points > MAX_DEGREE:
+        raise ValueError(f"degree {points} exceeds the point budget of {MAX_DEGREE} points")
+
+
 def suborbits(G: PermGroup, base: int = 0) -> list[list[int]]:
     """Orbits of the stabiliser of `base` in a transitive group, including
     {base}, each sorted and listed by least element.
@@ -185,8 +193,7 @@ def suborbits(G: PermGroup, base: int = 0) -> list[list[int]]:
     m = G.degree
     if not 0 <= base < m:
         raise ValueError(f"base point {base} outside 0..{m - 1}")
-    if m > MAX_DEGREE:
-        raise ValueError(f"degree {m} exceeds the point budget of {MAX_DEGREE} points")
+    check_point_budget(m)
     dtype = int_dtype(m - 1)
     points = np.arange(m, dtype=dtype)
     gens = [np.array(g.images, dtype=dtype) for g in G.generators]

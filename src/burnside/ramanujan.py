@@ -31,6 +31,9 @@ from . import cyclotomic
 from .cyclotomic import PrimitiveClass, _factorize
 
 
+MAX_DEGREE = 2**40  # trial division runs to 2^20, about 0.1 s
+
+
 @dataclass(frozen=True)
 class DivisorData:
     """Divisors of n with their Moebius and totient values."""
@@ -44,6 +47,8 @@ class DivisorData:
 def divisor_data(n: int) -> DivisorData:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    if n > MAX_DEGREE:
+        raise ValueError(f"{n} exceeds the factorisation budget of 2^40")
     factors = _factorize(n)
     divisors = [1]
     for p, e in factors:

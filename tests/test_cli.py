@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -31,6 +32,14 @@ class TestRamanujanCommand:
         code, out = run_cli(["ramanujan", "9"])
         assert code == 0
         assert "identities ok: True" in out
+
+    def test_degree_past_budget_refused_before_factorising(self, capsys):
+        # 10^18 + 3 is prime: trial division would run for hours
+        start = time.perf_counter()
+        code, out = run_cli(["ramanujan", str(10**18 + 3)])
+        assert time.perf_counter() - start < 1.0
+        assert code == cli.EXIT_USAGE and out == ""
+        assert "exceeds the factorisation budget of 2^40" in capsys.readouterr().err
 
 
 class TestConjectureCommand:
@@ -145,6 +154,28 @@ class TestSuborbitsCommand:
         err = capsys.readouterr().err
         assert code == 2 and out == ""
         assert err.startswith("error: base point") and "Traceback" not in err
+
+    # built before the check, these would be 10^9 points (10^12 for wreath)
+    @pytest.mark.parametrize(
+        "spec, points",
+        [("cyclic:1000000000", 10**9), ("wreath:1000000", 10**12),
+         ("affine:1000000000:3", 10**9), ("(0,1000000000)", 10**9 + 1)],
+    )
+    @pytest.mark.parametrize("command", ["suborbits", "diagnose"])
+    def test_spec_degree_refused_before_building(self, command, spec, points, capsys):
+        start = time.perf_counter()
+        code, out = run_cli([command, "--group", spec])
+        assert time.perf_counter() - start < 1.0
+        assert code == cli.EXIT_USAGE and out == ""
+        err = capsys.readouterr().err
+        assert f"degree {points} exceeds the point budget of {permgroup.MAX_DEGREE}" in err
+
+    def test_wreath_example_refused_before_building(self, capsys):
+        start = time.perf_counter()
+        code, out = run_cli(["examples", "wreath", "--d", "1000000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == cli.EXIT_USAGE and out == ""
+        assert "point budget" in capsys.readouterr().err
 
 
 class TestDiagnoseCommand:

@@ -6,13 +6,33 @@ import numpy as np
 import pytest
 
 from burnside import coprime as cp
-from burnside.ramanujan import matrix_formula
+from burnside.ramanujan import divisor_data, matrix_formula
 
 
 def all_row_subsets(d):
     divs = matrix_formula(d).divisors
     for mask in range(1, 1 << len(divs)):
         yield cp.RowSubset(d, mask)
+
+
+def _flat(d):
+    """R(d) with rows 2.. zeroed: every profile is constant."""
+    R = matrix_formula(d)
+    zero = tuple((0,) * len(row) for row in R.entries[1:])
+    return dataclasses.replace(R, entries=R.entries[:1] + zero)
+
+
+def _scrambled(seed):
+    """A seeded sparse 0/1 stand-in for matrix_formula, row 1 kept constant."""
+
+    def scrambled(d):
+        R = matrix_formula(d)
+        k = len(R.divisors)
+        rng = random.Random(seed)
+        rows = tuple(tuple(rng.choice((0, 0, 1)) for _ in range(k)) for _ in range(k - 1))
+        return dataclasses.replace(R, entries=((1,) * k,) + rows)
+
+    return scrambled
 
 
 def brute_force_hits(R):
@@ -103,58 +123,52 @@ class TestConjectureScan:
                 assert len(P.classes) == 1 and cp.is_coprime(P), (d, E)
 
     def test_table_checkpoints_match_scratch_profiles(self):
-        # 240 and 360 have more free rows than _BLOCK_BITS, so the high
-        # table has several rows there
+        # the join's split: a low half of (k-2)//2 free rows, and the rest
+        # plus rows 1 and 2 in the high half
         for d in [12, 60, 96, 240, 360]:
             R = matrix_formula(d)
             k = len(R.divisors)
             columns = np.array(R.entries, dtype=np.int64)[:, : k - 1]
-            low_bits = min(k - 2, cp._BLOCK_BITS)
-            low = cp.subset_sums(columns[2:][:low_bits])
-            high = cp.subset_sums(columns[2:][low_bits:]) + columns[0] + columns[1]
-            assert len(high) == 1 << (k - 2 - low_bits) and (len(high) > 1) == (d >= 240)
+            h = (k - 2) // 2
+            low = cp.subset_sums(columns[2:][:h])
+            high = cp.subset_sums(columns[2:][h:]) + columns[0] + columns[1]
+            assert len(low) == 1 << h and len(high) == 1 << (k - 2 - h)
             rng = random.Random(d)
             for _ in range(1000):
                 t = rng.randrange(1 << (k - 2))
-                lo, hi = t & ((1 << low_bits) - 1), t >> low_bits
+                lo, hi = t & ((1 << h) - 1), t >> h
                 profile = [int(v) for v in low[lo] + high[hi]]
                 P = cp.partition_for(R, cp.RowSubset(d, 0b11 | t << 2))
                 assert profile == [P.profile[c] for c in R.divisors[:-1]], (d, t)
 
     def test_every_hit_reported_in_ascending_order(self, monkeypatch):
         # rows 2.. zeroed: every profile is constant, so every E containing
-        # {1, 2} is coprime; four low bits span four high rows
-        formula = cp.matrix_formula
-
-        def flat(d):
-            R = formula(d)
-            zero = tuple((0,) * len(row) for row in R.entries[1:])
-            return dataclasses.replace(R, entries=R.entries[:1] + zero)
-
-        monkeypatch.setattr(cp, "matrix_formula", flat)
-        monkeypatch.setattr(cp, "_BLOCK_BITS", 2)
-        expected = brute_force_hits(flat(12))
+        # {1, 2} is coprime; two-candidate chunks span eight test chunks
+        monkeypatch.setattr(cp, "matrix_formula", _flat)
+        monkeypatch.setattr(cp, "_CHUNK", 2)
+        expected = brute_force_hits(_flat(12))
         rep = cp.verify_degree(12)
         assert len(expected) == 16
         assert list(rep.coprime_masks) == expected
         assert not rep.holds
 
+    def test_flat_matrix_candidates_span_chunks(self, monkeypatch):
+        # every one of the 2^10 masks at 60 hits, so all of them are join
+        # candidates, tested in 16 chunks of 64
+        monkeypatch.setattr(cp, "matrix_formula", _flat)
+        monkeypatch.setattr(cp, "_CHUNK", 64)
+        expected = brute_force_hits(_flat(60))
+        assert len(expected) == 1 << 10
+        assert list(cp.verify_degree(60).coprime_masks) == expected
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_partial_survivors_match_brute_force(self, monkeypatch, seed):
-        # a seeded sparse 0/1 matrix with row 1 constant: in 8-row blocks
-        # some rows die at one column and others survive to the end, so
-        # the surviving indices must be carried through every compaction
-        formula = cp.matrix_formula
-
-        def scrambled(d):
-            R = formula(d)
-            k = len(R.divisors)
-            rng = random.Random(seed)
-            rows = tuple(tuple(rng.choice((0, 0, 1)) for _ in range(k)) for _ in range(k - 1))
-            return dataclasses.replace(R, entries=((1,) * k,) + rows)
-
+        # a seeded sparse 0/1 matrix with row 1 constant: in 8-mask groups
+        # some masks die and others survive, so in 8-candidate chunks the
+        # surviving indices must be carried through every compaction
+        scrambled = _scrambled(seed)
         monkeypatch.setattr(cp, "matrix_formula", scrambled)
-        monkeypatch.setattr(cp, "_BLOCK_BITS", 3)
+        monkeypatch.setattr(cp, "_CHUNK", 8)
         R = scrambled(60)
         free = len(R.divisors) - 2
         assert free == 10
@@ -166,6 +180,38 @@ class TestConjectureScan:
             per_block[t >> 3] = per_block.get(t >> 3, 0) + 1
         assert any(n < 8 for n in per_block.values())
         assert list(cp.verify_degree(60).coprime_masks) == expected
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_join_on_least_selective_checks(self, monkeypatch, seed):
+        # the join checks only narrow the candidates: ranking the checks on
+        # the complement of their sample passes joins the least selective
+        # ones and tests the rest in descending pass rate, with the same hits
+        rank = cp._rank_checks
+        picked = []
+
+        def worst(checks, passes):
+            order, joined = rank(checks, ~passes)
+            picked.append((joined, rank(checks, passes)[1]))
+            return order, joined
+
+        expected = {d: cp.verify_degree(d).coprime_masks for d in (60, 240, 360)}
+        scrambled = _scrambled(seed)
+        monkeypatch.setattr(cp, "_rank_checks", worst)
+        for d, masks in expected.items():
+            assert cp.verify_degree(d).coprime_masks == masks
+        monkeypatch.setattr(cp, "matrix_formula", scrambled)
+        assert list(cp.verify_degree(60).coprime_masks) == brute_force_hits(scrambled(60))
+        for joined, best in picked[:3]:
+            assert [a for a, _ in joined] != [a for a, _ in best]
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_few_check_columns_match_brute_force(self, d):
+        # 2 has no check column and 4 one; at 8 and 16 every check has B = {1}
+        R = matrix_formula(d)
+        columns = [c for c in R.divisors[:-1] if c % 2 == 0]
+        assert len(columns) == {2: 0, 4: 1, 8: 2, 16: 3}[d]
+        assert [c for c in R.divisors[:-1] if c % 2] == [1]
+        assert list(cp.verify_degree(d).coprime_masks) == brute_force_hits(R)
 
     @pytest.mark.parametrize("d", [32766, 32768])
     def test_dtype_boundary_matches_brute_force(self, d):
@@ -196,12 +242,56 @@ class TestConjectureScan:
         assert len(expected) == 4
         assert list(cp.verify_degree(12).coprime_masks) == expected
 
+    @pytest.mark.parametrize("entry", [1 << 20, 1 << 40])
+    def test_entries_past_32_bit_keys_match_brute_force(self, monkeypatch, entry):
+        # rows 6 and 12 as in the int16 test: with entries of 2^20 the
+        # differences span 2^23, so two of them packed in 32 bits would
+        # collide; at 2^40 not even two packed in int64 are exact
+        formula = cp.matrix_formula
+
+        def widened(d):
+            R = formula(d)
+            wide = (-entry,) * 4 + (entry, 0)
+            return dataclasses.replace(R, entries=((1,) * 6,) + ((0,) * 6,) * 3 + (wide,) * 2)
+
+        monkeypatch.setattr(cp, "matrix_formula", widened)
+        expected = brute_force_hits(widened(12))
+        assert len(expected) == 4
+        assert list(cp.verify_degree(12).coprime_masks) == expected
+
+    def test_join_keys_equal_exactly_on_equal_differences(self):
+        # differences up to +-2 bound; at a bound of 2^20, packed in 32 bits
+        # (1024, -1024) would collide with (0, 0), since 1024 span = 2^32 +
+        # 1024.  At 2^40 two differences no longer pack in int64 and are
+        # ranked as pairs.
+        for bound in (1 << 20, 1 << 40):
+            span = 4 * bound + 1
+            edge = np.array([-2 * bound, -1024, -1, 0, 1, 1024, 2 * bound])
+            pairs = np.array(np.meshgrid(edge, edge)).reshape(2, -1)
+            low, high = pairs[None], pairs[None, :, ::-1].copy()  # (batch, m, rows)
+            low_key, high_key = cp._join_keys(low, high, span)
+            keys = np.concatenate([low_key, high_key])
+            tuples = np.concatenate([pairs, pairs[:, ::-1]], axis=1).T
+            for i in range(len(keys)):
+                same = (tuples == tuples[i]).all(axis=1)
+                assert ((keys == keys[i]) == same).all(), (bound, tuples[i])
+        assert (1024 * (4 * 2**20 + 1) - 1024) % 2**32 == 0
+
+    def test_real_degree_past_packed_keys(self):
+        # 2 (2^31 - 1): the bound is d, so two packed differences overflow
+        # int64 and the join ranks the key pairs instead
+        d = 2 * (2**31 - 1)
+        R = matrix_formula(d)
+        assert (4 * d + 1) ** 2 >= 2**62
+        assert list(cp.verify_degree(d).coprime_masks) == brute_force_hits(R)
+
     def test_scan_bound_refused_before_tables(self):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="beyond the scan bound"):
-            cp.verify_degree(1260)
+            cp.verify_degree(2520)
         assert time.perf_counter() - start < 1.0
-        assert len(matrix_formula(840).divisors) - 2 <= cp.MAX_FREE_ROWS
+        free = max(len(divisor_data(d).divisors) for d in range(2, 2520, 2)) - 2
+        assert free == cp.MAX_FREE_ROWS
 
     def test_range_deterministic_across_worker_counts(self):
         serial = cp.verify_range(60, jobs=1)

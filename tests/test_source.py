@@ -17,3 +17,23 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert len(SOURCES) > 1 and not found, found
+
+
+def test_no_randomness():
+    # verdicts must be reproducible, and the first use of numpy.random alone
+    # costs several MB of peak memory
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names] + [node.module or ""]
+            elif isinstance(node, ast.Attribute) and node.attr == "random":
+                numpy = getattr(node.value, "id", "") in ("np", "numpy")
+                names = ["numpy.random"] if numpy else []
+            else:
+                continue
+            if any(n == "random" or n.startswith(("random.", "numpy.random")) for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert len(SOURCES) > 1 and not found, found
