@@ -47,6 +47,12 @@ def _default_jobs() -> int:
         return 1
 
 
+def _family_points(head: str, d: int) -> int:
+    """Points of the named family at d: d^2 for wreath (when d > 0, so a
+    bad d reaches the constructor's own error), d for the others."""
+    return d * d if head == "wreath" and d > 0 else d
+
+
 def parse_group(spec: str) -> permgroup.PermGroup:
     """A named family, cycle-notation generators, or JSON image arrays."""
     if spec.lstrip().startswith("["):
@@ -75,7 +81,7 @@ def parse_group(spec: str) -> permgroup.PermGroup:
             d = int(rest)
         except ValueError:
             raise ValueError(f"expected {head}:<degree>, got {spec!r}") from None
-        permgroup.check_point_budget(d * d if head == "wreath" and d > 0 else d)
+        permgroup.check_point_budget(_family_points(head, d))
         return families[head](d)
     if head == "affine":
         try:
@@ -257,7 +263,7 @@ def _cmd_examples(args, out: _Output) -> int:
     name = args.name
     d = 3 if args.d is None else args.d
     if name == "wreath":
-        permgroup.check_point_budget(d * d)
+        permgroup.check_point_budget(_family_points(name, d))
         W = permgroup.wreath_product_action(d)
         subs = permgroup.suborbits(W.group)
         payload = {

@@ -41,7 +41,7 @@ _SAMPLE = 1 << 14  # at most this many masks rank the checks by pass rate
 _CHUNK = 1 << 14  # join keys per batch of (b1, b2) pairs; candidates per test
 # 38 free rows is every even degree below 2520 (1680 and 2160 have 40
 # divisors, 2520 has 48).  There the two half tables are 2^19 x 39 int16,
-# 39 MiB each, and each (b1, b2) join sorts 2^19 int64 keys per half: 1680
+# 39 MiB each, and each (b1, b2) join sorts 2^19 uint64 keys per half: 1680
 # took 15 s at 250 MB peak RSS on one core of a 2-vCPU Xeon VM.
 MAX_FREE_ROWS = 38
 
@@ -169,40 +169,32 @@ def _rank_checks(checks, passes: np.ndarray):
     on the sample (column i of `passes` is check i).  The join takes the
     check of least pass rate and its best partner on another column, by
     the pass rate of the two together.  The test takes the other checks in
-    ascending pass rate, then the joined ones, which every candidate has
-    already passed."""
+    ascending pass rate, then the joined ones."""
     rank = np.argsort(passes.mean(axis=0), kind="stable")
     picked = list(rank[:1])
     others = [i for i in rank if checks[i][0] != checks[rank[0]][0]]
     if others:
         joint = (passes[:, others] & passes[:, rank[:1]]).mean(axis=0)
         picked.append(others[np.argmin(joint)])
+    # the joined checks are tested again: the join keys may collide
     order = [i for i in rank if i not in picked] + picked
     return [checks[i] for i in order], [checks[i] for i in picked]
 
 
 def _join_keys(low: np.ndarray, high: np.ndarray, span: int):
-    """Flat int64 keys for two (batch, m, rows) arrays of differences, equal
-    exactly when the batch index and all m differences agree.  Each
-    difference lies in (-span/2, span/2), so a key packs them as base-`span`
-    digits under the batch index while that fits int64; past that the
-    tuples are sorted as rows and keyed by rank."""
+    """Flat uint64 keys for two (batch, m, rows) arrays of differences: the
+    batch index and the m differences packed as base-`span` digits, modulo
+    2^64.  Equal tuples always give equal keys; unequal ones may collide
+    once the digits overflow 64 bits, which only adds candidates."""
     batch, m = low.shape[:2]
-    if batch * span**m < 2**62:
-        keys = []
-        for diffs in (low, high):
-            key = np.arange(batch, dtype=np.int64)[:, None]
-            for j in range(m):
-                key = key * span + diffs[:, j]
-            keys.append(np.broadcast_to(key, (batch, diffs.shape[2])).ravel())
-        return keys
-    tuples = []
+    base = np.uint64(span % 2**64)
+    keys = []
     for diffs in (low, high):
-        index = np.broadcast_to(np.arange(batch)[:, None, None], (batch, 1, diffs.shape[2]))
-        rows = np.concatenate([index, diffs], axis=1).transpose(0, 2, 1)
-        tuples.append(rows.reshape(-1, m + 1))
-    rank = np.unique(np.concatenate(tuples), axis=0, return_inverse=True)[1].ravel()
-    return rank[: len(tuples[0])], rank[len(tuples[0]) :]
+        key = np.arange(batch, dtype=np.uint64)[:, None]
+        for j in range(m):
+            key = key * base + diffs[:, j].astype(np.uint64)
+        keys.append(np.broadcast_to(key, (batch, diffs.shape[2])).ravel())
+    return keys
 
 
 def _match(low_key: np.ndarray, high_key: np.ndarray):

@@ -177,6 +177,16 @@ class TestSuborbitsCommand:
         assert code == cli.EXIT_USAGE and out == ""
         assert "point budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["examples", "wreath", "--d", "-200"], ["suborbits", "--group", "wreath:-200"]]
+    )
+    def test_negative_wreath_degree_reaches_constructor(self, argv, capsys):
+        # (-200)^2 is past the budget, but the error names the bad d itself
+        code, out = run_cli(argv)
+        assert code == cli.EXIT_USAGE and out == ""
+        err = capsys.readouterr().err
+        assert "degree must be at least 2" in err and "point budget" not in err
+
 
 class TestDiagnoseCommand:
     def test_named_default_cycle(self):

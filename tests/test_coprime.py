@@ -246,7 +246,7 @@ class TestConjectureScan:
     def test_entries_past_32_bit_keys_match_brute_force(self, monkeypatch, entry):
         # rows 6 and 12 as in the int16 test: with entries of 2^20 the
         # differences span 2^23, so two of them packed in 32 bits would
-        # collide; at 2^40 not even two packed in int64 are exact
+        # collide; at 2^40 not even two packed in 64 bits are exact
         formula = cp.matrix_formula
 
         def widened(d):
@@ -259,30 +259,29 @@ class TestConjectureScan:
         assert len(expected) == 4
         assert list(cp.verify_degree(12).coprime_masks) == expected
 
-    def test_join_keys_equal_exactly_on_equal_differences(self):
-        # differences up to +-2 bound; at a bound of 2^20, packed in 32 bits
-        # (1024, -1024) would collide with (0, 0), since 1024 span = 2^32 +
-        # 1024.  At 2^40 two differences no longer pack in int64 and are
-        # ranked as pairs.
+    def test_join_keys_equal_on_equal_differences(self):
+        # differences up to +-2 bound; at 2^40 two of them and the batch
+        # index overflow 64 bits, and the keys wrap, but a tuple met on both
+        # sides must still give one key (a collision only adds candidates)
         for bound in (1 << 20, 1 << 40):
             span = 4 * bound + 1
             edge = np.array([-2 * bound, -1024, -1, 0, 1, 1024, 2 * bound])
             pairs = np.array(np.meshgrid(edge, edge)).reshape(2, -1)
-            low, high = pairs[None], pairs[None, :, ::-1].copy()  # (batch, m, rows)
+            low = np.stack([pairs, pairs[:, ::-1]])  # (batch, m, rows)
+            high = low[:, :, ::-1].copy()
             low_key, high_key = cp._join_keys(low, high, span)
-            keys = np.concatenate([low_key, high_key])
-            tuples = np.concatenate([pairs, pairs[:, ::-1]], axis=1).T
-            for i in range(len(keys)):
-                same = (tuples == tuples[i]).all(axis=1)
-                assert ((keys == keys[i]) == same).all(), (bound, tuples[i])
-        assert (1024 * (4 * 2**20 + 1) - 1024) % 2**32 == 0
+            for b in range(2):
+                for i in range(pairs.shape[1]):
+                    j = pairs.shape[1] - 1 - i
+                    n = b * pairs.shape[1]
+                    assert low_key[n + i] == high_key[n + j], (bound, b, i)
 
     def test_real_degree_past_packed_keys(self):
         # 2 (2^31 - 1): the bound is d, so two packed differences overflow
-        # int64 and the join ranks the key pairs instead
+        # 64 bits and the keys wrap
         d = 2 * (2**31 - 1)
         R = matrix_formula(d)
-        assert (4 * d + 1) ** 2 >= 2**62
+        assert (4 * d + 1) ** 2 >= 2**64
         assert list(cp.verify_degree(d).coprime_masks) == brute_force_hits(R)
 
     def test_scan_bound_refused_before_tables(self):
