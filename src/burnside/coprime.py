@@ -208,6 +208,11 @@ def _match(low_key: np.ndarray, high_key: np.ndarray):
     return low_order[np.arange(offset.size) + offset], np.repeat(high_order, count)
 
 
+def _check_scan_bound(d: int, free: int) -> None:
+    if free > MAX_FREE_ROWS:
+        raise ValueError(f"{d} has {free} free divisor rows, beyond the scan bound {MAX_FREE_ROWS}")
+
+
 def verify_degree(d: int) -> ConjectureReport:
     """Exhaustively test the conjecture at one even degree.
 
@@ -238,10 +243,7 @@ def verify_degree(d: int) -> ConjectureReport:
     R = matrix_formula(d)
     divs = R.divisors
     k = len(divs)
-    if k - 2 > MAX_FREE_ROWS:
-        raise ValueError(
-            f"{d} has {k - 2} free divisor rows, beyond the scan bound {MAX_FREE_ROWS}"
-        )
+    _check_scan_bound(d, k - 2)
     # Row for divisor 1 must be constant: this is what lets the scan fix
     # 1 in E without losing any partitions.
     if any(v != 1 for v in R.entries[0]):
@@ -304,11 +306,14 @@ def iter_verify_range(d_max: int, jobs: int = 1):
 
     Reports stream as degrees complete (worker pool when jobs > 1), so a
     long sweep can be monitored line by line; the sequence is independent
-    of the worker count.
+    of the worker count.  A degree past MAX_FREE_ROWS raises ValueError
+    before the first report.
     """
     if d_max < 2:
         raise ValueError(f"d_max must be at least 2, got {d_max}")
     degrees = range(2, d_max + 1, 2)
+    for d in degrees:  # stops at the first refused degree, 2520 today
+        _check_scan_bound(d, math.prod(e + 1 for _, e in _factorize(d)) - 2)
     if jobs <= 1:
         for d in degrees:
             yield verify_degree(d)

@@ -15,6 +15,9 @@ Phi_d: reduction is linear, so the rows indexed by the exponents, summed,
 give the remainder.  `reduced_coeffs` sums them in Python integers for
 one value; the batch sites sum them in the width `int_dtype` derives from
 a bound on every partial sum, so nothing wraps and no input is refused.
+`method` reads only the table's largest |entry|, to bound the reduced
+coefficients of its suborbit sums, which it evaluates at a root of unity
+mod a prime (`is_prime`, `primitive_root`) instead of reducing.
 For d = p^n the coefficient polynomial is divisible by Phi_{p^n} iff the
 coefficients are constant on each arithmetic progression
 {r, r + p^{n-1}, ..., r + (p-1)p^{n-1}}.
@@ -54,6 +57,49 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         factors.append((n, 1))
     return factors
+
+
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 0 <= n < 2^64.
+
+    The first twelve primes as bases leave no strong pseudoprime below
+    3.18 x 10^23 (Sorenson and Webster, Math. Comp. 86, 2017), so every
+    64-bit answer is exact.
+    """
+    if not 0 <= n < 2**64:
+        raise ValueError(f"{n} is outside the 64-bit range of the primality test")
+    if n < 2:
+        return False
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for a in _WITNESSES:
+        x = pow(a, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def primitive_root(p: int) -> int:
+    """The least generator g of (Z/pZ)^* for a prime p: g^((p-1)/q) != 1
+    for every prime q dividing p - 1 (factored by `_factorize`)."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    qs = [q for q, _ in _factorize(p - 1)]
+    return next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
 
 
 def prime_power_split(d: int) -> tuple[int, int] | None:

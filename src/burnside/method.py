@@ -23,10 +23,17 @@ examples below validate it against independently known basis sets.
 implicitly; the 1/d normalisation is the only sensible one even though
 sources sometimes misprint the factor.)
 
-Column j of the matrix is the rows (O*j) mod d of the reduction table
-`cyclotomic.reduction_matrix(d)`, summed per suborbit O.  `suborbit_sums`
-streams the columns, keeps only their classes, and every consumer takes
-that result, as `diagnose` does:
+The matrix is never reduced in Z[z].  Each column j is evaluated at an
+omega of order d modulo a prime p = 1 mod d, one residue per suborbit,
+and keyed by the evaluations of the columns s*j over the units s, which
+are column j under z -> z^s.  Since p splits completely and exceeds twice
+every reduced coefficient, equal keys are exactly equal columns
+(`_column_classes`).  The cost is one pass over the d x d exponents plus
+a d x phi(d) key, not a reduction per sum.  A cycle that moves an
+orbital of G, so one outside G, is refused with ValueError; a class count
+other than the suborbit count is then an internal error.
+`suborbit_sums` keeps only the classes, and every consumer takes that
+result, as `diagnose` does:
 
     M = suborbit_sums(G, g)
     B, rows = basis_partition(M), orbit_row_subset(M)
@@ -37,6 +44,7 @@ da*db points, with sums valued in Z[z_L], L = lcm(da, db).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -84,22 +92,124 @@ class SuborbitSumMatrix:
     relabelling: tuple[int, ...]  # new label -> original point
 
 
-def _column_classes(L: int, subs, columns) -> tuple[tuple, ...]:
-    """Classes of equal suborbit-sum columns, keyed on exact bytes.
+_CHUNK = 1 << 14  # array entries per chunk of rows or columns: 128 KiB of int64
 
-    `columns` yields (label, exponents) in ascending label order, so the
-    classes come out sorted; exponents[t] is the power of z_L at the t-th
-    point of the concatenated suborbits `subs`.
+
+def _evaluation_prime(L: int, largest: int, height: int) -> tuple[int, int]:
+    """(p, omega): the least prime p = 1 mod L with p > 2B, B = largest *
+    height, and omega = g^((p-1)/L) of order L for the least primitive root
+    g mod p.
+
+    Every coefficient of a reduced sum of `largest` roots lies within B, so
+    a difference of two such sums is 0 exactly when it is 0 mod p.  Raises
+    RuntimeError where the int64 arithmetic of `_column_classes` could wrap:
+    p >= 2^31 (a product of two residues) or largest * (p - 1) >= 2^63 (a
+    suborbit's sum of residues).
     """
-    table = cyclotomic.reduction_matrix(L)
-    # a sum adds one table row per orbit point
-    dtype = cyclotomic.int_dtype(max(map(len, subs)) * int(np.abs(table).max()))
-    starts = np.cumsum([0] + [len(o) for o in subs[:-1]])
-    groups: dict[bytes, list] = {}
-    for label, exponents in columns:
-        sums = np.add.reduceat(table[exponents], starts, dtype=dtype)
-        groups.setdefault(sums.tobytes(), []).append(label)
-    return tuple(map(tuple, groups.values()))
+    p = L * max(1, -(-2 * largest * height // L)) + 1
+    while not cyclotomic.is_prime(p):
+        p += L
+    if p >= 2**31:
+        raise RuntimeError(f"evaluation prime {p} is not below 2^31")
+    if largest * (p - 1) >= 2**63:
+        raise RuntimeError(f"a sum of {largest} residues mod {p} may pass 2^63")
+    return p, pow(cyclotomic.primitive_root(p), (p - 1) // L, p)
+
+
+def _check_orbitals_kept(G: PermGroup, subs, coords, shape, radix) -> None:
+    """Raise ValueError unless the translations of the regular group with
+    point coordinates `coords` preserve every orbital of G, as the rank
+    argument needs (a cycle inside G does).
+
+    Label the pair (x, y) by the suborbit of the point at coords[y] -
+    coords[x]; the base point 0 is at 0.  The translations keep this
+    labelling, and it is the orbital partition of the transitive G exactly
+    when every generator of G keeps it.
+    """
+    point = np.empty(len(coords), dtype=np.intp)
+    point[coords @ radix] = np.arange(len(coords))
+    suborbit = np.empty(len(coords), dtype=np.min_scalar_type(len(subs)))
+    for k, o in enumerate(subs):
+        suborbit[list(o)] = k
+    # In radix 2m - 1 each coordinate difference, in (-m, m), is one digit,
+    # so the label of (x, y) is label[u[y] - u[x] + offset]: one subtraction
+    # and one gather per pair.
+    width = 2 * shape - 1
+    wide = np.array([math.prod(width[k + 1 :].tolist()) for k in range(len(shape))])
+    diffs = np.indices(width.tolist()).reshape(len(shape), -1).T - (shape - 1)
+    label = suborbit[point[diffs % shape @ radix]]
+    u, offset = coords @ wide, (shape - 1) @ wide
+    gens = [np.array(h.images) for h in G.generators]
+    step = max(1, _CHUNK // len(coords))
+    for x in range(0, len(coords), step):
+        rows = slice(x, x + step)
+        want = label[u[None] - (u[rows, None] - offset)]
+        for h in gens:
+            if not np.array_equal(label[u[h][None] - (u[h[rows], None] - offset)], want):
+                raise ValueError("the regular subgroup does not preserve the orbitals of the group")
+
+
+def _column_classes(
+    G: PermGroup, subs, coords: np.ndarray, moduli: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Classes of equal suborbit-sum columns, each an ascending tuple of
+    column indices, the classes in ascending order of least member.
+
+    Column c is the mixed-radix index of (j_1, .., j_r), j_k mod moduli[k].
+    The point with coordinates x = coords[point] adds z^(sum_k x_k j_k
+    L / moduli[k]) to its suborbit's sum, z of order L = lcm(moduli).
+
+    V[O][c] is that sum evaluated at omega of order L mod a prime p = 1 mod
+    L (`_evaluation_prime`), and each distinct column of V gets a class id.
+    Column s*c is column c under z -> z^s, so keying c by the ids of s*c
+    over the units s mod L maps each sum into Z[z]/(p), which is F_p^phi(L)
+    because p splits completely (Washington, Introduction to Cyclotomic
+    Fields, Thm 2.13).  Since p > 2B, equal keys are equal sums in Z[z].
+    B is (largest suborbit) x (largest |entry| of the cached table
+    `cyclotomic.reduction_matrix(L)`), which is read for that bound only.
+    There is one class per suborbit (the rank argument above); any other
+    count raises RuntimeError.
+    """
+    shape = np.array(moduli, dtype=np.int64)
+    radix = np.array([math.prod(moduli[k + 1 :]) for k in range(len(moduli))], dtype=np.int64)
+    _check_orbitals_kept(G, subs, coords, shape, radix)
+    L = math.lcm(*moduli)
+    largest = max(map(len, subs))
+    p, omega = _evaluation_prime(L, largest, int(np.abs(cyclotomic.reduction_matrix(L)).max()))
+    powers = np.ones(L, dtype=np.int64)  # omega^k mod p, by doubling
+    k = 1
+    while k < L:
+        powers[k : 2 * k] = powers[: min(k, L - k)] * pow(omega, k, p) % p
+        k *= 2
+
+    # suborbits of one size are one contiguous run, summed as a reshape
+    ordered = sorted(subs, key=len)
+    runs = [(size, len(list(run))) for size, run in itertools.groupby(map(len, ordered))]
+    exps = coords[[i for o in ordered for i in o]].T * (L // shape)[:, None]  # (r, n)
+    grid = np.indices(moduli).reshape(len(moduli), -1).T  # row c: (j_1, .., j_r)
+    ids = np.empty(len(grid), dtype=np.min_scalar_type(len(grid)))
+    distinct: dict[bytes, int] = {}
+    step = max(1, _CHUNK // exps.shape[1])
+    for c in range(0, len(grid), step):
+        values = powers[grid[c : c + step] @ exps % L]
+        sums, start = [], 0
+        for size, count in runs:
+            end = start + size * count
+            sums.append(values[:, start:end].reshape(-1, count, size).sum(axis=2))
+            start = end
+        V = (np.concatenate(sums, axis=1) % p).astype(np.int32)
+        ids[c : c + len(V)] = [distinct.setdefault(row.tobytes(), len(distinct)) for row in V]
+
+    units = np.array([s for s in range(L) if math.gcd(s, L) == 1], dtype=np.int64)
+    classes: dict[bytes, list[int]] = {}
+    step = max(1, _CHUNK // (len(units) * len(moduli)))
+    for c in range(0, len(grid), step):
+        images = units[:, None] * grid[c : c + step, None, :] % shape @ radix  # (cols, units)
+        for t, key in enumerate(ids[images]):
+            classes.setdefault(key.tobytes(), []).append(c + t)
+    if len(classes) != len(subs):
+        raise RuntimeError(f"{len(classes)} column classes for {len(subs)} suborbits (p = {p})")
+    return tuple(map(tuple, classes.values()))
 
 
 def suborbit_sums(G: PermGroup, g: Permutation) -> SuborbitSumMatrix:
@@ -112,8 +222,7 @@ def suborbit_sums(G: PermGroup, g: Permutation) -> SuborbitSumMatrix:
     H, relab = relabel_by_cycle(G, g)
     d = H.degree
     subs = tuple(tuple(o) for o in permgroup.suborbits(H))
-    pts = np.array([i for o in subs for i in o], dtype=np.int64)
-    classes = _column_classes(d, subs, ((j, pts * j % d) for j in range(d)))
+    classes = _column_classes(H, subs, np.arange(d)[:, None], (d,))
     return SuborbitSumMatrix(d, H, subs, classes, relab)
 
 
@@ -171,13 +280,11 @@ def pair_basis_partition(
     """Equality classes of the columns of the sums
     sum_{(x,y) in O} z_L^{x j L/da + y j' L/db} on the (j, j') grid,
     L = lcm(da, db), over every stabiliser orbit O."""
-    L = da * db // math.gcd(da, db)
     coords = _coordinates(G.degree, a, b, da, db)
     subs = tuple(tuple(o) for o in permgroup.suborbits(G))
-    xy = np.array([coords[p] for o in subs for p in o], dtype=np.int64)
-    x, y = xy[:, 0] * (L // da), xy[:, 1] * (L // db)
-    columns = (((j, jp), (x * j + y * jp) % L) for j in range(da) for jp in range(db))
-    return BasisPartition(_column_classes(L, subs, columns))
+    xy = np.array([coords[p] for p in range(G.degree)], dtype=np.int64)
+    classes = _column_classes(G, subs, xy, (da, db))
+    return BasisPartition(tuple(tuple(divmod(c, db) for c in cl) for cl in classes))
 
 
 def basis_partition_pair(

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import burnside
-from burnside import cli, coprime, method, nullsets, permgroup
+from burnside import cli, coprime, method, nullsets, permgroup, ramanujan
 from helpers import full_cycle, masked_report_lines, run_cli, scalar_column_classes
 
 
@@ -40,6 +40,15 @@ class TestRamanujanCommand:
         assert time.perf_counter() - start < 1.0
         assert code == cli.EXIT_USAGE and out == ""
         assert "exceeds the factorisation budget of 2^40" in capsys.readouterr().err
+
+    def test_divisor_count_past_budget_refused(self, capsys):
+        # 6 720 divisors: R(d) would hold 45 M Python ints
+        start = time.perf_counter()
+        code, out = run_cli(["ramanujan", "963761198400"])
+        assert time.perf_counter() - start < 1.0
+        assert code == cli.EXIT_USAGE and out == ""
+        err = capsys.readouterr().err
+        assert f"6720 divisors, beyond the budget of {ramanujan.MAX_DIVISORS}" in err
 
 
 class TestConjectureCommand:
@@ -73,13 +82,12 @@ class TestConjectureCommand:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_scan_bound_is_usage_error(self, jobs, monkeypatch, capsys):
         # d = 24 has 8 divisors, 6 free rows; every smaller even degree has
-        # at most 4.  The pool forks, so its workers see the patched bound.
+        # at most 4.
         monkeypatch.setattr(coprime, "MAX_FREE_ROWS", 4)
         code, out = run_cli(["conjecture", "--max-d", "24", "--jobs", jobs])
         assert code == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: 24 has 6 free divisor rows")
-        assert "fails" not in out
-        assert [json.loads(line)["d"] for line in out.splitlines()] == list(range(2, 24, 2))
+        assert out == ""  # refused before the sweep reaches degree 2
 
 
 def range_divisors(d):
@@ -222,21 +230,65 @@ class TestDiagnoseCommand:
         assert "not coprime" in capsys.readouterr().err
 
     @pytest.mark.parametrize("entry", [6553, 16384])
-    def test_suborbit_sums_past_int16_keep_classes(self, entry, monkeypatch):
-        # Row k of the patched table (phi(6) = 2) is `entry` where 3 does not
-        # divide k and 0 elsewhere.  sym:6 has a suborbit of 5 points, so
-        # 5 * 6553 = 32765 sums in int16 and 5 * 16384 in int64.  Columns 0
-        # and 3 sum to 0, columns 1, 2, 4, 5 to 4 * entry: at 16384 that is
-        # 65536, which int16 sums would wrap to 0 and merge every column.
+    def test_patched_table_height_raises_the_prime(self, entry, monkeypatch):
+        # The table is read only for its largest |entry|, the height: sym:6
+        # has a suborbit of 5 points, so B = 5 * entry and p > 2B.  The
+        # patched rows (entry where 3 does not divide k) are never summed,
+        # so the classes stay the true ones.
+        M = method.suborbit_sums(permgroup.symmetric(6), full_cycle(6))
+        true = [list(c) for c in scalar_column_classes(M)]
         k = np.arange(6)[:, None]
         table = np.where(k % 3 != 0, entry, 0) * np.ones((6, 2), dtype=np.int16)
         monkeypatch.setattr(method.cyclotomic, "reduction_matrix", lambda d: table)
+        real, calls = method._evaluation_prime, []
+
+        def spy(*args):
+            calls.append(args + real(*args))
+            return calls[-1][3:]
+
+        monkeypatch.setattr(method, "_evaluation_prime", spy)
         code, out = run_cli(["diagnose", "--group", "sym:6"])
         assert code == 0
-        classes = json.loads(out)["basis_classes"]
-        M = method.suborbit_sums(permgroup.symmetric(6), full_cycle(6))
-        assert classes == [[0, 3], [1, 2, 4, 5]]
-        assert classes == [list(c) for c in scalar_column_classes(M)]
+        (L, largest, height, p, omega), = calls
+        assert (L, largest, height) == (6, 5, entry)
+        assert p > 2 * largest * height and p % L == 1
+        assert pow(omega, 2, p) != 1 and pow(omega, 3, p) != 1 and pow(omega, 6, p) == 1
+        assert json.loads(out)["basis_classes"] == true == [[0], [1, 2, 3, 4, 5]]
+
+    def test_too_small_prime_merges_classes(self, monkeypatch, capsys):
+        # z -> 2 mod 3 is a ring map from Z[z_6] (Phi_6(2) = 3), but 3 is
+        # not above 2B = 10: the sums 5 and -1 of the 5-point suborbit meet
+        # mod 3, so one class stands for two suborbits
+        monkeypatch.setattr(method, "_evaluation_prime", lambda L, largest, height: (3, 2))
+        code, out = run_cli(["diagnose", "--group", "sym:6"])
+        assert code == cli.EXIT_INTERNAL and out == ""
+        assert "1 column classes for 2 suborbits" in capsys.readouterr().err
+
+    def test_prime_past_int64_products_is_internal_error(self, monkeypatch, capsys):
+        table = np.full((6, 2), 2**30, dtype=np.int64)
+        monkeypatch.setattr(method.cyclotomic, "reduction_matrix", lambda d: table)
+        code, out = run_cli(["diagnose", "--group", "sym:6"])
+        assert code == cli.EXIT_INTERNAL and out == ""
+        assert "is not below 2^31" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "L, largest, height, p",
+        [(2, 1, 2**30 - 1, 2**31 - 1), (2, 1, 2**30, None),
+         (2, 2**62 - 1, 0, 3), (2, 2**62, 0, None)],
+    )
+    def test_evaluation_prime_int64_bounds(self, L, largest, height, p):
+        # p < 2^31 keeps a product of two residues in int64, and
+        # largest * (p - 1) < 2^63 a suborbit's sum of residues
+        if p is None:
+            with pytest.raises(RuntimeError):
+                method._evaluation_prime(L, largest, height)
+        else:
+            assert method._evaluation_prime(L, largest, height)[0] == p
+
+    def test_cycle_outside_the_group_is_usage_error(self, capsys):
+        code, out = run_cli(["diagnose", "--group", "dihedral:6", "--cycle", "(0,2,4,1,3,5)"])
+        assert code == cli.EXIT_USAGE and out == ""
+        assert "does not preserve the orbitals" in capsys.readouterr().err
 
 
 class TestNullsetsCommand:

@@ -292,6 +292,12 @@ class TestConjectureScan:
         free = max(len(divisor_data(d).divisors) for d in range(2, 2520, 2)) - 2
         assert free == cp.MAX_FREE_ROWS
 
+    def test_range_refuses_over_bound_degree_before_the_sweep(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^2520 has 46 free divisor rows"):
+            next(cp.iter_verify_range(10**6, jobs=2))
+        assert time.perf_counter() - start < 1.0
+
     def test_range_deterministic_across_worker_counts(self):
         serial = cp.verify_range(60, jobs=1)
         for jobs in (4, 8):

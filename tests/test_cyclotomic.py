@@ -156,6 +156,48 @@ class TestReductionMatrix:
         assert cy.int_dtype(bound) is dtype
 
 
+class TestPrimes:
+    def test_agrees_with_sieve_below_1e5(self):
+        n = 10**5
+        sieve = np.ones(n, dtype=bool)
+        sieve[:2] = False
+        for q in range(2, int(n**0.5) + 1):
+            if sieve[q]:
+                sieve[q * q :: q] = False
+        assert [m for m in range(n) if cy.is_prime(m)] == np.flatnonzero(sieve).tolist()
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+    def test_rejects_strong_pseudoprimes(self, n):
+        # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2, ..., 23
+        assert not cy.is_prime(n)
+
+    @pytest.mark.parametrize("n", [2**31 - 1, 2**61 - 1, 2**64 - 59])
+    def test_accepts_64_bit_primes(self, n):
+        assert cy.is_prime(n)
+
+    def test_refuses_past_64_bits(self):
+        with pytest.raises(ValueError, match="64-bit"):
+            cy.is_prime(2**64)
+
+    def test_primitive_root_has_order_p_minus_1(self):
+        for p in [m for m in range(2, 2000) if cy.is_prime(m)]:
+            g = cy.primitive_root(p)
+            x, order = g % p, 1
+            while x != 1:
+                x, order = x * g % p, order + 1
+            assert order == p - 1, p
+
+    def test_primitive_root_of_a_large_prime(self):
+        p = 2**31 - 1  # p - 1 = 2 * 3^2 * 7 * 11 * 31 * 151 * 331
+        g = cy.primitive_root(p)
+        assert g == 7
+        assert all(pow(g, (p - 1) // q, p) != 1 for q in (2, 3, 7, 11, 31, 151, 331))
+
+    def test_primitive_root_needs_a_prime(self):
+        with pytest.raises(ValueError, match="not prime"):
+            cy.primitive_root(12289 * 3)
+
+
 class TestPowerMap:
     def test_identity(self):
         x = cy.from_indices(10, [1, 3, 7])

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -105,6 +107,27 @@ class TestBasisPartition:
             M = me.suborbit_sums(*random_relabelling(rng, G, g))
             assert M.column_classes == scalar_column_classes(M), G.name
 
+    @pytest.mark.parametrize(
+        "family, digest",
+        [
+            (pg.dihedral, "d250d3137ad5f8b40ed6cd0b4c594dd754ec391612781d9d653486aa221a31da"),
+            (pg.symmetric, "36b64237e7b091706bbc58bd1a0a9fce612b4bc1f4f6067c85a499ae4fcf60ff"),
+        ],
+        ids=["dihedral", "sym"],
+    )
+    def test_classes_at_degree_1024_pinned(self, family, digest):
+        # sha256 of the classes as the per-column table reduction found them
+        # before the evaluation mod p replaced it (513 and 2 classes)
+        M = me.suborbit_sums(family(1024), full_cycle(1024))
+        assert hashlib.sha256(json.dumps(M.column_classes).encode()).hexdigest() == digest
+
+    def test_cycle_outside_the_group_refused(self):
+        # (0,2,4,1,3,5) is a 6-cycle outside D_6 that moves the orbital of
+        # (0, 1); the per-column table path returned 6 classes for 4 suborbits
+        g = pg.parse_permutation("(0,2,4,1,3,5)", 6)
+        with pytest.raises(ValueError, match="does not preserve the orbitals"):
+            me.suborbit_sums(pg.dihedral(6), g)
+
 
 class TestPairPartitions:
     @pytest.mark.parametrize("d", [3, 4])
@@ -144,6 +167,15 @@ class TestPairPartitions:
         assert B.count == len(pg.suborbits(pg.dihedral(6)))
         B1 = me.basis_partition(me.suborbit_sums(pg.dihedral(6), g))
         assert B.count == B1.count
+
+    def test_pair_outside_the_group_refused(self):
+        # <(0,1)(2,3)(4,5), (0,2,4)(1,3,5)> is a regular C_2 x C_3, but it
+        # swaps the orbitals of (0, 1) and (1, 0) of the regular C_6
+        a = pg.parse_permutation("(0,1)(2,3)(4,5)", 6)
+        b = pg.parse_permutation("(0,2,4)(1,3,5)", 6)
+        with pytest.raises(ValueError, match="does not preserve the orbitals"):
+            me.pair_basis_partition(pg.cyclic(6), a, 2, b, 3)
+        assert me.pair_basis_partition(pg.symmetric(6), a, 2, b, 3).count == 2
 
     def test_non_regular_pair_rejected(self):
         g = full_cycle(6)

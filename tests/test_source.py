@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import burnside
@@ -36,4 +37,21 @@ def test_no_randomness():
                 continue
             if any(n == "random" or n.startswith(("random.", "numpy.random")) for n in names):
                 found.append(f"{path.name}:{node.lineno}")
+    assert len(SOURCES) > 1 and not found, found
+
+
+def test_imports_only_declared_dependencies():
+    # numpy is the one runtime dependency (pyproject.toml); sympy may be
+    # installed alongside, but the package must not lean on it
+    allowed = set(sys.stdlib_module_names) | {"numpy", "burnside"}
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] not in allowed]
     assert len(SOURCES) > 1 and not found, found
