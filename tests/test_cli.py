@@ -272,18 +272,19 @@ class TestDiagnoseCommand:
         assert "is not below 2^31" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "L, largest, height, p",
-        [(2, 1, 2**30 - 1, 2**31 - 1), (2, 1, 2**30, None),
-         (2, 2**62 - 1, 0, 3), (2, 2**62, 0, None)],
+        "L, largest, height, outcome",
+        [(2, 1, 2**30 - 1, 2**31 - 1), (2, 1, 2**30, "not below 2\\^31"),
+         (2, 2**62 - 1, 0, 3), (2, 2**62, 0, "may pass 2\\^63")],
+        ids=["prime-below-2^31", "prime-past-2^31", "sum-below-2^63", "sum-at-2^63"],
     )
-    def test_evaluation_prime_int64_bounds(self, L, largest, height, p):
+    def test_evaluation_prime_int64_bounds(self, L, largest, height, outcome):
         # p < 2^31 keeps a product of two residues in int64, and
         # largest * (p - 1) < 2^63 a suborbit's sum of residues
-        if p is None:
-            with pytest.raises(RuntimeError):
+        if isinstance(outcome, str):
+            with pytest.raises(RuntimeError, match=outcome):
                 method._evaluation_prime(L, largest, height)
         else:
-            assert method._evaluation_prime(L, largest, height)[0] == p
+            assert method._evaluation_prime(L, largest, height)[0] == outcome
 
     def test_cycle_outside_the_group_is_usage_error(self, capsys):
         code, out = run_cli(["diagnose", "--group", "dihedral:6", "--cycle", "(0,2,4,1,3,5)"])
