@@ -139,7 +139,7 @@ def _blocks_dict(system: permgroup.BlockSystem | None):
 
 def _cmd_ramanujan(args, out: _Output) -> int:
     R = ramanujan.matrix_formula(args.d)
-    report = ramanujan.structure_identities(args.d)
+    report = ramanujan.structure_identities(R)
     if args.format == "csv":
         out.line(ramanujan.to_csv(R).rstrip("\n"))
     elif args.format == "json":

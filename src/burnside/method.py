@@ -65,11 +65,7 @@ def relabel_by_cycle(G: PermGroup, g: Permutation) -> tuple[PermGroup, tuple[int
     d = G.degree
     if g.degree != d:
         raise ValueError("cycle degree differs from group degree")
-    order_pts = [0]
-    x = g[0]
-    while x != 0:
-        order_pts.append(x)
-        x = g[x]
+    order_pts = permgroup.cycle_points(g, 0)
     if len(order_pts) != d:
         raise ValueError("the supplied permutation is not a d-cycle")
     new_of_old = {old: new for new, old in enumerate(order_pts)}

@@ -2,9 +2,12 @@
 
 Permutations act on the right and compose left to right: the image of a
 point i under first a then b is b[a[i]].  Everything here is polynomial
-in the degree and works straight from generator lists.  Suborbits come
-from one transversal of the base point and its Schreier generators; a
-transitive group is regular when every suborbit is a single point.
+in the degree and works straight from generator lists.  Suborbits are one
+union of the Schreier-map edges x - S[a, x], in chunks of coset rows.  The
+transversal is free when a generator is a full cycle (its translations;
+no m x m table), and otherwise comes from a search that holds two int16
+m x m tables.  A transitive group is regular when every suborbit is a
+single point.
 
 Groups are immutable and all functions are pure.
 """
@@ -172,7 +175,8 @@ def is_transitive(G: PermGroup) -> bool:
     return len(orbits(G)) == 1
 
 
-MAX_DEGREE = 2**14  # the transversal and its inverses: two int16 m x m tables, 1 GiB here
+MAX_DEGREE = 2**14  # the search transversal and its inverses: two int16 m x m tables, 1 GiB here
+_CHUNK = 1 << 14  # Schreier-map entries per chunk of coset rows: 32 KiB of int16
 
 
 def check_point_budget(points: int) -> None:
@@ -181,52 +185,106 @@ def check_point_budget(points: int) -> None:
         raise ValueError(f"degree {points} exceeds the point budget of {MAX_DEGREE} points")
 
 
+def cycle_points(g: Permutation, start: int) -> list[int]:
+    """The cycle of g through `start`: start, g(start), g(g(start)), ..."""
+    pts = [start]
+    x = g[start]
+    while x != start:
+        pts.append(x)
+        x = g[x]
+    return pts
+
+
+def _merge(label: np.ndarray, S: np.ndarray) -> None:
+    """Join the class of x with the class of S[r, x] for every row r.
+
+    `label` maps each point to the least point of its class.  The roots of
+    every edge hook the larger onto the smaller (`np.minimum.at`), pointer
+    jumping flattens the forest again, and edges whose ends share a root
+    drop out, until none is left.
+    """
+    a, b = np.broadcast_to(label, S.shape), label.take(S)
+    while True:
+        keep = a != b
+        if not keep.any():
+            return
+        a, b = a[keep], b[keep]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        np.minimum.at(label, hi, lo)
+        while not np.array_equal(up := label.take(label), label):
+            label[:] = up
+        a, b = label.take(lo), label.take(hi)
+
+
 def suborbits(G: PermGroup, base: int = 0) -> list[list[int]]:
     """Orbits of the stabiliser of `base` in a transitive group, including
     {base}, each sorted and listed by least element.
 
-    A search over points, which is also the transitivity check, fills a
-    transversal: t[a] takes `base` to a, inv[a] is its inverse.  Each point
-    of an orbit goes through all Schreier generators t[a] h t[h(a)]^-1
-    (Seress 2003, Lemma 4.2.1) at once, one length-m gather per h.
+    The stabiliser is generated by the Schreier maps t[a] h t[h(a)]^-1 for
+    a transversal t (t[a] takes `base` to a) and the generators h (Seress
+    2003, Lemma 4.2.1), so the suborbits are the classes of the edges
+    x - S[a, x] over all of them, joined by `_merge` in chunks of coset rows
+    of at most `_CHUNK` entries.  The transversal has two sources:
+
+    * a generator c of G that is a full m-cycle: with the points relabelled
+      by their position along c from `base`, t[a] is x -> x + a, so S[a, x]
+      = h(x + a) - h(a) mod m, and the generators that are translations
+      add nothing.  No search and no m x m table: a few length-m arrays
+      and int16 chunks of 32 KiB (under 1 MiB in all at m = 4096).
+    * otherwise, a search over points, which is also the transitivity
+      check, fills t and the inverses inv: two int16 m x m tables, 1 GiB
+      at MAX_DEGREE, read per chunk through int64 flat indices (128 KiB).
     """
     m = G.degree
     if not 0 <= base < m:
         raise ValueError(f"base point {base} outside 0..{m - 1}")
     check_point_budget(m)
-    dtype = int_dtype(m - 1)
+    dtype = int_dtype(2 * m - 2)  # S[a, x] indexes h at x + a < 2m - 1
+    order = next((pts for g in G.generators if len(pts := cycle_points(g, base)) == m), None)
     points = np.arange(m, dtype=dtype)
-    gens = [np.array(g.images, dtype=dtype) for g in G.generators]
-    t, inv = np.empty((2, m, m), dtype)
-    t[base] = inv[base] = points
-    queue, found = [base], {base}
-    for a in queue:
-        for g, perm in zip(gens, G.generators):
-            b = perm.images[a]
-            if b not in found:
-                found.add(b)
-                t[b] = g[t[a]]
-                inv[b, t[b]] = points
-                queue.append(b)
-    if len(queue) < m:
-        raise ValueError("suborbits require a transitive group")
-    assigned, hit = np.zeros((2, m), dtype=bool)
-    out = []
-    for x in range(m):  # x is the least point of its suborbit
-        if assigned[x]:
-            continue
-        assigned[x] = True
-        orbit = [x]
-        for y in orbit:
-            column = t[:, y]
-            for g in gens:
-                hit[inv[g, g[column]]] = True
-            fresh = np.flatnonzero(hit & ~assigned)
-            hit[:] = False
-            assigned[fresh] = True
-            orbit.extend(fresh.tolist())
-        out.append(sorted(orbit))
-    return out
+    label = points.copy()
+    step = max(1, _CHUNK // m)
+    if order is not None:
+        order = np.array(order)
+        pos = np.empty(m, dtype)
+        pos[order] = points
+        for g in G.generators:
+            h = pos[np.array(g.images, dtype)[order]]  # g on positions along the cycle
+            if np.array_equal(h, (points + h[0]) % m):  # a translation: every S[a] is 1
+                continue
+            twice = np.concatenate([h, h])
+            for a in range(0, m, step):
+                rows = points[a : a + step, None]
+                S = twice.take(rows + points) - h.take(rows)
+                S[S < 0] += m
+                _merge(label, S)
+        label = label.take(pos)
+    else:
+        gens = [np.array(g.images) for g in G.generators]  # intp: they index the flat inv
+        t, inv = np.empty((2, m, m), dtype)
+        t[base] = inv[base] = points
+        queue, found = [base], {base}
+        for a in queue:
+            for g, perm in zip(gens, G.generators):
+                b = perm.images[a]
+                if b not in found:
+                    found.add(b)
+                    t[b] = g[t[a]]
+                    inv[b, t[b]] = points
+                    queue.append(b)
+        if len(queue) < m:
+            raise ValueError("suborbits require a transitive group")
+        cells = inv.reshape(-1)
+        for g in gens:
+            for a in range(0, m, step):
+                rows = slice(a, a + step)
+                _merge(label, cells.take(g[rows, None] * m + g.take(t[rows])))
+    # label[x] names the class of x: met in ascending x, each class first
+    # shows up at its least point
+    classes: dict[int, list[int]] = {}
+    for x, k in enumerate(label.tolist()):
+        classes.setdefault(k, []).append(x)
+    return list(classes.values())
 
 
 def is_2transitive(G: PermGroup) -> bool:

@@ -221,10 +221,10 @@ class StructureReport:
         return not self.failures
 
 
-def structure_identities(d: int) -> StructureReport:
-    """Check the column-sum identity, and for prime powers the determinant,
-    rotation-inverse and triangular-factorisation identities."""
-    R = matrix_formula(d)
+def structure_identities(R: RamanujanMatrix) -> StructureReport:
+    """Check the column-sum identity of R = R(d), and for prime powers d the
+    determinant, rotation-inverse and triangular-factorisation identities."""
+    d = R.d
     k = len(R.divisors)
     failures: list[str] = []
 

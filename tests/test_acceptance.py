@@ -12,7 +12,7 @@ import time
 import pytest
 
 from burnside import coprime, cyclotomic as cy, method, nullsets, permgroup as pg, ramanujan as ra
-from helpers import cyclic_regular_corpus, masked_report_lines, run_cli
+from helpers import cyclic_regular_corpus, full_cycle, masked_report_lines, run_cli
 
 WORST_DEGREES = [360, 420, 480, 504, 540, 600]
 
@@ -58,7 +58,7 @@ def test_criterion_03_prime_power_identities():
     for d in range(2, 129):
         if cy.prime_power_split(d) is None:
             continue
-        rep = ra.structure_identities(d)
+        rep = ra.structure_identities(ra.matrix_formula(d))
         assert rep.ok, (d, rep.failures)
         assert rep.determinant_ok and rep.rotation_inverse_ok and rep.triangular_ok
         checked += 1
@@ -134,6 +134,7 @@ def test_criterion_08_dichotomy_on_corpus():
     start = time.perf_counter()
     corpus = cyclic_regular_corpus(100)
     assert len(corpus) >= 30
+    corpus += [(G, full_cycle(1024)) for G in (pg.dihedral(1024), pg.symmetric(1024), pg.affine(1024, 3))]
     verdicts = {"imprimitive": 0, "two_transitive": 0}
     for G, g in corpus:
         rep = method.diagnose(G, g)

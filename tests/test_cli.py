@@ -50,6 +50,21 @@ class TestRamanujanCommand:
         err = capsys.readouterr().err
         assert f"6720 divisors, beyond the budget of {ramanujan.MAX_DIVISORS}" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "pretty"])
+    @pytest.mark.parametrize("d", ["12", "16"])
+    def test_matrix_built_once(self, d, fmt, monkeypatch):
+        expected = run_cli(["ramanujan", d, "--format", fmt])
+        real = ramanujan.matrix_formula
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(ramanujan, "matrix_formula", counting)
+        assert run_cli(["ramanujan", d, "--format", fmt]) == expected
+        assert calls == [int(d)]
+
 
 class TestConjectureCommand:
     def test_small_sweep(self):
@@ -290,6 +305,18 @@ class TestDiagnoseCommand:
         code, out = run_cli(["diagnose", "--group", "dihedral:6", "--cycle", "(0,2,4,1,3,5)"])
         assert code == cli.EXIT_USAGE and out == ""
         assert "does not preserve the orbitals" in capsys.readouterr().err
+
+    def test_full_cycle_that_is_no_generator(self):
+        # r^5 lies in dihedral:12 but is not a generator; relabelled along it,
+        # the group's own rotation r is x -> x + 5, a full cycle that
+        # `suborbits` relabels along in turn
+        r5 = permgroup.Permutation(tuple((i + 5) % 12 for i in range(12)))
+        code, out = run_cli(["diagnose", "--group", "dihedral:12", "--cycle", str(r5)])
+        assert code == 0
+        _, default = run_cli(["diagnose", "--group", "dihedral:12"])
+        got, want = json.loads(out), json.loads(default)
+        assert got["cycle"] != want["cycle"]
+        assert (got["verdict"], got["basis_classes"]) == (want["verdict"], want["basis_classes"])
 
 
 class TestNullsetsCommand:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -59,6 +60,14 @@ def small_groups(draw):
     m = draw(st.integers(2, 7))
     gens = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=3))
     return pg.PermGroup(m, tuple(pg.Permutation(tuple(g)) for g in gens))
+
+
+@st.composite
+def groups_with_rotation(draw):
+    """The full cycle (0,1,...,m-1) and 1-2 random permutations, 2-8 points."""
+    m = draw(st.integers(2, 8))
+    gens = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=2))
+    return pg.PermGroup(m, (full_cycle(m), *(pg.Permutation(tuple(g)) for g in gens)))
 
 
 class TestBasics:
@@ -175,17 +184,55 @@ class TestSuborbits:
         order = len(closure(G.generators, G.degree))
         assert pg.regular_check(G.degree, list(G.generators)) == (order == G.degree)
 
+    @settings(max_examples=60, deadline=None)
+    @given(G=groups_with_rotation(), data=st.data())
+    def test_rotation_and_search_agree_with_brute_force(self, G, data):
+        m = G.degree
+        base = data.draw(st.integers(0, m - 1))
+        subs = pg.suborbits(G, base)
+        assert subs == stabiliser_orbits(G, base)
+        # relabelled by sigma the group keeps a full cycle among its
+        # generators, but no longer the rotation; hiding every full cycle
+        # from `suborbits` sends it down the search path
+        sigma = data.draw(st.permutations(range(m)))
+        inv = pg.inverse(pg.Permutation(tuple(sigma)))
+        K = pg.PermGroup(m, tuple(
+            pg.Permutation(tuple(sigma[g[inv[x]]] for x in range(m))) for g in G.generators
+        ))
+        want = sorted(sorted(sigma[x] for x in o) for o in subs)
+        assert pg.suborbits(K, sigma[base]) == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pg, "cycle_points", lambda g, start: [start])
+            assert pg.suborbits(K, sigma[base]) == want
+
+    def test_rotation_path_builds_no_table(self):
+        G = pg.dihedral(4096)
+        tracemalloc.start()
+        try:
+            subs = pg.suborbits(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert subs[:3] == [[0], [1, 4095], [2, 4094]] and len(subs) == 2049
+        # the search path's t and inv alone would be 2 * 4096^2 int16, 64 MiB
+        assert peak < 8 * 2**20, peak
+
     def test_point_budget_refused_before_tables(self, monkeypatch):
-        G = pg.cyclic(pg.MAX_DEGREE + 1)
+        m = pg.MAX_DEGREE + 1
+        rotation = pg.cyclic(m)
+        # transitive, and no generator is a full cycle: the search path
+        search = pg.PermGroup(m, (pg.cycle(range(m - 1), m), pg.cycle([m - 2, m - 1], m)))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("allocated a table past the point budget")
 
-        monkeypatch.setattr(pg.np, "empty", forbidden)
-        with pytest.raises(ValueError, match="point budget of 16384"):
-            pg.suborbits(G)
-        with pytest.raises(ValueError, match="point budget"):
-            pg.regular_check(G.degree, list(G.generators))
+        for name in ("empty", "zeros", "arange", "array"):
+            monkeypatch.setattr(pg.np, name, forbidden)
+        for G in (rotation, search):
+            with pytest.raises(ValueError, match="point budget of 16384"):
+                pg.suborbits(G)
+            with pytest.raises(ValueError, match="point budget"):
+                pg.regular_check(G.degree, list(G.generators))
 
     def test_point_budget_cli(self, capsys):
         code, out = run_cli(["suborbits", "--group", "cyclic:16385"])

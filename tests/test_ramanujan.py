@@ -124,17 +124,17 @@ class TestTensor:
 
 class TestStructureIdentities:
     def test_d4_determinant(self):
-        rep = ra.structure_identities(4)
+        rep = ra.structure_identities(ra.matrix_formula(4))
         assert rep.determinant == 8 and rep.ok
 
     def test_d9_determinant(self):
-        assert ra.structure_identities(9).determinant == 27
+        assert ra.structure_identities(ra.matrix_formula(9)).determinant == 27
 
     def test_d6_column_sums(self):
         R = ra.matrix_formula(6)
         sums = [sum(R.entries[i][j] for i in range(4)) for j in range(4)]
         assert sums == [0, 0, 0, 6]
-        assert ra.structure_identities(6).column_sums_ok
+        assert ra.structure_identities(R).column_sums_ok
 
     def test_column_sums_to_600(self):
         for d in range(1, 601):
@@ -146,7 +146,7 @@ class TestStructureIdentities:
 
     @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64])
     def test_prime_power_reports_clean(self, q):
-        rep = ra.structure_identities(q)
+        rep = ra.structure_identities(ra.matrix_formula(q))
         assert rep.ok and rep.determinant_ok and rep.rotation_inverse_ok and rep.triangular_ok
 
     def test_bareiss_matches_known_values(self):
