@@ -15,9 +15,8 @@ Phi_d: reduction is linear, so the rows indexed by the exponents, summed,
 give the remainder.  `reduced_coeffs` sums them in Python integers for
 one value; the batch sites sum them in the width `int_dtype` derives from
 a bound on every partial sum, so nothing wraps and no input is refused.
-`method` reads only the table's largest |entry|, to bound the reduced
-coefficients of its suborbit sums, which it evaluates at a root of unity
-mod a prime (`is_prime`, `primitive_root`) instead of reducing.
+`method` reads no table: it evaluates its suborbit sums at a root of
+unity mod a prime (`is_prime`, `primitive_root`) chosen by a norm bound.
 For d = p^n the coefficient polynomial is divisible by Phi_{p^n} iff the
 coefficients are constant on each arithmetic progression
 {r, r + p^{n-1}, ..., r + (p-1)p^{n-1}}.

@@ -27,11 +27,12 @@ The matrix is never reduced in Z[z].  Each column j is evaluated at an
 omega of order d modulo a prime p = 1 mod d, one residue per suborbit,
 and keyed by the evaluations of the columns s*j over the units s, which
 are column j under z -> z^s.  Since p splits completely and exceeds twice
-every reduced coefficient, equal keys are exactly equal columns
-(`_column_classes`).  The cost is one pass over the d x d exponents plus
-a d x phi(d) key, not a reduction per sum.  A cycle that moves an
-orbital of G, so one outside G, is refused with ValueError; a class count
-other than the suborbit count is then an internal error.
+the largest suborbit, a norm bound makes equal keys exactly equal columns
+(`_evaluation_prime`, `_column_classes`); no reduction table is read.
+The cost is one pass over the d x d exponents plus a d x phi(d) key, not
+a reduction per sum.  A cycle that moves an orbital of G, so one outside
+G, is refused with ValueError (one more `permgroup.suborbits` count); a
+class count other than the suborbit count is then an internal error.
 `suborbit_sums` keeps only the classes, and every consumer takes that
 result, as `diagnose` does:
 
@@ -91,62 +92,44 @@ class SuborbitSumMatrix:
 _CHUNK = 1 << 14  # array entries per chunk of rows or columns: 128 KiB of int64
 
 
-def _evaluation_prime(L: int, largest: int, height: int) -> tuple[int, int]:
-    """(p, omega): the least prime p = 1 mod L with p > 2B, B = largest *
-    height, and omega = g^((p-1)/L) of order L for the least primitive root
-    g mod p.
+def _evaluation_prime(L: int, largest: int) -> tuple[int, int]:
+    """(p, omega): the least prime p = 1 mod L with p > 2 * largest, and
+    omega = g^((p-1)/L) of order L for the least primitive root g mod p.
 
-    Every coefficient of a reduced sum of `largest` roots lies within B, so
-    a difference of two such sums is 0 exactly when it is 0 mod p.  Raises
-    RuntimeError where the int64 arithmetic of `_column_classes` could wrap:
-    p >= 2^31 (a product of two residues) or largest * (p - 1) >= 2^63 (a
-    suborbit's sum of residues).
+    The difference x of two sums of at most `largest` L-th roots of unity
+    has every conjugate within 2 * largest.  If x is 0 mod every prime
+    above p, then x lies in pZ[z_L] (p = 1 mod L is unramified), so a
+    nonzero x would give p^phi(L) <= |N(x)| <= (2 * largest)^phi(L): x is
+    0 exactly when it is 0 mod p.  Raises RuntimeError for p >= 2^31, where
+    a product of two residues could wrap int64 in `_column_classes`.
     """
-    p = L * max(1, -(-2 * largest * height // L)) + 1
+    p = L * max(1, -(-2 * largest // L)) + 1
     while not cyclotomic.is_prime(p):
         p += L
+    # p < 2^31 with p > 2 * largest gives largest * (p - 1) < 2^30 * 2^31:
+    # a suborbit's sum of residues stays below 2^61
     if p >= 2**31:
         raise RuntimeError(f"evaluation prime {p} is not below 2^31")
-    if largest * (p - 1) >= 2**63:
-        raise RuntimeError(f"a sum of {largest} residues mod {p} may pass 2^63")
     return p, pow(cyclotomic.primitive_root(p), (p - 1) // L, p)
 
 
-def _check_orbitals_kept(G: PermGroup, subs, coords, shape, radix) -> None:
-    """Raise ValueError unless the translations of the regular group with
-    point coordinates `coords` preserve every orbital of G, as the rank
-    argument needs (a cycle inside G does).
+def _check_orbitals_kept(G: PermGroup, subs, regular: tuple[Permutation, ...]) -> None:
+    """Raise ValueError unless the generators `regular` of the regular
+    subgroup preserve every orbital of G, whose suborbits are `subs`, as the
+    rank argument needs (generators inside G do).
 
-    Label the pair (x, y) by the suborbit of the point at coords[y] -
-    coords[x]; the base point 0 is at 0.  The translations keep this
-    labelling, and it is the orbital partition of the transitive G exactly
-    when every generator of G keeps it.
+    The orbitals of <G, regular> are unions of those of G (Wielandt, Finite
+    Permutation Groups, ch. IV), equal to them exactly when every added
+    permutation keeps each one; in a transitive group the orbitals and the
+    suborbits are equal in number.
     """
-    point = np.empty(len(coords), dtype=np.intp)
-    point[coords @ radix] = np.arange(len(coords))
-    suborbit = np.empty(len(coords), dtype=np.min_scalar_type(len(subs)))
-    for k, o in enumerate(subs):
-        suborbit[list(o)] = k
-    # In radix 2m - 1 each coordinate difference, in (-m, m), is one digit,
-    # so the label of (x, y) is label[u[y] - u[x] + offset]: one subtraction
-    # and one gather per pair.
-    width = 2 * shape - 1
-    wide = np.array([math.prod(width[k + 1 :].tolist()) for k in range(len(shape))])
-    diffs = np.indices(width.tolist()).reshape(len(shape), -1).T - (shape - 1)
-    label = suborbit[point[diffs % shape @ radix]]
-    u, offset = coords @ wide, (shape - 1) @ wide
-    gens = [np.array(h.images) for h in G.generators]
-    step = max(1, _CHUNK // len(coords))
-    for x in range(0, len(coords), step):
-        rows = slice(x, x + step)
-        want = label[u[None] - (u[rows, None] - offset)]
-        for h in gens:
-            if not np.array_equal(label[u[h][None] - (u[h[rows], None] - offset)], want):
-                raise ValueError("the regular subgroup does not preserve the orbitals of the group")
+    extra = tuple(h for h in regular if h not in G.generators)
+    if extra and len(permgroup.suborbits(PermGroup(G.degree, G.generators + extra))) != len(subs):
+        raise ValueError("the regular subgroup does not preserve the orbitals of the group")
 
 
 def _column_classes(
-    G: PermGroup, subs, coords: np.ndarray, moduli: tuple[int, ...]
+    subs, coords: np.ndarray, moduli: tuple[int, ...]
 ) -> tuple[tuple[int, ...], ...]:
     """Classes of equal suborbit-sum columns, each an ascending tuple of
     column indices, the classes in ascending order of least member.
@@ -160,18 +143,15 @@ def _column_classes(
     Column s*c is column c under z -> z^s, so keying c by the ids of s*c
     over the units s mod L maps each sum into Z[z]/(p), which is F_p^phi(L)
     because p splits completely (Washington, Introduction to Cyclotomic
-    Fields, Thm 2.13).  Since p > 2B, equal keys are equal sums in Z[z].
-    B is (largest suborbit) x (largest |entry| of the cached table
-    `cyclotomic.reduction_matrix(L)`), which is read for that bound only.
+    Fields, Thm 2.13).  Since p exceeds twice the largest suborbit, equal
+    keys are equal sums in Z[z] (the norm bound of `_evaluation_prime`).
     There is one class per suborbit (the rank argument above); any other
     count raises RuntimeError.
     """
     shape = np.array(moduli, dtype=np.int64)
     radix = np.array([math.prod(moduli[k + 1 :]) for k in range(len(moduli))], dtype=np.int64)
-    _check_orbitals_kept(G, subs, coords, shape, radix)
     L = math.lcm(*moduli)
-    largest = max(map(len, subs))
-    p, omega = _evaluation_prime(L, largest, int(np.abs(cyclotomic.reduction_matrix(L)).max()))
+    p, omega = _evaluation_prime(L, max(map(len, subs)))
     powers = np.ones(L, dtype=np.int64)  # omega^k mod p, by doubling
     k = 1
     while k < L:
@@ -218,7 +198,8 @@ def suborbit_sums(G: PermGroup, g: Permutation) -> SuborbitSumMatrix:
     H, relab = relabel_by_cycle(G, g)
     d = H.degree
     subs = tuple(tuple(o) for o in permgroup.suborbits(H))
-    classes = _column_classes(H, subs, np.arange(d)[:, None], (d,))
+    _check_orbitals_kept(H, subs, (permgroup.cycle(range(d), d),))
+    classes = _column_classes(subs, np.arange(d)[:, None], (d,))
     return SuborbitSumMatrix(d, H, subs, classes, relab)
 
 
@@ -253,19 +234,22 @@ def basis_partition(M: SuborbitSumMatrix) -> BasisPartition:
 
 
 def _coordinates(degree: int, a: Permutation, b: Permutation, da: int, db: int):
-    """Exponent coordinates of every point with respect to the commuting
-    pair (a, b), assuming <a> x <b> acts regularly from the point 0."""
+    """Exponent coordinates (x, y) of every point, the image of 0 under a^x
+    then b^y.  a and b must act on them as the unit translations of C_da x
+    C_db, so that checking a and b (`_check_orbitals_kept`) checks every
+    translation."""
     coords: dict[int, tuple[int, int]] = {}
     pt_x = 0
     for x in range(da):
         pt = pt_x
         for y in range(db):
-            if pt in coords:
-                raise ValueError("generator pair does not act regularly")
             coords[pt] = (x, y)
             pt = b[pt]
         pt_x = a[pt_x]
-    if len(coords) != degree:
+    if len(coords) != degree or any(
+        coords.get(a[pt]) != ((x + 1) % da, y) or coords.get(b[pt]) != (x, (y + 1) % db)
+        for pt, (x, y) in coords.items()
+    ):
         raise ValueError("generator pair does not act regularly")
     return coords
 
@@ -278,8 +262,9 @@ def pair_basis_partition(
     L = lcm(da, db), over every stabiliser orbit O."""
     coords = _coordinates(G.degree, a, b, da, db)
     subs = tuple(tuple(o) for o in permgroup.suborbits(G))
+    _check_orbitals_kept(G, subs, (a, b))
     xy = np.array([coords[p] for p in range(G.degree)], dtype=np.int64)
-    classes = _column_classes(G, subs, xy, (da, db))
+    classes = _column_classes(subs, xy, (da, db))
     return BasisPartition(tuple(tuple(divmod(c, db) for c in cl) for cl in classes))
 
 

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -244,62 +243,64 @@ class TestDiagnoseCommand:
         assert code == 2
         assert "not coprime" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("entry", [6553, 16384])
-    def test_patched_table_height_raises_the_prime(self, entry, monkeypatch):
-        # The table is read only for its largest |entry|, the height: sym:6
-        # has a suborbit of 5 points, so B = 5 * entry and p > 2B.  The
-        # patched rows (entry where 3 does not divide k) are never summed,
-        # so the classes stay the true ones.
+    def test_evaluation_reads_no_reduction_table(self, monkeypatch):
+        # p comes from the norm bound alone: sym:6 has a suborbit of 5
+        # points, so p > 10, and no reduction table is built
         M = method.suborbit_sums(permgroup.symmetric(6), full_cycle(6))
         true = [list(c) for c in scalar_column_classes(M)]
-        k = np.arange(6)[:, None]
-        table = np.where(k % 3 != 0, entry, 0) * np.ones((6, 2), dtype=np.int16)
-        monkeypatch.setattr(method.cyclotomic, "reduction_matrix", lambda d: table)
+
+        def no_table(d):
+            raise AssertionError("reduction_matrix called")
+
+        monkeypatch.setattr(method.cyclotomic, "reduction_matrix", no_table)
         real, calls = method._evaluation_prime, []
 
         def spy(*args):
             calls.append(args + real(*args))
-            return calls[-1][3:]
+            return calls[-1][2:]
 
         monkeypatch.setattr(method, "_evaluation_prime", spy)
         code, out = run_cli(["diagnose", "--group", "sym:6"])
         assert code == 0
-        (L, largest, height, p, omega), = calls
-        assert (L, largest, height) == (6, 5, entry)
-        assert p > 2 * largest * height and p % L == 1
+        (L, largest, p, omega), = calls
+        assert (L, largest) == (6, 5)
+        assert p > 2 * largest and p % L == 1
         assert pow(omega, 2, p) != 1 and pow(omega, 3, p) != 1 and pow(omega, 6, p) == 1
         assert json.loads(out)["basis_classes"] == true == [[0], [1, 2, 3, 4, 5]]
 
     def test_too_small_prime_merges_classes(self, monkeypatch, capsys):
         # z -> 2 mod 3 is a ring map from Z[z_6] (Phi_6(2) = 3), but 3 is
-        # not above 2B = 10: the sums 5 and -1 of the 5-point suborbit meet
-        # mod 3, so one class stands for two suborbits
-        monkeypatch.setattr(method, "_evaluation_prime", lambda L, largest, height: (3, 2))
+        # not above 2 * 5 = 10: the sums 5 and -1 of the 5-point suborbit
+        # meet mod 3, so one class stands for two suborbits
+        monkeypatch.setattr(method, "_evaluation_prime", lambda L, largest: (3, 2))
         code, out = run_cli(["diagnose", "--group", "sym:6"])
         assert code == cli.EXIT_INTERNAL and out == ""
         assert "1 column classes for 2 suborbits" in capsys.readouterr().err
 
     def test_prime_past_int64_products_is_internal_error(self, monkeypatch, capsys):
-        table = np.full((6, 2), 2**30, dtype=np.int64)
-        monkeypatch.setattr(method.cyclotomic, "reduction_matrix", lambda d: table)
+        # a suborbit of 2^30 points would need p > 2^31
+        real = method._evaluation_prime
+        monkeypatch.setattr(method, "_evaluation_prime", lambda L, largest: real(L, 2**30))
         code, out = run_cli(["diagnose", "--group", "sym:6"])
         assert code == cli.EXIT_INTERNAL and out == ""
         assert "is not below 2^31" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "L, largest, height, outcome",
-        [(2, 1, 2**30 - 1, 2**31 - 1), (2, 1, 2**30, "not below 2\\^31"),
-         (2, 2**62 - 1, 0, 3), (2, 2**62, 0, "may pass 2\\^63")],
+        "L, largest, outcome",
+        [(2, 2**30 - 1, 2**31 - 1), (2, 2**30, "not below 2\\^31"),
+         (6, 2**30 - 1, 2**31 - 1), (2, 2**62, "not below 2\\^31")],
         ids=["prime-below-2^31", "prime-past-2^31", "sum-below-2^63", "sum-at-2^63"],
     )
-    def test_evaluation_prime_int64_bounds(self, L, largest, height, outcome):
-        # p < 2^31 keeps a product of two residues in int64, and
-        # largest * (p - 1) < 2^63 a suborbit's sum of residues
+    def test_evaluation_prime_int64_bounds(self, L, largest, outcome):
+        # p < 2^31 keeps a product of two residues in int64; with p > 2 *
+        # largest it also keeps a suborbit's sum of residues below 2^61, so
+        # a largest whose sum could reach 2^63 is refused by the p check
         if isinstance(outcome, str):
             with pytest.raises(RuntimeError, match=outcome):
-                method._evaluation_prime(L, largest, height)
+                method._evaluation_prime(L, largest)
         else:
-            assert method._evaluation_prime(L, largest, height)[0] == outcome
+            p, _ = method._evaluation_prime(L, largest)
+            assert p == outcome and largest * (p - 1) < 2**61
 
     def test_cycle_outside_the_group_is_usage_error(self, capsys):
         code, out = run_cli(["diagnose", "--group", "dihedral:6", "--cycle", "(0,2,4,1,3,5)"])

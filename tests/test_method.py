@@ -1,8 +1,11 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burnside import cyclotomic as cy
 from burnside import method as me
@@ -128,6 +131,46 @@ class TestBasisPartition:
         with pytest.raises(ValueError, match="does not preserve the orbitals"):
             me.suborbit_sums(pg.dihedral(6), g)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_orbital_check_matches_brute_force(self, data):
+        # G = <the full cycle, 0-2 random permutations> is transitive; its
+        # orbitals are its orbits on ordered pairs, found by closure here
+        d = data.draw(st.integers(4, 10))
+        extra = data.draw(st.lists(st.permutations(range(d)), max_size=2))
+        G = pg.PermGroup(d, (full_cycle(d),) + tuple(pg.Permutation(tuple(p)) for p in extra))
+        g = pg.cycle(data.draw(st.permutations(range(d))), d)
+        orbital: dict[tuple[int, int], tuple[int, int]] = {}
+        for start in ((x, y) for x in range(d) for y in range(d)):
+            if start in orbital:
+                continue
+            orbital[start], stack = start, [start]
+            while stack:
+                x, y = stack.pop()
+                for h in G.generators:
+                    if (h[x], h[y]) not in orbital:
+                        orbital[h[x], h[y]] = start
+                        stack.append((h[x], h[y]))
+        moved = any(orbital[g[x], g[y]] != k for (x, y), k in orbital.items())
+        if moved:
+            with pytest.raises(ValueError, match="does not preserve the orbitals"):
+                me.suborbit_sums(G, g)
+        else:
+            M = me.suborbit_sums(G, g)
+            assert len(M.column_classes) == len(M.suborbits) == len(set(orbital.values()))
+
+    def test_memory_at_degree_4096(self):
+        # leaves no room for a d x phi(d) int64 reduction table (64 MiB here)
+        G, g = pg.dihedral(4096), full_cycle(4096)
+        tracemalloc.start()
+        try:
+            M = me.suborbit_sums(G, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(M.column_classes) == 2049
+        assert peak < 48 * 2**20, peak
+
 
 class TestPairPartitions:
     @pytest.mark.parametrize("d", [3, 4])
@@ -176,6 +219,15 @@ class TestPairPartitions:
         with pytest.raises(ValueError, match="does not preserve the orbitals"):
             me.pair_basis_partition(pg.cyclic(6), a, 2, b, 3)
         assert me.pair_basis_partition(pg.symmetric(6), a, 2, b, 3).count == 2
+
+    def test_pair_that_is_no_product_generator_pair_refused(self):
+        # a and ab generate the regular C_2 x C_3 of C_6, but ab has order 6,
+        # so (a, 2, ab, 3) coordinatises no product action; the orbital
+        # check of the 2-transitive S_6 would not see it
+        a = pg.parse_permutation("(0,1)(2,3)(4,5)", 6)
+        b = pg.parse_permutation("(0,2,4)(1,3,5)", 6)
+        with pytest.raises(ValueError, match="does not act regularly"):
+            me.pair_basis_partition(pg.symmetric(6), a, 2, pg.compose(a, b), 3)
 
     def test_non_regular_pair_rejected(self):
         g = full_cycle(6)
