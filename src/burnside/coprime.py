@@ -10,15 +10,19 @@ The verifier decides every E containing {1, 2}.  Dropping the
 complementary half of the space is sound because row 1 of R(d) is
 constant, so adding divisor 1 to E shifts every profile equally and
 leaves the partition unchanged; under this convention the two conjectured
-solutions collapse to the single full mask.  The scan splits the free
-rows in two and builds each half's table of all subset sums by doubling
-(`subset_sums`, the enumerator `nullsets` shares), so every profile is a
-low-table row plus a high-table row.  It never forms most profiles: the
-two most selective checks (below) become sort keys on each table, a
-Horowitz-Sahni join matches them, and only the subsets passing both are
-tested against every check.  Every table entry and profile is bounded by
-the largest column abs-sum of R(d), which is d: the tables are int16
-while that bound fits and int64 beyond it.
+solutions collapse to the single full mask.  Profiles are built from
+tables of all subset sums of the free rows, made by doubling
+(`subset_sums`, the enumerator `nullsets` shares).  When the 2^free masks
+fit one test chunk (`_CHUNK`: 280 of the 300 even degrees up to 600,
+those with at most 14 free rows), one table holds every profile and every
+mask is tested at once.  Past one chunk the scan splits the free rows in
+two, so every profile is a low-table row plus a high-table row, and it
+never forms most profiles: the two most selective checks (below) become
+sort keys on each table, a Horowitz-Sahni join matches them, and only
+the subsets passing both are tested.  Both sources go through the same
+test (`_passing`), so the choice changes only the speed.  Every table
+entry and profile is bounded by the largest column abs-sum of R(d),
+which is d: the tables are int16 while that bound fits and int64 beyond.
 
 A coprime partition is detected per prime q dividing d: some class lies
 entirely inside the q-divisible columns iff some q-divisible column's
@@ -38,7 +42,9 @@ from .ramanujan import RamanujanMatrix, divisor_data, matrix_formula
 from .cyclotomic import _factorize, int_dtype, prime_power_split
 
 _SAMPLE = 1 << 14  # at most this many masks rank the checks by pass rate
-_CHUNK = 1 << 14  # join keys per batch of (b1, b2) pairs; candidates per test
+# masks tested at once without a join; join keys per batch of (b1, b2)
+# pairs; candidates per test
+_CHUNK = 1 << 14
 # 38 free rows is every even degree below 2520 (1680 and 2160 have 40
 # divisors, 2520 has 48).  There the two half tables are 2^19 x 39 int16,
 # 39 MiB each, and each (b1, b2) join sorts 2^19 uint64 keys per half: 1680
@@ -153,11 +159,12 @@ def subset_sums(rows: np.ndarray) -> np.ndarray:
 
 
 def _passing(profiles: np.ndarray, checks) -> np.ndarray:
-    """Ascending indices of the profile rows that pass every check, dropping
-    the dead rows after each one so later checks compare only survivors."""
+    """Ascending indices of the profile rows that pass every check (A, B):
+    each column of A matches some column of B.  The dead rows are dropped
+    after each check, so later checks compare only survivors."""
     idx = np.arange(len(profiles))
-    for a, B in checks:
-        keep = (profiles[:, B] == profiles[:, a, None]).any(axis=1)
+    for A, B in checks:
+        keep = (profiles[:, A, None] == profiles[:, None, B]).any(axis=2).all(axis=1)
         idx, profiles = idx[keep], profiles[keep]
         if not idx.size:
             break
@@ -165,20 +172,19 @@ def _passing(profiles: np.ndarray, checks) -> np.ndarray:
 
 
 def _rank_checks(checks, passes: np.ndarray):
-    """The checks to join and the order to test them in, from their passes
-    on the sample (column i of `passes` is check i).  The join takes the
-    check of least pass rate and its best partner on another column, by
-    the pass rate of the two together.  The test takes the other checks in
-    ascending pass rate, then the joined ones."""
+    """The one-column checks (a, B) to join, and the one to test first,
+    from their passes on the sample (column i of `passes` is check i).  The
+    join takes the check of least pass rate and its best partner on another
+    column, by the pass rate of the two together.  The test leads with the
+    check of least pass rate that is not joined (a joined one if all are)."""
     rank = np.argsort(passes.mean(axis=0), kind="stable")
     picked = list(rank[:1])
     others = [i for i in rank if checks[i][0] != checks[rank[0]][0]]
     if others:
         joint = (passes[:, others] & passes[:, rank[:1]]).mean(axis=0)
         picked.append(others[np.argmin(joint)])
-    # the joined checks are tested again: the join keys may collide
-    order = [i for i in rank if i not in picked] + picked
-    return [checks[i] for i in order], [checks[i] for i in picked]
+    lead = next((i for i in rank if i not in picked), picked[0])
+    return [checks[i] for i in picked], checks[lead]
 
 
 def _join_keys(low: np.ndarray, high: np.ndarray, span: int):
@@ -213,51 +219,10 @@ def _check_scan_bound(d: int, free: int) -> None:
         raise ValueError(f"{d} has {free} free divisor rows, beyond the scan bound {MAX_FREE_ROWS}")
 
 
-def verify_degree(d: int) -> ConjectureReport:
-    """Exhaustively test the conjecture at one even degree.
-
-    Decides all 2^(|D|-2) row subsets containing {1, 2} and records every
-    coprime partition found, in ascending mask order; the verdict holds
-    iff the only coprime subset is the full divisor set.  The free rows
-    split into a low half of h = (|D|-2)//2 rows and a high half (plus rows
-    1 and 2), each tabulated by `subset_sums`, so a subset t is the pair
-    (t mod 2^h, t >> h) and its profile is low[lo] + high[hi].
-
-    The scan is a Horowitz-Sahni join on the two most selective checks,
-    ranked by their pass rate on a fixed sample of masks: the best check
-    (a1, B1) and its best partner (a2, B2) on another column.  For each
-    (b1, b2) in B1 x B2 the two equalities profile[a] == profile[b] become
-    one key, (low[a1]-low[b1], low[a2]-low[b2]) against (high[b1]-high[a1],
-    high[b2]-high[a2]); both sides are sorted and every equal pair is
-    matched.  Passing both checks is necessary for a hit, and every matched
-    (lo, hi) is tested against every check, _CHUNK at a time, so the
-    sample changes only the speed; the hits are sorted and a subset that
-    matched several (b1, b2) is reported once.  Degrees with one check
-    column (4) or none (2) join on a key of one difference or of none,
-    where every pair matches.  Raises ValueError when |D|-2 exceeds
-    MAX_FREE_ROWS.
-    """
-    if d < 2 or d % 2:
-        raise ValueError(f"degree must be even and >= 2, got {d}")
-    start = time.perf_counter()
-    R = matrix_formula(d)
-    divs = R.divisors
-    k = len(divs)
-    _check_scan_bound(d, k - 2)
-    # Row for divisor 1 must be constant: this is what lets the scan fix
-    # 1 in E without losing any partitions.
-    if any(v != 1 for v in R.entries[0]):
-        raise RuntimeError(f"row 1 of R({d}) is not constant")
-
-    columns = np.array(R.entries, dtype=np.int64)[:, : k - 1]  # D \ {d}
-    # Every partial subset sum of a column lies within its abs-sum, so no
-    # table entry or profile can wrap in a dtype that holds the largest,
-    # and a difference of two of them lies within twice that.
-    bound = int(np.abs(columns).sum(axis=0).max())
-    columns = columns.astype(int_dtype(bound))
-    col_divs = np.array(divs[: k - 1], dtype=np.int64)
-
-    free = k - 2
+def _join_hits(columns: np.ndarray, groups, bound: int) -> np.ndarray:
+    """Ascending masks over the free rows that pass every check, by the
+    Horowitz-Sahni join that `verify_degree` describes."""
+    free = len(columns) - 2
     h = free // 2
     low = subset_sums(columns[2:][:h])
     high = subset_sums(columns[2:][h:])
@@ -272,15 +237,16 @@ def verify_degree(d: int) -> ConjectureReport:
     stride = np.arange(max(1, min(_SAMPLE, 1 << free >> 4)), dtype=np.int64) * 0x9E3779B1
     sample = profiles(stride % (1 << free))
     checks, passes = [], []
-    for q, _ in _factorize(d):
-        A, B = np.nonzero(col_divs % q == 0)[0], np.nonzero(col_divs % q != 0)[0]
+    for A, B in groups:
         checks.extend((a, B) for a in A)
         passes.append((sample[:, A, None] == sample[:, None, B]).any(axis=2))
-    checks, joined = _rank_checks(checks, np.concatenate(passes, axis=1))
+    joined, lead = _rank_checks(checks, np.concatenate(passes, axis=1))
+    # one column first prunes a full chunk at |B| compares a row; then every
+    # check, the joined ones too, since the join keys may collide
+    tests = [([lead[0]], lead[1])] + groups
 
     a_cols = np.array([a for a, _ in joined], dtype=np.intp)
-    combos = list(itertools.product(*(B for _, B in joined)))
-    combos = np.array(combos, dtype=np.intp).reshape(len(combos), len(joined))
+    combos = np.array(list(itertools.product(*(B for _, B in joined))), dtype=np.intp)
     per_batch = max(1, _CHUNK // max(len(low), len(high)))
     hits = [np.zeros(0, dtype=np.int64)]
     for i in range(0, len(combos), per_batch):
@@ -293,10 +259,81 @@ def verify_degree(d: int) -> ConjectureReport:
         candidates = lo % len(low) | hi % len(high) << h
         for j in range(0, len(candidates), _CHUNK):
             chunk = candidates[j : j + _CHUNK]
-            hits.append(chunk[_passing(profiles(chunk), checks)])
-    hits = np.unique(np.concatenate(hits))
-    masks = [RowSubset(d, 0b11 | int(t) << 2).divisors() for t in hits]
-    holds = masks == [tuple(divs)]
+            hits.append(chunk[_passing(profiles(chunk), tests)])
+    # sorted and de-duplicated; np.unique would first import numpy.ma (~17 ms)
+    hits = np.sort(np.concatenate(hits))
+    return hits[np.diff(hits, prepend=-1) != 0]
+
+
+def verify_degree(d: int) -> ConjectureReport:
+    """Exhaustively test the conjecture at one even degree.
+
+    Decides all 2^(|D|-2) row subsets containing {1, 2} and records every
+    coprime partition found, in ascending mask order; the verdict holds
+    iff the only coprime subset is the full divisor set.  A subset passes
+    when, for every prime q dividing d, every q-divisible column's profile
+    matches some q-free column's (`_passing`).
+
+    The candidates come from one of two sources, and the choice changes
+    only the speed.  When the 2^(|D|-2) masks fit one chunk (_CHUNK), one
+    `subset_sums` table over the free rows, plus rows 1 and 2, holds every
+    profile, and every mask is tested at once, one check per prime.
+
+    Past one chunk the free rows split into a low half of h = (|D|-2)//2
+    rows and a high half (plus rows 1 and 2), each tabulated by
+    `subset_sums`, so a subset t is the pair (t mod 2^h, t >> h) and its
+    profile is low[lo] + high[hi].  The scan is then a Horowitz-Sahni join
+    on the two most selective one-column checks (a, B), ranked by their
+    pass rate on a fixed sample of masks: the best check (a1, B1) and its
+    best partner (a2, B2) on another column.  For each (b1, b2) in B1 x B2
+    the two equalities profile[a] == profile[b] become one key,
+    (low[a1]-low[b1], low[a2]-low[b2]) against (high[b1]-high[a1],
+    high[b2]-high[a2]); both sides are sorted and every equal pair is
+    matched.  Passing both checks is necessary for a hit, and every matched
+    (lo, hi) goes through the per-prime test, _CHUNK at a time, after the
+    sample's most selective unjoined check, so the sample changes only the
+    speed; the hits are sorted and a subset that matched several (b1, b2)
+    is reported once.  With _CHUNK patched below 2^(|D|-2) small degrees
+    join too: 4, with one check column, on a key of one difference; 2 has
+    one mask, which always fits a chunk.  Raises ValueError when |D|-2
+    exceeds MAX_FREE_ROWS.
+    """
+    if d < 2 or d % 2:
+        raise ValueError(f"degree must be even and >= 2, got {d}")
+    start = time.perf_counter()
+    R = matrix_formula(d)
+    divs = R.divisors
+    k = len(divs)
+    free = k - 2
+    _check_scan_bound(d, free)
+    # Row for divisor 1 must be constant: this is what lets the scan fix
+    # 1 in E without losing any partitions.
+    if any(v != 1 for v in R.entries[0]):
+        raise RuntimeError(f"row 1 of R({d}) is not constant")
+
+    columns = np.array(R.entries, dtype=np.int64)[:, : k - 1]  # D \ {d}
+    # Every partial subset sum of a column lies within its abs-sum, so no
+    # table entry or profile can wrap in a dtype that holds the largest,
+    # and a difference of two of them lies within twice that.
+    bound = int(np.abs(columns).sum(axis=0).max())
+    columns = columns.astype(int_dtype(bound))
+    col_divs = np.array(divs[: k - 1], dtype=np.int64)
+    # per prime q, q ascending: the q-divisible columns and the q-free ones
+    groups = [
+        (np.nonzero(col_divs % q == 0)[0], np.nonzero(col_divs % q != 0)[0])
+        for q, _ in _factorize(d)
+    ]
+
+    if 1 << free <= _CHUNK:
+        table = subset_sums(columns[2:])
+        table += columns[0] + columns[1]
+        hits = _passing(table, groups)
+    else:
+        hits = _join_hits(columns, groups, bound)
+    masks = [
+        divs[:2] + tuple(r for i, r in enumerate(divs[2:]) if t >> i & 1) for t in hits.tolist()
+    ]
+    holds = masks == [divs]
     millis = int((time.perf_counter() - start) * 1000)
     return ConjectureReport(d, k, 1 << free, tuple(masks), holds, millis)
 

@@ -53,21 +53,22 @@ def divisor_data(n: int) -> DivisorData:
         raise ValueError(f"n must be positive, got {n}")
     if n > MAX_DEGREE:
         raise ValueError(f"{n} exceeds the factorisation budget of 2^40")
-    factors = _factorize(n)
-    divisors = [1]
-    for p, e in factors:
-        divisors = [d * p**k for d in divisors for k in range(e + 1)]
-    divisors.sort()
-    mobius = {}
-    totient = {}
-    for d in divisors:
-        mu, phi = 1, 1
-        for p, e in _factorize(d):
-            mu = 0 if e > 1 else -mu
-            phi *= (p - 1) * p ** (e - 1)
-        mobius[d] = mu
-        totient[d] = phi
-    return DivisorData(n, tuple(divisors), mobius, totient)
+    # (divisor, mu, phi), extended by each prime power p^k of n in turn:
+    # both are multiplicative, mu(p^k) = 1, -1, 0, ... and
+    # phi(p^k) = (p - 1) p^(k-1) for k >= 1
+    triples = [(1, 1, 1)]
+    for p, e in _factorize(n):
+        powers = [(1, 1, 1)] + [
+            (p**k, -1 if k == 1 else 0, (p - 1) * p ** (k - 1)) for k in range(1, e + 1)
+        ]
+        triples = [(d * q, mu * m, phi * f) for d, mu, phi in triples for q, m, f in powers]
+    triples.sort()
+    return DivisorData(
+        n,
+        tuple(d for d, _, _ in triples),
+        {d: mu for d, mu, _ in triples},
+        {d: phi for d, _, phi in triples},
+    )
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 import time
 
@@ -43,6 +44,51 @@ def brute_force_hits(R):
         if cp.is_coprime(cp.partition_for(R, E)):
             hits.append(E.divisors())
     return hits
+
+
+@functools.lru_cache(maxsize=None)
+def real_hits(d):
+    """brute_force_hits on the true R(d), computed once per degree."""
+    return brute_force_hits(matrix_formula(d))
+
+
+def take_source(monkeypatch, source, d):
+    """Patch _CHUNK below 2^free, and never above the default, to force
+    the join, or keep the default for the direct path; checks that d then
+    takes `source`."""
+    free = len(divisor_data(d).divisors) - 2
+    if source == "join":
+        monkeypatch.setattr(cp, "_CHUNK", min(cp._CHUNK, max(1, 1 << free >> 1)))
+    assert (1 << free <= cp._CHUNK) == (source == "direct")
+
+
+def spy(monkeypatch, name):
+    """Wrap cp.<name> and return the list its calls are appended to."""
+    calls, inner = [], getattr(cp, name)
+
+    def wrapped(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(cp, name, wrapped)
+    return calls
+
+
+SOURCES = ("direct", "join")
+
+
+def over_sources(name, values, skip=()):
+    """Parametrize `name` over values and `source` over SOURCES; the direct
+    path keeps the plain id of the value and the join adds "-join"."""
+    return pytest.mark.parametrize(
+        f"{name}, source",
+        [
+            pytest.param(v, s, id=str(v) if s == "direct" else f"{v}-join")
+            for v in values
+            for s in SOURCES
+            if (v, s) not in skip
+        ],
+    )
 
 
 class TestPartition:
@@ -185,46 +231,52 @@ class TestConjectureScan:
     def test_join_on_least_selective_checks(self, monkeypatch, seed):
         # the join checks only narrow the candidates: ranking the checks on
         # the complement of their sample passes joins the least selective
-        # ones and tests the rest in descending pass rate, with the same hits
+        # ones, with the same hits
         rank = cp._rank_checks
         picked = []
 
         def worst(checks, passes):
-            order, joined = rank(checks, ~passes)
-            picked.append((joined, rank(checks, passes)[1]))
-            return order, joined
+            joined, lead = rank(checks, ~passes)
+            picked.append((joined, rank(checks, passes)[0]))
+            return joined, lead
 
         expected = {d: cp.verify_degree(d).coprime_masks for d in (60, 240, 360)}
         scrambled = _scrambled(seed)
         monkeypatch.setattr(cp, "_rank_checks", worst)
         for d, masks in expected.items():
-            assert cp.verify_degree(d).coprime_masks == masks
+            with monkeypatch.context() as m:
+                take_source(m, "join", d)
+                assert cp.verify_degree(d).coprime_masks == masks
         monkeypatch.setattr(cp, "matrix_formula", scrambled)
+        take_source(monkeypatch, "join", 60)
         assert list(cp.verify_degree(60).coprime_masks) == brute_force_hits(scrambled(60))
+        assert len(picked) == 4
         for joined, best in picked[:3]:
             assert [a for a, _ in joined] != [a for a, _ in best]
 
-    @pytest.mark.parametrize("d", [2, 4, 8, 16])
-    def test_few_check_columns_match_brute_force(self, d):
-        # 2 has no check column and 4 one; at 8 and 16 every check has B = {1}
+    @over_sources("d", [2, 4, 8, 16], skip={(2, "join")})
+    def test_few_check_columns_match_brute_force(self, monkeypatch, d, source):
+        # 2 has no check column and 4 one; at 8 and 16 every check has B = {1}.
+        # 2 has no free row, so its one mask always fits a chunk
         R = matrix_formula(d)
         columns = [c for c in R.divisors[:-1] if c % 2 == 0]
         assert len(columns) == {2: 0, 4: 1, 8: 2, 16: 3}[d]
         assert [c for c in R.divisors[:-1] if c % 2] == [1]
-        assert list(cp.verify_degree(d).coprime_masks) == brute_force_hits(R)
+        take_source(monkeypatch, source, d)
+        assert list(cp.verify_degree(d).coprime_masks) == real_hits(d)
 
-    @pytest.mark.parametrize("d", [32766, 32768])
-    def test_dtype_boundary_matches_brute_force(self, d):
+    @over_sources("d", [32766, 32768])
+    def test_dtype_boundary_matches_brute_force(self, monkeypatch, d, source):
         # the largest column abs-sum of R(d) is d: 32766 scans in int16,
         # 32768 is the first even degree past it; both have 14 free rows.
         # The true profiles at 32768 stay within +-2^14, so an int16 wrap
         # is pinned by test_profile_past_int16_matches_brute_force instead.
-        R = matrix_formula(d)
-        assert len(R.divisors) - 2 == 14
-        assert list(cp.verify_degree(d).coprime_masks) == brute_force_hits(R)
+        assert len(matrix_formula(d).divisors) - 2 == 14
+        take_source(monkeypatch, source, d)
+        assert list(cp.verify_degree(d).coprime_masks) == real_hits(d)
 
-    @pytest.mark.parametrize("entry", [16383, 16384])
-    def test_profile_past_int16_matches_brute_force(self, monkeypatch, entry):
+    @over_sources("entry", [16383, 16384])
+    def test_profile_past_int16_matches_brute_force(self, monkeypatch, entry, source):
         # rows 6 and 12 are (-entry, ..., -entry, entry): with both in E the
         # profile is 1 - 2 entry on columns 1..4 and 1 + 2 entry on column 6.
         # At 16384 those are -32767 and 32769, equal modulo 2^16, so a scan
@@ -240,10 +292,11 @@ class TestConjectureScan:
         monkeypatch.setattr(cp, "matrix_formula", widened)
         expected = brute_force_hits(widened(12))
         assert len(expected) == 4
+        take_source(monkeypatch, source, 12)
         assert list(cp.verify_degree(12).coprime_masks) == expected
 
-    @pytest.mark.parametrize("entry", [1 << 20, 1 << 40])
-    def test_entries_past_32_bit_keys_match_brute_force(self, monkeypatch, entry):
+    @over_sources("entry", [1 << 20, 1 << 40])
+    def test_entries_past_32_bit_keys_match_brute_force(self, monkeypatch, entry, source):
         # rows 6 and 12 as in the int16 test: with entries of 2^20 the
         # differences span 2^23, so two of them packed in 32 bits would
         # collide; at 2^40 not even two packed in 64 bits are exact
@@ -257,6 +310,7 @@ class TestConjectureScan:
         monkeypatch.setattr(cp, "matrix_formula", widened)
         expected = brute_force_hits(widened(12))
         assert len(expected) == 4
+        take_source(monkeypatch, source, 12)
         assert list(cp.verify_degree(12).coprime_masks) == expected
 
     def test_join_keys_equal_on_equal_differences(self):
@@ -276,13 +330,64 @@ class TestConjectureScan:
                     n = b * pairs.shape[1]
                     assert low_key[n + i] == high_key[n + j], (bound, b, i)
 
-    def test_real_degree_past_packed_keys(self):
+    def test_real_degree_past_packed_keys(self, monkeypatch):
         # 2 (2^31 - 1): the bound is d, so two packed differences overflow
-        # 64 bits and the keys wrap
+        # 64 bits and the keys wrap; on the direct path and on the join
         d = 2 * (2**31 - 1)
-        R = matrix_formula(d)
         assert (4 * d + 1) ** 2 >= 2**64
-        assert list(cp.verify_degree(d).coprime_masks) == brute_force_hits(R)
+        for source in SOURCES:
+            with monkeypatch.context() as m:
+                take_source(m, source, d)
+                assert list(cp.verify_degree(d).coprime_masks) == real_hits(d), source
+
+    def test_candidate_sources_agree_to_240(self, monkeypatch):
+        # every mask at once where the masks fit one chunk, the join where
+        # _CHUNK is patched below 2^free: the same reports at every degree
+        def report(d):
+            rep = cp.verify_degree(d)
+            return rep.subsets_scanned, rep.coprime_masks, rep.holds
+
+        direct = {d: report(d) for d in range(2, 241, 2)}
+        for d in range(4, 241, 2):
+            with monkeypatch.context() as m:
+                take_source(m, "join", d)
+                assert report(d) == direct[d], d
+
+    def test_direct_path_every_mask_hits(self, monkeypatch):
+        # rows 2.. zeroed: all 16 masks at 12 hit, in one chunk
+        monkeypatch.setattr(cp, "matrix_formula", _flat)
+        take_source(monkeypatch, "direct", 12)
+        expected = brute_force_hits(_flat(12))
+        assert len(expected) == 16
+        assert list(cp.verify_degree(12).coprime_masks) == expected
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_direct_path_survivors_match_brute_force(self, monkeypatch, seed):
+        # the seeded 0/1 matrix at 60: some masks pass the check of q = 2
+        # and die at q = 3, so the survivors of the first check must keep
+        # their indices through the second
+        scrambled = _scrambled(seed)
+        monkeypatch.setattr(cp, "matrix_formula", scrambled)
+        take_source(monkeypatch, "direct", 60)
+        R = scrambled(60)
+        expected = brute_force_hits(R)
+        assert 0 < len(expected) < 1 << 10
+
+        def killed_by(q, E):
+            classes = cp.partition_for(R, E).classes
+            return any(all(c % q == 0 for c in cl) for cl in classes)
+
+        masks = [cp.RowSubset(60, 0b11 | t << 2) for t in range(1 << 10)]
+        assert any(not killed_by(2, E) and killed_by(3, E) for E in masks)
+        assert list(cp.verify_degree(60).coprime_masks) == expected
+
+    def test_join_runs_only_past_one_chunk(self, monkeypatch):
+        calls = {name: spy(monkeypatch, name) for name in ("_rank_checks", "_join_keys", "_match")}
+        for d in (2, 4, 12, 60, 120, 210):  # 0 to 14 free rows
+            cp.verify_degree(d)
+        assert not any(calls.values())
+        cp.verify_degree(360)  # 22 free rows
+        assert all(calls.values())
 
     def test_scan_bound_refused_before_tables(self):
         start = time.perf_counter()

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -28,6 +29,22 @@ class TestDivisorData:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             ra.divisor_data(0)
+
+    def test_matches_per_divisor_definitions_below_2000(self):
+        # divisors by trial, phi(m) by counting units mod m, and mu by
+        # its defining recursion sum_{e | m} mu(e) = [m == 1]
+        N = 2000
+        phi = [0] + [sum(math.gcd(j, m) == 1 for j in range(1, m + 1)) for m in range(1, N)]
+        mu = [0, 1] + [0] * (N - 2)
+        for m in range(1, N):
+            for multiple in range(2 * m, N, m):
+                mu[multiple] -= mu[m]
+        for n in range(1, N):
+            divisors = tuple(m for m in range(1, n + 1) if n % m == 0)
+            data = ra.divisor_data(n)
+            assert data.divisors == divisors, n
+            assert data.mobius == {m: mu[m] for m in divisors}, n
+            assert data.totient == {m: phi[m] for m in divisors}, n
 
 
 class TestMatrixConstruction:
