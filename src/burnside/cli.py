@@ -48,9 +48,9 @@ def _default_jobs() -> int:
 
 
 def _family_points(head: str, d: int) -> int:
-    """Points of the named family at d: d^2 for wreath (when d > 0, so a
-    bad d reaches the constructor's own error), d for the others."""
-    return d * d if head == "wreath" and d > 0 else d
+    """Points of the named family at d: d^2 for wreath and manning (when
+    d > 0, so a bad d reaches the constructor's own error), d otherwise."""
+    return d * d if head in ("wreath", "manning") and d > 0 else d
 
 
 def parse_group(spec: str) -> permgroup.PermGroup:
@@ -262,8 +262,8 @@ def _cmd_nullsets(args, out: _Output) -> int:
 def _cmd_examples(args, out: _Output) -> int:
     name = args.name
     d = 3 if args.d is None else args.d
+    permgroup.check_point_budget(_family_points(name, d))
     if name == "wreath":
-        permgroup.check_point_budget(_family_points(name, d))
         W = permgroup.wreath_product_action(d)
         subs = permgroup.suborbits(W.group)
         payload = {

@@ -18,11 +18,12 @@ those with at most 14 free rows), one table holds every profile and every
 mask is tested at once.  Past one chunk the scan splits the free rows in
 two, so every profile is a low-table row plus a high-table row, and it
 never forms most profiles: the two most selective checks (below) become
-sort keys on each table, a Horowitz-Sahni join matches them, and only
-the subsets passing both are tested.  Both sources go through the same
-test (`_passing`), so the choice changes only the speed.  Every table
-entry and profile is bounded by the largest column abs-sum of R(d),
-which is d: the tables are int16 while that bound fits and int64 beyond.
+rows of differences on each table, `join` (shared with `nullsets`)
+matches equal rows, and only the matched subsets are tested.  Both
+sources go through the same test of every check (`_passing`), so the
+choice changes only the speed.  Every table entry and profile is bounded
+by the largest column abs-sum of R(d), which is d: the tables are int16
+while that bound fits and int64 beyond.
 
 A coprime partition is detected per prime q dividing d: some class lies
 entirely inside the q-divisible columns iff some q-divisible column's
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from dataclasses import dataclass
 
@@ -187,28 +189,32 @@ def _rank_checks(checks, passes: np.ndarray):
     return [checks[i] for i in picked], checks[lead]
 
 
-def _join_keys(low: np.ndarray, high: np.ndarray, span: int):
-    """Flat uint64 keys for two (batch, m, rows) arrays of differences: the
-    batch index and the m differences packed as base-`span` digits, modulo
-    2^64.  Equal tuples always give equal keys; unequal ones may collide
-    once the digits overflow 64 bits, which only adds candidates."""
-    batch, m = low.shape[:2]
-    base = np.uint64(span % 2**64)
-    keys = []
-    for diffs in (low, high):
-        key = np.arange(batch, dtype=np.uint64)[:, None]
-        for j in range(m):
-            key = key * base + diffs[:, j].astype(np.uint64)
-        keys.append(np.broadcast_to(key, (batch, diffs.shape[2])).ravel())
-    return keys
+def _multipliers(n: int) -> np.ndarray:
+    """splitmix64 of 1..n, the key multipliers: j*C + D would collide on
+    every row difference with sum(delta_j) = sum(j * delta_j) = 0."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
+    z = (z ^ z >> 27) * 0x94D049BB133111EB
+    return z ^ z >> 31
 
 
-def _match(low_key: np.ndarray, high_key: np.ndarray):
-    """Every index pair (i, j) with low_key[i] == high_key[j]: both sides
-    sorted, then each high key's run located in the low keys."""
-    low_order, high_order = np.argsort(low_key), np.argsort(high_key)
-    low_key, high_key = low_key[low_order], high_key[high_order]
-    first = np.searchsorted(low_key, high_key, "left")
+def join(low: np.ndarray, high: np.ndarray):
+    """Index pairs (i, j), flat over the (batch, row) axes, of every low
+    row equal to a high row of its batch, and of any others whose keys
+    collide, so callers re-test each pair (Horowitz-Sahni, JACM 1974).  A
+    key is a row's dot product with `_multipliers` modulo 2^64, the batch
+    index one more column; the sorted low keys are searched for high ones."""
+    c, keys = _multipliers(low.shape[-1] + 1), []
+    for rows in (low, high):
+        key = np.arange(len(rows), dtype=np.uint64)[:, None] * c[0]
+        for j in range(rows.shape[-1]):
+            key = key + rows[..., j].astype(np.uint64) * c[j + 1]
+        keys.append(key.ravel())
+    low_order, high_order = np.argsort(keys[0]), np.argsort(keys[1])
+    low_key, high_key = keys[0][low_order], keys[1][high_order]
+    first = np.searchsorted(low_key, high_key)
+    hit = low_key[np.minimum(first, low_key.size - 1)] == high_key
+    high_order, high_key, first = high_order[hit], high_key[hit], first[hit]
     count = np.searchsorted(low_key, high_key, "right") - first
     offset = np.repeat(first - np.cumsum(count) + count, count)
     return low_order[np.arange(offset.size) + offset], np.repeat(high_order, count)
@@ -219,7 +225,7 @@ def _check_scan_bound(d: int, free: int) -> None:
         raise ValueError(f"{d} has {free} free divisor rows, beyond the scan bound {MAX_FREE_ROWS}")
 
 
-def _join_hits(columns: np.ndarray, groups, bound: int) -> np.ndarray:
+def _join_hits(columns: np.ndarray, groups) -> np.ndarray:
     """Ascending masks over the free rows that pass every check, by the
     Horowitz-Sahni join that `verify_degree` describes."""
     free = len(columns) - 2
@@ -251,11 +257,8 @@ def _join_hits(columns: np.ndarray, groups, bound: int) -> np.ndarray:
     hits = [np.zeros(0, dtype=np.int64)]
     for i in range(0, len(combos), per_batch):
         bs = combos[i : i + per_batch]
-        lo, hi = _match(*_join_keys(
-            low[:, a_cols].T.astype(np.int64) - low[:, bs].transpose(1, 2, 0),
-            high[:, bs].transpose(1, 2, 0).astype(np.int64) - high[:, a_cols].T,
-            4 * bound + 1,
-        ))
+        lo, hi = join(low[:, a_cols].astype(np.int64) - low[:, bs].transpose(1, 0, 2),
+                      high[:, bs].transpose(1, 0, 2).astype(np.int64) - high[:, a_cols])
         candidates = lo % len(low) | hi % len(high) << h
         for j in range(0, len(candidates), _CHUNK):
             chunk = candidates[j : j + _CHUNK]
@@ -286,17 +289,17 @@ def verify_degree(d: int) -> ConjectureReport:
     on the two most selective one-column checks (a, B), ranked by their
     pass rate on a fixed sample of masks: the best check (a1, B1) and its
     best partner (a2, B2) on another column.  For each (b1, b2) in B1 x B2
-    the two equalities profile[a] == profile[b] become one key,
+    the two equalities profile[a] == profile[b] become one row equality,
     (low[a1]-low[b1], low[a2]-low[b2]) against (high[b1]-high[a1],
-    high[b2]-high[a2]); both sides are sorted and every equal pair is
-    matched.  Passing both checks is necessary for a hit, and every matched
-    (lo, hi) goes through the per-prime test, _CHUNK at a time, after the
-    sample's most selective unjoined check, so the sample changes only the
-    speed; the hits are sorted and a subset that matched several (b1, b2)
-    is reported once.  With _CHUNK patched below 2^(|D|-2) small degrees
-    join too: 4, with one check column, on a key of one difference; 2 has
-    one mask, which always fits a chunk.  Raises ValueError when |D|-2
-    exceeds MAX_FREE_ROWS.
+    high[b2]-high[a2]), and `join` matches every equal pair, and any whose
+    keys collide.  Passing both checks is necessary for a hit, and every
+    matched (lo, hi) goes through the per-prime test, the joined checks
+    included, _CHUNK at a time, after the sample's most selective unjoined
+    check, so the sample changes only the speed; the hits are sorted and a
+    subset that matched several (b1, b2) is reported once.  With _CHUNK
+    patched below 2^(|D|-2) small degrees join too: 4, with one check
+    column, on rows of one difference; 2 has one mask, which always fits a
+    chunk.  Raises ValueError when |D|-2 exceeds MAX_FREE_ROWS.
     """
     if d < 2 or d % 2:
         raise ValueError(f"degree must be even and >= 2, got {d}")
@@ -313,10 +316,8 @@ def verify_degree(d: int) -> ConjectureReport:
 
     columns = np.array(R.entries, dtype=np.int64)[:, : k - 1]  # D \ {d}
     # Every partial subset sum of a column lies within its abs-sum, so no
-    # table entry or profile can wrap in a dtype that holds the largest,
-    # and a difference of two of them lies within twice that.
-    bound = int(np.abs(columns).sum(axis=0).max())
-    columns = columns.astype(int_dtype(bound))
+    # table entry or profile can wrap in a dtype that holds the largest.
+    columns = columns.astype(int_dtype(int(np.abs(columns).sum(axis=0).max())))
     col_divs = np.array(divs[: k - 1], dtype=np.int64)
     # per prime q, q ascending: the q-divisible columns and the q-free ones
     groups = [
@@ -329,7 +330,7 @@ def verify_degree(d: int) -> ConjectureReport:
         table += columns[0] + columns[1]
         hits = _passing(table, groups)
     else:
-        hits = _join_hits(columns, groups, bound)
+        hits = _join_hits(columns, groups)
     masks = [
         divs[:2] + tuple(r for i, r in enumerate(divs[2:]) if t >> i & 1) for t in hits.tolist()
     ]
@@ -341,16 +342,17 @@ def verify_degree(d: int) -> ConjectureReport:
 def iter_verify_range(d_max: int, jobs: int = 1):
     """Yield verify_degree reports for every even d <= d_max, in degree order.
 
-    Reports stream as degrees complete (worker pool when jobs > 1), so a
-    long sweep can be monitored line by line; the sequence is independent
-    of the worker count.  A degree past MAX_FREE_ROWS raises ValueError
-    before the first report.
+    Reports stream as degrees complete (a pool of min(jobs, degrees, CPUs)
+    workers when that exceeds 1), so a long sweep can be monitored line by
+    line; the sequence is independent of the worker count.  A degree past
+    MAX_FREE_ROWS raises ValueError before the first report.
     """
     if d_max < 2:
         raise ValueError(f"d_max must be at least 2, got {d_max}")
     degrees = range(2, d_max + 1, 2)
     for d in degrees:  # stops at the first refused degree, 2520 today
         _check_scan_bound(d, math.prod(e + 1 for _, e in _factorize(d)) - 2)
+    jobs = min(jobs, len(degrees), os.cpu_count() or 1)
     if jobs <= 1:
         for d in degrees:
             yield verify_degree(d)

@@ -24,11 +24,12 @@ join (Horowitz-Sahni): the difference of the two sums, as its exact
 canonical vector, is linear in the chosen elements (reduction mod Phi is
 linear), so a subset is a solution exactly when the reduced vector of
 its lower elements equals minus that of its upper ones.  Each half's
-2^((p^n - 1)/2) subset sums form one table and the two tables are
-joined on exact equality.  The choice w = z^{p^{n-1}} (rather than
-another primitive p-th root) is harmless: other choices are reached by
-the exponent scalings i -> s*i with s = 1 mod p, and the solution family
-is closed under those maps, which the test suite checks.
+2^((p^n - 1)/2) subset sums form one table, `coprime.join` matches the
+two tables' rows by hashed keys, and every matched pair is tested for
+exact equality.  The choice w = z^{p^{n-1}} (rather than another
+primitive p-th root) is harmless: other choices are reached by the
+exponent scalings i -> s*i with s = 1 mod p, and the solution family is
+closed under those maps, which the test suite checks.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cyclotomic
-from .coprime import subset_sums
+from .coprime import join, subset_sums
 from .cyclotomic import CycSum, ProgressionSet, prime_power_split
 
-MAX_MODULUS = 27  # 3^3: two half tables of 2^13 rows
+MAX_MODULUS = 32  # 2^5: tables of 2^15 and 2^16 rows; 7^2 needs 2^24 (1.57 GB)
 
 
 def _check_modulus(p: int, n: int, enforce_bound: bool = False) -> int:
@@ -258,21 +259,17 @@ def enumerate_solutions(p: int, n: int) -> list[IndexSet]:
     """All solution sets for the modulus p^n, sorted by bitmask.
 
     Joins the subset sums of the first h flip rows with the negated
-    subset sums of the rest on exact row bytes, so every match is a
-    solution and no hit needs re-verifying.
+    subset sums of the rest (`coprime.join`); a candidate pair is a
+    solution exactly when its two rows are equal, tested on every pair.
     """
     N = _check_modulus(p, n, enforce_bound=True)
     rows = _flip_rows(p, n)
     h = (N - 1) // 2
-    left: dict[bytes, list[int]] = {}
-    for a, row in enumerate(subset_sums(rows[:h])):
-        left.setdefault(row.tobytes(), []).append(a)
-    masks = sorted(
-        (a | b << h) << 1
-        for b, row in enumerate(subset_sums(-rows[h:]))
-        for a in left.get(row.tobytes(), ())
-    )
-    return [IndexSet(p, n, m) for m in masks]
+    low, high = subset_sums(rows[:h]), subset_sums(-rows[h:])
+    a, b = join(low[None], high[None])  # one batch
+    equal = (low[a] == high[b]).all(axis=1)
+    masks = np.sort((a[equal] | b[equal] << h) << 1)
+    return [IndexSet(p, n, m) for m in masks.tolist()]
 
 
 def enumerate_certificates(p: int, n: int):

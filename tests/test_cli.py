@@ -334,6 +334,14 @@ class TestNullsetsCommand:
         obj = json.loads(out)
         assert obj["verdict"] == "holds" and obj["smallest_nonempty"] == 8
 
+    def test_verify_at_the_bound(self):
+        # 2^5: 12 870 solutions, and a 3-element one refutes uniqueness
+        code, out = run_cli(["nullsets", "2", "5", "--verify"])
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["verdict"] == "holds" and obj["solution_count"] == 12870
+        assert obj["smallest_nonempty"] == 3 and obj["refutes_unique_solution"]
+
     def test_default_is_enumerate(self):
         code, out = run_cli(["nullsets", "2", "3"])
         assert code == 0
@@ -351,8 +359,9 @@ class TestNullsetsCommand:
         assert code == 2
 
     # a prime near 10**18 takes minutes of trial division, and 2**(10**12)
-    # is a ~125 GB integer: both must be refused from p and n alone
-    @pytest.mark.parametrize("p, n", [(10**18 + 3, 2), (2, 10**12)])
+    # is a ~125 GB integer: both must be refused from p and n alone, as
+    # must 7^2, the first modulus past the bound (two 2^24-row tables)
+    @pytest.mark.parametrize("p, n", [(10**18 + 3, 2), (2, 10**12), (7, 2)])
     def test_over_bound_modulus_refused_at_once(self, p, n, monkeypatch, capsys):
         def factorise(d):
             raise AssertionError(f"factorised {d} before checking the bound")
@@ -360,7 +369,7 @@ class TestNullsetsCommand:
         monkeypatch.setattr(nullsets, "prime_power_split", factorise)
         code, out = run_cli(["nullsets", str(p), str(n), "--verify"])
         assert code == cli.EXIT_USAGE and out == ""
-        assert "exceeds the enumeration bound 27" in capsys.readouterr().err
+        assert "exceeds the enumeration bound 32" in capsys.readouterr().err
 
 
 class TestExamplesCommand:
@@ -406,6 +415,17 @@ class TestExamplesCommand:
         monkeypatch.setattr(permgroup, "suborbits", counting)
         assert run_cli(argv) == expected
         assert len(calls) == 1
+
+    def test_manning_budget_before_the_action(self, monkeypatch):
+        # --d 1000 asks for 10^6 points: refused before any is built
+        def build(d):
+            raise AssertionError(f"built the wreath action at d={d}")
+
+        monkeypatch.setattr(permgroup, "wreath_product_action", build)
+        start = time.perf_counter()
+        code, out = run_cli(["examples", "manning", "--d", "1000"])
+        assert code == 2 and out == ""
+        assert time.perf_counter() - start < 1.0
 
     def test_ex42_wrong_degree(self):
         code, _ = run_cli(["examples", "ex42", "--d", "5"])

@@ -298,8 +298,8 @@ class TestConjectureScan:
     @over_sources("entry", [1 << 20, 1 << 40])
     def test_entries_past_32_bit_keys_match_brute_force(self, monkeypatch, entry, source):
         # rows 6 and 12 as in the int16 test: with entries of 2^20 the
-        # differences span 2^23, so two of them packed in 32 bits would
-        # collide; at 2^40 not even two packed in 64 bits are exact
+        # differences span 2^23, past 32 bits; at 2^40 the key products
+        # wrap modulo 2^64, and every equal pair must still be joined
         formula = cp.matrix_formula
 
         def widened(d):
@@ -314,27 +314,34 @@ class TestConjectureScan:
         assert list(cp.verify_degree(12).coprime_masks) == expected
 
     def test_join_keys_equal_on_equal_differences(self):
-        # differences up to +-2 bound; at 2^40 two of them and the batch
-        # index overflow 64 bits, and the keys wrap, but a tuple met on both
-        # sides must still give one key (a collision only adds candidates)
-        for bound in (1 << 20, 1 << 40):
-            span = 4 * bound + 1
-            edge = np.array([-2 * bound, -1024, -1, 0, 1, 1024, 2 * bound])
-            pairs = np.array(np.meshgrid(edge, edge)).reshape(2, -1)
-            low = np.stack([pairs, pairs[:, ::-1]])  # (batch, m, rows)
-            high = low[:, :, ::-1].copy()
-            low_key, high_key = cp._join_keys(low, high, span)
-            for b in range(2):
-                for i in range(pairs.shape[1]):
-                    j = pairs.shape[1] - 1 - i
-                    n = b * pairs.shape[1]
-                    assert low_key[n + i] == high_key[n + j], (bound, b, i)
+        # entries up to +-2^40 wrap the keys modulo 2^64, but a row met on
+        # both sides must still be joined, and only within its batch: both
+        # batches hold the same 49 rows, in reverse order on the high side
+        edge = np.array([-(1 << 40), -1024, -1, 0, 1, 1024, 1 << 40])
+        pairs = np.array(np.meshgrid(edge, edge)).reshape(2, -1).T  # (rows, m)
+        low = np.stack([pairs, pairs[:, ::-1]])  # (batch, rows, m)
+        high = low[:, ::-1].copy()
+        n = len(pairs)
+        lo, hi = cp.join(low, high)
+        assert sorted(zip(lo.tolist(), hi.tolist())) == [
+            (b * n + i, b * n + n - 1 - i) for b in range(2) for i in range(n)
+        ]
+
+    @pytest.mark.parametrize("d", [4, 12, 16, 60])
+    def test_zero_keys_leave_the_exact_test(self, monkeypatch, d):
+        # every row keyed 0 makes every pair a candidate, so only the exact
+        # test of every check stands between the join and a wrong hit
+        monkeypatch.setattr(cp, "_multipliers", lambda n: np.zeros(n, dtype=np.uint64))
+        lo, _ = cp.join(np.zeros((2, 3, 2)), np.ones((2, 5, 2)))
+        assert len(lo) == 6 * 10
+        take_source(monkeypatch, "join", d)
+        assert list(cp.verify_degree(d).coprime_masks) == real_hits(d)
 
     def test_real_degree_past_packed_keys(self, monkeypatch):
-        # 2 (2^31 - 1): the bound is d, so two packed differences overflow
-        # 64 bits and the keys wrap; on the direct path and on the join
+        # 2 (2^31 - 1): the bound is d, so the tables are int64 and the
+        # differences pass 32 bits; on the direct path and on the join
         d = 2 * (2**31 - 1)
-        assert (4 * d + 1) ** 2 >= 2**64
+        assert cp.int_dtype(d) == np.int64 and 2 * d >= 2**32
         for source in SOURCES:
             with monkeypatch.context() as m:
                 take_source(m, source, d)
@@ -382,7 +389,7 @@ class TestConjectureScan:
         assert list(cp.verify_degree(60).coprime_masks) == expected
 
     def test_join_runs_only_past_one_chunk(self, monkeypatch):
-        calls = {name: spy(monkeypatch, name) for name in ("_rank_checks", "_join_keys", "_match")}
+        calls = {name: spy(monkeypatch, name) for name in ("_rank_checks", "join")}
         for d in (2, 4, 12, 60, 120, 210):  # 0 to 14 free rows
             cp.verify_degree(d)
         assert not any(calls.values())
@@ -412,6 +419,38 @@ class TestConjectureScan:
             ] == [
                 (r.d, r.subsets_scanned, r.coprime_masks, r.holds) for r in parallel
             ]
+
+    def test_range_pool_capped_at_degrees_and_cpus(self, monkeypatch):
+        # a fake Pool records its size and maps in this process, so no
+        # worker starts however large the requested count
+        import multiprocessing
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        def outcome(reports):
+            return [(r.d, r.subsets_scanned, r.coprime_masks, r.holds) for r in reports]
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(cp.os, "cpu_count", lambda: 3)
+        serial = outcome(cp.verify_range(20, jobs=1))
+        assert outcome(cp.verify_range(20, jobs=10**6)) == serial
+        assert outcome(cp.verify_range(4, jobs=10**6)) == serial[:2]
+        monkeypatch.setattr(cp.os, "cpu_count", lambda: None)
+        assert outcome(cp.verify_range(20, jobs=10**6)) == serial
+        assert sizes == [3, 2]
 
     def test_range_rejects_tiny_bound(self):
         with pytest.raises(ValueError):

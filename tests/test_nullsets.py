@@ -1,14 +1,24 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from burnside import coprime
 from burnside import cyclotomic as cy
 from burnside import nullsets as ns
+
+SMALL_MODULI = [(2, 2), (2, 3), (3, 2), (2, 4)]
 
 
 def members(p, n, *items):
     return ns.IndexSet.from_members(p, n, items)
+
+
+@functools.lru_cache(maxsize=None)
+def exact_solutions(p, n):
+    """Masks of the solutions to p^n by the subset-by-subset exact test."""
+    return [m for m in range(0, 1 << p**n, 2) if ns.is_solution(ns.IndexSet(p, n, m))]
 
 
 class TestIsSolution:
@@ -117,13 +127,15 @@ class TestEnumerate:
 
     def test_matches_is_solution_on_every_subset(self):
         # the join against the subset-by-subset exact test
-        for p, n in [(2, 2), (2, 3), (3, 2), (2, 4)]:
-            expected = [
-                mask
-                for mask in range(0, 1 << p**n, 2)
-                if ns.is_solution(ns.IndexSet(p, n, mask))
-            ]
-            assert [s.mask for s in ns.enumerate_solutions(p, n)] == expected, (p, n)
+        for p, n in SMALL_MODULI:
+            assert [s.mask for s in ns.enumerate_solutions(p, n)] == exact_solutions(p, n)
+
+    def test_zero_keys_leave_the_exact_test(self, monkeypatch):
+        # every row keyed 0 makes every pair of half sums a candidate, so
+        # only the exact row test stands between the join and a wrong set
+        monkeypatch.setattr(coprime, "_multipliers", lambda n: np.zeros(n, dtype=np.uint64))
+        for p, n in SMALL_MODULI:
+            assert [s.mask for s in ns.enumerate_solutions(p, n)] == exact_solutions(p, n)
 
     @pytest.mark.parametrize(
         "entry, fits", [(1260, True), (1261, False), (2000, False), (4096, False)]
@@ -142,9 +154,11 @@ class TestEnumerate:
         assert ns._flip_rows(3, 3).dtype == (np.int16 if fits else np.int64)
         assert [s.mask for s in ns.enumerate_solutions(3, 3)] == [0]
 
-    def test_bound_enforced(self):
-        with pytest.raises(ValueError):
-            ns.enumerate_solutions(2, 5)
+    def test_bound_enforced(self, monkeypatch):
+        # 7^2 is the first modulus past 2^5 = 32: refused before any table
+        monkeypatch.setattr(ns, "subset_sums", None)
+        with pytest.raises(ValueError, match="exceeds the enumeration bound 32"):
+            ns.enumerate_solutions(7, 2)
 
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
