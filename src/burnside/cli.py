@@ -100,7 +100,7 @@ def parse_group(spec: str) -> permgroup.PermGroup:
 def _default_cycle(G: permgroup.PermGroup) -> permgroup.Permutation:
     """The canonical full cycle for families that contain one."""
     candidate = G.generators[0]
-    if len(candidate.cycles()) == 1 and len(candidate.cycles()[0]) == G.degree:
+    if len(permgroup.cycle_points(candidate, 0)) == G.degree:
         return candidate
     raise ValueError("this group has no canonical full cycle; pass --cycle")
 
@@ -405,7 +405,7 @@ def run(argv: list[str]) -> int:
     try:
         out = _Output(args.out)
         return args.handler(args, out)
-    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a checked invariant broke, or a bug: never a verdict

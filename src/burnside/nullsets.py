@@ -34,7 +34,9 @@ closed under those maps, which the test suite checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import cyclotomic
 from .coprime import join, subset_sums
-from .cyclotomic import CycSum, ProgressionSet, prime_power_split
+from .cyclotomic import CycSum, prime_power_split
 
 MAX_MODULUS = 32  # 2^5: tables of 2^15 and 2^16 rows; 7^2 needs 2^24 (1.57 GB)
 
@@ -87,7 +89,7 @@ class IndexSet:
 
     @property
     def size(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
 
 def paired_sums(O: IndexSet) -> tuple[CycSum, CycSum]:
@@ -110,12 +112,25 @@ def is_solution(O: IndexSet) -> bool:
 # classification
 
 
+@functools.lru_cache(maxsize=None)
+def _progressions(p: int, n: int) -> tuple[int, ...]:
+    """Bitmasks (bit i <=> element i, as in `IndexSet`) of the progressions
+    R(r) = {r, r + p^(n-1), ..., r + (p-1)p^(n-1)} at index 1 <= r < p^(n-1);
+    index 0 holds the top layer {p^(n-1), ..., (p-1)p^(n-1)}, which is R(0)
+    without 0."""
+    _check_modulus(p, n)
+    step = p ** (n - 1)
+    base = sum(1 << (k * step) for k in range(p))  # R(0)
+    return (base ^ 1,) + tuple(base << r for r in range(1, step))
+
+
 @dataclass(frozen=True)
 class NullCertificate:
     """Witness that a set is a balanced union of progressions.
 
     grid[i] lists the s progression residues congruent to i mod p; all
     p*s residues are distinct and each contributes its full progression.
+    `mask` is the set they cover, as an `IndexSet` bitmask.
     """
 
     p: int
@@ -123,12 +138,10 @@ class NullCertificate:
     s: int
     grid: tuple[tuple[int, ...], ...]
 
-    def members(self) -> tuple[int, ...]:
-        out: set[int] = set()
-        for row in self.grid:
-            for r in row:
-                out.update(ProgressionSet(self.p, self.n, r).elements)
-        return tuple(sorted(out))
+    @property
+    def mask(self) -> int:
+        prog = _progressions(self.p, self.n)
+        return functools.reduce(operator.or_, (prog[r] for row in self.grid for r in row), 0)
 
 
 NULL = "null"
@@ -151,92 +164,63 @@ class SolutionClass:
     remainder: NullCertificate | None = None
 
 
-def _progression_decomposition(O: IndexSet) -> list[int] | None:
-    """Residues r whose full progressions tile O, or None if O is not a
-    disjoint union of full progressions (top-layer elements also fail)."""
-    N = O.p**O.n
-    step = O.p ** (O.n - 1)
-    members = set(O.members)
-    if any(i % step == 0 for i in members):
-        return None
-    used = []
-    covered: set[int] = set()
-    for r in range(1, step):
-        elems = set(ProgressionSet(O.p, O.n, r).elements)
-        inter = members & elems
-        if not inter:
-            continue
-        if inter != elems:
+def _progression_rows(p: int, n: int, mask: int) -> list[list[int]] | None:
+    """The residues r whose full progressions tile `mask`, as p ascending
+    rows grouped by r mod p, or None.  The lowest bit left must be the
+    residue r < p^(n-1) of a progression lying wholly in `mask`; a top-layer
+    or partly covered progression fails that test."""
+    prog = _progressions(p, n)
+    rows: list[list[int]] = [[] for _ in range(p)]
+    while mask:
+        r = (mask & -mask).bit_length() - 1
+        if r >= len(prog) or mask & prog[r] != prog[r]:
             return None
-        used.append(r)
-        covered |= elems
-    return used if covered == members else None
+        rows[r % p].append(r)
+        mask ^= prog[r]
+    return rows
 
 
 def is_null(Z: IndexSet) -> NullCertificate | None:
     """Certificate that Z is balanced, or None.
 
-    Z must decompose into full progressions whose residues hit every
-    class mod p equally often.
+    The bitmask of Z must split into full progressions whose residues hit
+    every class mod p equally often.
     """
-    residues = _progression_decomposition(Z)
-    if residues is None:
+    rows = _progression_rows(Z.p, Z.n, Z.mask)
+    if rows is None or any(len(row) != len(rows[0]) for row in rows):
         return None
-    rows: list[list[int]] = [[] for _ in range(Z.p)]
-    for r in residues:
-        rows[r % Z.p].append(r)
-    counts = {len(row) for row in rows}
-    if len(counts) != 1:
-        return None
-    s = counts.pop()
-    return NullCertificate(Z.p, Z.n, s, tuple(tuple(sorted(row)) for row in rows))
+    return NullCertificate(Z.p, Z.n, len(rows[0]), tuple(map(tuple, rows)))
 
 
 def classify(O: IndexSet) -> SolutionClass:
-    """Match O against the two solution families."""
-    cert = is_null(O)
-    if cert is not None:
-        return SolutionClass(NULL, remainder=cert)
-
+    """Match O against the two solution families.  A balanced set has no
+    top-layer element and a layered set has them all; the layered rows
+    give the smallest residue of each nonzero class as its representative
+    and leave the rest of the rows as the balanced remainder."""
     p, n = O.p, O.n
-    N = p**n
-    step = p ** (n - 1)
-    members = set(O.members)
-    top = set(range(step, N, step))
-    if not top <= members:
+    top = _progressions(p, n)[0]
+    if O.mask & top != top:
+        cert = is_null(O)
+        return SolutionClass(NOT_SOLUTION) if cert is None else SolutionClass(NULL, remainder=cert)
+    rows = _progression_rows(p, n, O.mask ^ top)
+    if rows is None or any(len(row) != len(rows[0]) + 1 for row in rows[1:]):
         return SolutionClass(NOT_SOLUTION)
-    rest = IndexSet.from_members(p, n, members - top)
-    residues = _progression_decomposition(rest)
-    if residues is None:
-        return SolutionClass(NOT_SOLUTION)
-    rows: list[list[int]] = [[] for _ in range(p)]
-    for r in residues:
-        rows[r % p].append(r)
-    s = len(rows[0])
-    if any(len(rows[i]) != s + 1 for i in range(1, p)):
-        return SolutionClass(NOT_SOLUTION)
-    reps = tuple(min(rows[i]) for i in range(1, p))
-    grid = [tuple(sorted(rows[0]))]
-    for i in range(1, p):
-        grid.append(tuple(sorted(set(rows[i]) - {reps[i - 1]})))
-    remainder = NullCertificate(p, n, s, tuple(grid))
+    reps = tuple(row[0] for row in rows[1:])
+    grid = (tuple(rows[0]),) + tuple(tuple(row[1:]) for row in rows[1:])
+    remainder = NullCertificate(p, n, len(rows[0]), grid)
     return SolutionClass(LAYERED, residue_reps=reps, remainder=remainder)
 
 
 def null_set(cert: NullCertificate) -> IndexSet:
-    return IndexSet.from_members(cert.p, cert.n, cert.members())
+    return IndexSet(cert.p, cert.n, cert.mask)
 
 
-def layered_set(
-    p: int, n: int, reps: tuple[int, ...], remainder: NullCertificate
-) -> IndexSet:
-    N = p**n
-    step = p ** (n - 1)
-    members = set(range(step, N, step))
-    for r in reps:
-        members.update(ProgressionSet(p, n, r).elements)
-    members.update(remainder.members())
-    return IndexSet.from_members(p, n, members)
+def layered_set(p: int, n: int, reps: tuple[int, ...], remainder: NullCertificate) -> IndexSet:
+    """The top layer, the progressions R(r) of `reps`, and the set that
+    `remainder` certifies, as one bitmask."""
+    prog = _progressions(p, n)
+    mask = functools.reduce(operator.or_, (prog[r] for r in reps), prog[0])
+    return IndexSet(p, n, mask | remainder.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +332,7 @@ def verify_classification(p: int, n: int) -> ClassificationReport:
     all_classified = all(classify(O).kind != NOT_SOLUTION for O in sols)
 
     null_certs, layered = enumerate_certificates(p, n)
-    constructed = {null_set(c).mask for c in null_certs}
+    constructed = {c.mask for c in null_certs}
     constructed.update(layered_set(p, n, reps, cert).mask for reps, cert in layered)
     constructed_match = constructed == {O.mask for O in sols}
 

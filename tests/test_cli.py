@@ -238,6 +238,18 @@ class TestDiagnoseCommand:
         code, _ = run_cli(["diagnose", "--group", "wreath:3"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("(0,1)(2,3)", "no canonical full cycle"),
+            ("[[1,0,3,2],[1,2,3,0]]", "no canonical full cycle"),  # only the second is one
+            ("[[0]]", "composite degrees, got 1"),  # one point: its identity is a full cycle
+        ],
+    )
+    def test_no_default_cycle_is_usage_error(self, spec, message, capsys):
+        assert run_cli(["diagnose", "--group", spec]) == (cli.EXIT_USAGE, "")
+        assert message in capsys.readouterr().err
+
     def test_affine_reason_reported(self, capsys):
         code, _ = run_cli(["diagnose", "--group", "affine:9:3"])
         assert code == 2
@@ -491,6 +503,17 @@ class TestPlumbing:
         assert run_cli(["conjecture", "--max-d", "4"]) == (code, "")
         prefix = "internal error: " if code == cli.EXIT_INTERNAL else "error: "
         assert capsys.readouterr().err.startswith(prefix)
+
+    @pytest.mark.parametrize("exc", [ZeroDivisionError("zero"), OverflowError("big")])
+    def test_arithmetic_error_is_internal(self, exc, monkeypatch, capsys):
+        # no input check raises an ArithmeticError, so one is a fault of the
+        # program, never a usage error
+        def broken(p, n):
+            raise exc
+
+        monkeypatch.setattr(nullsets, "enumerate_solutions", broken)
+        assert run_cli(["nullsets", "2", "3"]) == (cli.EXIT_INTERNAL, "")
+        assert capsys.readouterr().err.startswith(f"internal error: {exc}")
 
     def test_module_entry_point(self):
         src = os.path.dirname(os.path.dirname(burnside.__file__))

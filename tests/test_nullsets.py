@@ -9,6 +9,7 @@ from burnside import cyclotomic as cy
 from burnside import nullsets as ns
 
 SMALL_MODULI = [(2, 2), (2, 3), (3, 2), (2, 4)]
+ALL_MODULI = SMALL_MODULI + [(5, 2), (3, 3), (2, 5)]  # every p^n <= 32
 
 
 def members(p, n, *items):
@@ -37,7 +38,7 @@ class TestIsSolution:
 
     def test_agrees_with_classification_exhaustively(self):
         # Direct subset-by-subset double-check up to 2^15.  For the larger
-        # moduli (25 and 27) the same equivalence is established by the
+        # moduli (25, 27 and 32) the same equivalence is established by the
         # verification report: the sweep enumerates every subset, (a) says
         # solutions classify positively, and (b) says every positively
         # classifiable set is among the enumerated solutions.
@@ -48,6 +49,33 @@ class TestIsSolution:
                 assert ns.is_solution(O) == (
                     ns.classify(O).kind != ns.NOT_SOLUTION
                 ), (p, n, mask)
+
+
+class TestProgressionTable:
+    @pytest.mark.parametrize("p, n", ALL_MODULI)
+    def test_entries_match_progression_sets(self, p, n):
+        # classify and the certificate builders read the same table, so a
+        # wrong entry would move both together; check it against R(r)
+        step = p ** (n - 1)
+        table = ns._progressions(p, n)
+        assert len(table) == step
+        bits = [[i for i in range(p**n) if mask >> i & 1] for mask in table]
+        assert bits[0] == list(range(step, p**n, step))  # the top layer
+        for r in range(1, step):
+            assert tuple(bits[r]) == cy.ProgressionSet(p, n, r).elements, (p, n, r)
+
+    def test_classification_never_enumerates(self, monkeypatch):
+        # the structural side stays independent of the sweep it checks
+        def refuse(*args):
+            raise AssertionError("classification touched the enumeration")
+
+        for name in ("join", "_flip_rows", "subset_sums"):
+            monkeypatch.setattr(ns, name, refuse)
+        monkeypatch.setattr(ns.cyclotomic, "reduction_matrix", refuse)
+        kinds = {ns.classify(ns.IndexSet(2, 3, m)).kind for m in range(0, 256, 2)}
+        assert kinds == {ns.NULL, ns.LAYERED, ns.NOT_SOLUTION}
+        certs, layered = ns.enumerate_certificates(3, 3)
+        assert ns.null_set(certs[-1]).mask and ns.layered_set(3, 3, *layered[-1]).mask
 
 
 class TestIsNull:
@@ -105,6 +133,19 @@ class TestClassify:
                 O = ns.layered_set(p, n, reps, cert)
                 assert ns.is_solution(O), (p, n, reps)
                 assert ns.classify(O).kind == ns.LAYERED
+
+    @pytest.mark.parametrize("p, n", [(2, 3), (2, 4), (3, 3), (2, 5)])
+    def test_solution_rebuilt_from_its_classification(self, p, n):
+        # set -> certificate -> the same set checks residue_reps and the
+        # grids of every solution, not only of hand-picked ones
+        for O in ns.enumerate_solutions(p, n):
+            got = ns.classify(O)
+            if got.kind == ns.NULL:
+                back = ns.null_set(got.remainder)
+            else:
+                assert got.kind == ns.LAYERED, O.members
+                back = ns.layered_set(p, n, got.residue_reps, got.remainder)
+            assert back.mask == O.mask, (p, n, O.members)
 
 
 class TestEnumerate:
