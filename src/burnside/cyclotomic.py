@@ -10,20 +10,17 @@ divisible by the d-th cyclotomic polynomial Phi_d, which is monic, so the
 divisibility test is plain integer arithmetic with no tolerances.
 
 Canonical form of a value is the remainder mod Phi_d, a vector of length
-phi(d).  It has one source, `reduction_matrix(d)`, whose row k is X^k mod
-Phi_d: reduction is linear, so the rows indexed by the exponents, summed,
-give the remainder.  `reduced_coeffs` sums them in Python integers for
-one value; the batch sites sum them in the width `int_dtype` derives from
-a bound on every partial sum, so nothing wraps and no input is refused.
-`method` reads no table: it evaluates its suborbit sums at a root of
-unity mod a prime (`is_prime`, `primitive_root`) chosen by a norm bound.
-For d = p^n the coefficient polynomial is divisible by Phi_{p^n} iff the
-coefficients are constant on each arithmetic progression
-{r, r + p^{n-1}, ..., r + (p-1)p^{n-1}}.
+phi(d), computed by one mechanism: exact long division by the monic Phi_d
+(`_poly_divmod_monic`), in Python integers, so no coefficient size can
+wrap.  `method` reduces nothing: it evaluates its suborbit sums at a root
+of unity mod a prime (`is_prime`, `primitive_root`) chosen by a norm
+bound.  For d = p^n, Phi_{p^n}(X) = Phi_p(X^{p^{n-1}}), so the coefficient
+polynomial is divisible by Phi_{p^n} iff the coefficients are constant on
+each arithmetic progression {r, r + p^{n-1}, ..., r + (p-1)p^{n-1}};
+`nullsets` decides its sweep by that test and never divides.
 
 All values are immutable after construction and safe to share between
-threads; the Phi_d and table caches are memoised pure functions
-(idempotent fill), and the tables are read-only.
+threads; the Phi_d cache is a memoised pure function (idempotent fill).
 """
 
 from __future__ import annotations
@@ -129,13 +126,14 @@ def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[
         return rem, []
     if len(rem) <= dd:
         return [], rem
+    terms = [(j, a) for j, a in enumerate(den[:dd]) if a]  # Phi_d is often sparse
     quot = [0] * (len(rem) - dd)
     for k in range(len(rem) - dd - 1, -1, -1):
         c = rem[k + dd]
         if c:
             quot[k] = c
-            for j in range(dd + 1):
-                rem[k + j] -= c * den[j]
+            for j, a in terms:
+                rem[k + j] -= c * a
     return quot, rem[:dd]
 
 
@@ -174,26 +172,6 @@ def int_dtype(bound: int) -> type:
     """The integer width for arrays whose every value is known to lie in
     [-bound, bound]: int16 when the bound fits it, int64 otherwise."""
     return np.int16 if bound <= INT16_MAX else np.int64
-
-
-@lru_cache(maxsize=None)
-def reduction_matrix(d: int) -> np.ndarray:
-    """Read-only table of shape (d, phi(d)) whose row k is X^k mod Phi_d,
-    so the canonical form of sum_{i in I} z^i is `table[I].sum(axis=0)`.
-
-    Rows phi(d).. follow by the shift recurrence: times X, then X^phi(d) =
-    -(low part of Phi_d).  The dtype is `int_dtype` of the largest |entry|.
-    """
-    den = np.array(cyclotomic_poly(d).coeffs, dtype=np.int64)
-    phi = len(den) - 1
-    table = np.zeros((d, phi), dtype=np.int64)
-    table[:phi] = np.eye(phi, dtype=np.int64)
-    for k in range(phi, d):
-        table[k, 1:] = table[k - 1, :-1]
-        table[k] -= table[k - 1, -1] * den[:phi]
-    table = table.astype(int_dtype(int(np.abs(table).max())))
-    table.flags.writeable = False
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +223,11 @@ def combine(a: CycSum, b: CycSum, sa: int, sb: int) -> CycSum:
 def reduced_coeffs(x: CycSum) -> tuple[int, ...]:
     """Canonical form: remainder mod Phi_d, a vector of length phi(d).
 
-    The table rows of the nonzero coefficients, weighted and summed in
-    Python integers (object dtype), so no coefficient size can wrap.
+    The long division runs in Python integers, so it is exact for
+    coefficients of any size.
     """
-    a = np.array(x.coeffs, dtype=object)
-    nz = a.nonzero()[0]
-    return tuple(a[nz].dot(reduction_matrix(x.order)[nz].astype(object)).tolist())
+    _, rem = _poly_divmod_monic(list(x.coeffs), list(cyclotomic_poly(x.order).coeffs))
+    return tuple(rem)
 
 
 def is_zero(x: CycSum) -> bool:
@@ -316,7 +293,7 @@ class ProgressionSet:
     elements: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if prime_power_split(self.p) != (self.p, 1):
+        if self.p < 2 or not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         if self.n < 2:
             raise ValueError("progression sets need exponent n >= 2")

@@ -28,7 +28,7 @@ omega of order d modulo a prime p = 1 mod d, one residue per suborbit,
 and keyed by the evaluations of the columns s*j over the units s, which
 are column j under z -> z^s.  Since p splits completely and exceeds twice
 the largest suborbit, a norm bound makes equal keys exactly equal columns
-(`_evaluation_prime`, `_column_classes`); no reduction table is read.
+(`_evaluation_prime`, `_column_classes`).
 The cost is one pass over the d x d exponents plus a d x phi(d) key, not
 a reduction per sum.  A cycle that moves an orbital of G, so one outside
 G, is refused with ValueError (one more `permgroup.suborbits` count); a
@@ -490,7 +490,7 @@ def diagnose(G: PermGroup, g: Permutation) -> DiagnosisReport:
     bug somewhere in this package.
     """
     d = G.degree
-    if cyclotomic.prime_power_split(d) == (d, 1) or d < 4:
+    if d < 4 or cyclotomic.is_prime(d):
         raise ValueError(f"the dichotomy concerns composite degrees, got {d}")
     M = suborbit_sums(G, g)
     orbit_rows = orbit_row_subset(M) if d % 2 == 0 else None

@@ -20,16 +20,20 @@ set, so a solver that assumes |O| = p^n - 1 is the only solution is wrong
 for every such modulus.
 
 Enumeration decides all 2^(p^n - 1) subsets by a meet-in-the-middle
-join (Horowitz-Sahni): the difference of the two sums, as its exact
-canonical vector, is linear in the chosen elements (reduction mod Phi is
-linear), so a subset is a solution exactly when the reduced vector of
-its lower elements equals minus that of its upper ones.  Each half's
-2^((p^n - 1)/2) subset sums form one table, `coprime.join` matches the
-two tables' rows by hashed keys, and every matched pair is tested for
-exact equality.  The choice w = z^{p^{n-1}} (rather than another
-primitive p-th root) is harmless: other choices are reached by the
-exponent scalings i -> s*i with s = 1 mod p, and the solution family is
-closed under those maps, which the test suite checks.
+join (Horowitz-Sahni).  Since Phi_{p^n}(X) = Phi_p(X^{p^{n-1}}), a sum
+vanishes exactly when its coefficients are constant on each progression
+R(r), 0 <= r < p^{n-1}: the differences D(a) = (a[r + k p^{n-1}] - a[r])
+along them are a linear map whose kernel is exactly the multiples of
+Phi_{p^n}.  D of the difference of the two sums is linear in the chosen
+elements, so a subset is a solution exactly when D of its lower
+elements equals minus D of its upper ones.  The sweep divides by no
+polynomial, while `is_solution`, its exact oracle, divides by Phi_{p^n}.
+Each half's 2^((p^n - 1)/2) subset sums form one table, `coprime.join`
+matches the two tables' rows by hashed keys, and every matched pair is
+tested for exact equality.  The choice w = z^{p^{n-1}} (rather than
+another primitive p-th root) is harmless: other choices are reached by
+the exponent scalings i -> s*i with s = 1 mod p, and the solution family
+is closed under those maps, which the test suite checks.
 """
 
 from __future__ import annotations
@@ -44,21 +48,23 @@ import numpy as np
 
 from . import cyclotomic
 from .coprime import join, subset_sums
-from .cyclotomic import CycSum, prime_power_split
+from .cyclotomic import CycSum
 
 MAX_MODULUS = 32  # 2^5: tables of 2^15 and 2^16 rows; 7^2 needs 2^24 (1.57 GB)
 
 
+@functools.lru_cache(maxsize=None)
 def _check_modulus(p: int, n: int, enforce_bound: bool = False) -> int:
-    """p**n for a prime p and n >= 2.  The bound is decided from p and n
-    before p is tested for primality, and p**n >= 2**n > MAX_MODULUS once n
-    exceeds the bound's bit length, so no over-bound modulus is factorised
-    or formed."""
+    """p**n for a prime p and n >= 2, validated once per argument triple (a
+    refusal raises, so it is never cached).  The bound is decided from p
+    and n before p is tested for primality, and p**n >= 2**n > MAX_MODULUS
+    once n exceeds the bound's bit length, so no over-bound modulus is
+    tested or formed."""
     if n < 2:
         raise ValueError("need exponent n >= 2")
     if enforce_bound and p >= 2 and (n > MAX_MODULUS.bit_length() or p**n > MAX_MODULUS):
         raise ValueError(f"modulus {p}^{n} exceeds the enumeration bound {MAX_MODULUS}")
-    if prime_power_split(p) != (p, 1):
+    if p < 2 or not cyclotomic.is_prime(p):
         raise ValueError(f"{p} is not prime")
     return p**n
 
@@ -227,14 +233,20 @@ def layered_set(p: int, n: int, reps: tuple[int, ...], remainder: NullCertificat
 # exhaustive enumeration
 
 
+def _progression_differences(p: int, n: int, a: np.ndarray) -> np.ndarray:
+    """D(a) for each row a of coefficients of z^0..z^(p^n - 1): the phi(p^n)
+    entries a[r + k*p^(n-1)] - a[r] for 1 <= k < p and r < p^(n-1).  D(a) is
+    zero exactly when the sum is, and D is linear, so equal outputs are
+    equal values."""
+    a = a.reshape(len(a), p, p ** (n - 1))  # a[:, k, r] is the coefficient of z^(r + k*p^(n-1))
+    return (a[:, 1:] - a[:, :1]).reshape(len(a), -1)
+
+
 def _flip_rows(p: int, n: int) -> np.ndarray:
-    """Canonical vector of z^i - w^i for each element i: the difference of
-    rows i and i*p^(n-1) of the reduction table mod Phi_{p^n}."""
+    """D(z^i - w^i) for each element i, with entries in [-2, 2]."""
     N = p**n
-    step = p ** (n - 1)
-    i = np.arange(1, N)
-    table = cyclotomic.reduction_matrix(N).astype(np.int64)
-    arr = table[i] - table[i * step % N]
+    eye = np.eye(N, dtype=np.int64)
+    arr = _progression_differences(p, n, eye[1:] - eye[np.arange(1, N) * p ** (n - 1) % N])
     # every subset sum of a column lies within its abs-sum
     return arr.astype(cyclotomic.int_dtype(int(np.abs(arr).sum(axis=0).max())))
 

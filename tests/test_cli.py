@@ -257,14 +257,14 @@ class TestDiagnoseCommand:
 
     def test_evaluation_reads_no_reduction_table(self, monkeypatch):
         # p comes from the norm bound alone: sym:6 has a suborbit of 5
-        # points, so p > 10, and no reduction table is built
+        # points, so p > 10, and no sum is reduced mod Phi_d
         M = method.suborbit_sums(permgroup.symmetric(6), full_cycle(6))
         true = [list(c) for c in scalar_column_classes(M)]
 
-        def no_table(d):
-            raise AssertionError("reduction_matrix called")
+        def no_reduction(x):
+            raise AssertionError("reduced_coeffs called")
 
-        monkeypatch.setattr(method.cyclotomic, "reduction_matrix", no_table)
+        monkeypatch.setattr(method.cyclotomic, "reduced_coeffs", no_reduction)
         real, calls = method._evaluation_prime, []
 
         def spy(*args):
@@ -370,15 +370,15 @@ class TestNullsetsCommand:
         code, _ = run_cli(["nullsets", "2", "9"])
         assert code == 2
 
-    # a prime near 10**18 takes minutes of trial division, and 2**(10**12)
-    # is a ~125 GB integer: both must be refused from p and n alone, as
+    # 10**18 + 3 is past every modulus bound, and 2**(10**12) is a ~125 GB
+    # integer: both must be refused from p and n alone, as
     # must 7^2, the first modulus past the bound (two 2^24-row tables)
     @pytest.mark.parametrize("p, n", [(10**18 + 3, 2), (2, 10**12), (7, 2)])
     def test_over_bound_modulus_refused_at_once(self, p, n, monkeypatch, capsys):
-        def factorise(d):
-            raise AssertionError(f"factorised {d} before checking the bound")
+        def primality(d):
+            raise AssertionError(f"tested {d} for primality before checking the bound")
 
-        monkeypatch.setattr(nullsets, "prime_power_split", factorise)
+        monkeypatch.setattr(nullsets.cyclotomic, "is_prime", primality)
         code, out = run_cli(["nullsets", str(p), str(n), "--verify"])
         assert code == cli.EXIT_USAGE and out == ""
         assert "exceeds the enumeration bound 32" in capsys.readouterr().err

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burnside import coprime
 from burnside import cyclotomic as cy
@@ -71,11 +73,28 @@ class TestProgressionTable:
 
         for name in ("join", "_flip_rows", "subset_sums"):
             monkeypatch.setattr(ns, name, refuse)
-        monkeypatch.setattr(ns.cyclotomic, "reduction_matrix", refuse)
+        monkeypatch.setattr(ns.cyclotomic, "reduced_coeffs", refuse)
         kinds = {ns.classify(ns.IndexSet(2, 3, m)).kind for m in range(0, 256, 2)}
         assert kinds == {ns.NULL, ns.LAYERED, ns.NOT_SOLUTION}
         certs, layered = ns.enumerate_certificates(3, 3)
         assert ns.null_set(certs[-1]).mask and ns.layered_set(3, 3, *layered[-1]).mask
+
+
+@given(st.sampled_from(ALL_MODULI), st.data())
+@settings(max_examples=150, deadline=None)
+def test_progression_test_agrees_with_long_division(modulus, data):
+    # the sweep's zero test D against the oracle's division by Phi_N, on
+    # sums constant along the progressions (multiples of Phi_N) with up to
+    # three coefficients perturbed; one progression carries 10^20
+    p, n = modulus
+    N, step = p**n, p ** (n - 1)
+    c = data.draw(st.lists(st.integers(-3, 3), min_size=step, max_size=step))
+    c[data.draw(st.integers(0, step - 1))] = 10**20
+    a = c * p  # a[r + k*step] = c[r]
+    for i in data.draw(st.lists(st.integers(0, N - 1), max_size=3)):
+        a[i] += data.draw(st.integers(-3, 3))
+    D = ns._progression_differences(p, n, np.array([a], dtype=object))
+    assert (not any(D[0])) == cy.is_zero(cy.CycSum(N, tuple(a)))
 
 
 class TestIsNull:
@@ -178,22 +197,36 @@ class TestEnumerate:
         for p, n in SMALL_MODULI:
             assert [s.mask for s in ns.enumerate_solutions(p, n)] == exact_solutions(p, n)
 
-    @pytest.mark.parametrize(
-        "entry, fits", [(1260, True), (1261, False), (2000, False), (4096, False)]
-    )
-    def test_int16_guard_bounds_subset_sums(self, monkeypatch, entry, fits):
-        # 26 flip rows at 3^3: 26 * 1260 = 32760 fits int16, 26 * 1261 does not.
-        # Row k of the patched table is (k != 0) + (3 does not divide k) times
-        # `entry`, so row i minus row 9i mod 27 is `entry` in every column and
-        # only the empty set balances.  At 4096, 16 rows sum to 2^16, so an
-        # int16 join would report millions of spurious hits.
-        k = np.arange(27)[:, None]
-        table = ((k != 0).astype(int) + (k % 3 != 0)) * np.full((27, 18), entry)
-        monkeypatch.setattr(
-            ns.cyclotomic, "reduction_matrix", lambda N: table.astype(np.int16)
-        )
-        assert ns._flip_rows(3, 3).dtype == (np.int16 if fits else np.int64)
-        assert [s.mask for s in ns.enumerate_solutions(3, 3)] == [0]
+    @pytest.mark.parametrize("p, n", ALL_MODULI)
+    def test_flip_rows_width_from_column_abs_sum(self, monkeypatch, p, n):
+        # the int16 rows need the int_dtype rule on the largest column
+        # abs-sum, which bounds every subset sum; a hard-coded width fails
+        rows = ns._flip_rows(p, n)
+        assert rows.shape == (p**n - 1, p**n - p ** (n - 1)) and rows.dtype == np.int16
+        assert np.abs(rows).max() <= 2
+        bounds = []
+
+        def spy(bound):
+            bounds.append(bound)
+            return np.int64
+
+        monkeypatch.setattr(ns.cyclotomic, "int_dtype", spy)
+        assert ns._flip_rows(p, n).dtype == np.int64
+        assert bounds == [int(np.abs(rows).sum(axis=0).max())]
+
+    def test_sweep_is_independent_of_its_oracle(self, monkeypatch):
+        # the sweep tests progressions and divides by no Phi_N, so a fault
+        # in the long division behind is_solution cannot move both sides
+        def refuse(*args):
+            raise AssertionError("the sweep reduced a sum")
+
+        monkeypatch.setattr(cy, "reduced_coeffs", refuse)
+        monkeypatch.setattr(cy, "cyclotomic_poly", refuse)
+        for p, n in ALL_MODULI:
+            null_certs, layered = ns.enumerate_certificates(p, n)
+            built = {c.mask for c in null_certs}
+            built.update(ns.layered_set(p, n, *config).mask for config in layered)
+            assert [s.mask for s in ns.enumerate_solutions(p, n)] == sorted(built), (p, n)
 
     def test_bound_enforced(self, monkeypatch):
         # 7^2 is the first modulus past 2^5 = 32: refused before any table
@@ -206,6 +239,23 @@ class TestEnumerate:
             ns.enumerate_solutions(4, 2)
         with pytest.raises(ValueError):
             ns.enumerate_solutions(2, 1)
+
+    def test_refusal_is_not_cached(self):
+        # the modulus check is memoised, but a refusal raises every time
+        for _ in range(2):
+            with pytest.raises(ValueError, match="4 is not prime"):
+                ns.IndexSet(4, 2, 0)
+
+    def test_large_prime_modulus_builds_at_once(self, monkeypatch):
+        # 2^61 - 1 is prime: trial division to its square root takes minutes
+        def refuse(n):
+            raise AssertionError(f"factorised {n}")
+
+        monkeypatch.setattr(cy, "_factorize", refuse)
+        O = ns.IndexSet(2**61 - 1, 2, 0b110)
+        assert O.size == 2
+        with pytest.raises(ValueError, match="is not prime"):
+            ns.IndexSet(2**61 + 1, 2, 0)
 
 
 class TestInvariants:
