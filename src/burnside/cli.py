@@ -17,17 +17,16 @@ Exit codes: 0 success (all verdicts hold), 1 a mathematical verdict
 failed, 2 usage or input error (including an input past a stated budget
 or too large to hold in memory), 3 internal error (a checked invariant
 broke, or any other unexpected exception; never a verdict).
-BURNSIDE_JOBS sets the default worker count.  Sweep output is one JSON
-object per line so long runs can be monitored; results are canonically
-ordered and independent of the worker count.
+Sweep output is one JSON object per line so long runs can be monitored;
+results are canonically ordered and independent of the worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
-import os
 import sys
 import traceback
 
@@ -37,14 +36,6 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("BURNSIDE_JOBS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def _family_points(head: str, d: int) -> int:
@@ -208,7 +199,7 @@ def _cmd_diagnose(args, out: _Output) -> int:
         "blocks": _blocks_dict(report.blocks),
         "suborbits": [list(o) for o in report.suborbits],
         "basis_classes": [list(c) for c in report.basis_classes],
-        "orbit_rows": list(report.orbit_rows.rows.divisors()) if report.orbit_rows else None,
+        "orbit_rows": list(report.orbit_rows.rows) if report.orbit_rows else None,
         "relabelling": list(report.relabelling),
     }
     if args.format == "pretty":
@@ -331,7 +322,9 @@ def _cmd_examples(args, out: _Output) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="burnside",
         description="Exact computations with Ramanujan matrices, divisor "
@@ -350,32 +343,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--jobs",
             type=int,
-            default=_default_jobs(),
+            default=1,
             help="worker count for conjecture; accepted and unused elsewhere "
-            "(default $BURNSIDE_JOBS or 1)",
+            "(default 1)",
         )
 
     p = sub.add_parser("ramanujan", help="print R(d) and its identity report")
     p.add_argument("d", type=int)
     add_common(p, "pretty", ("json", "csv", "pretty"))
-    p.set_defaults(handler=_cmd_ramanujan)
 
     p = sub.add_parser("conjecture", help="coprime-partition sweep over even degrees")
     p.add_argument("--max-d", type=int, required=True, dest="max_d")
     add_common(p, "json")
-    p.set_defaults(handler=_cmd_conjecture)
 
     p = sub.add_parser("suborbits", help="stabiliser orbits of a group")
     p.add_argument("--group", required=True)
     p.add_argument("--base", type=int, default=0)
     add_common(p, "json")
-    p.set_defaults(handler=_cmd_suborbits)
 
     p = sub.add_parser("diagnose", help="imprimitive / 2-transitive dichotomy")
     p.add_argument("--group", required=True)
     p.add_argument("--cycle", default=None, help="a full cycle in cycle notation")
     add_common(p, "json")
-    p.set_defaults(handler=_cmd_diagnose)
 
     p = sub.add_parser("nullsets", help="enumerate or verify solution sets")
     p.add_argument("p", type=int)
@@ -384,27 +373,25 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--enumerate", action="store_true")
     mode.add_argument("--verify", action="store_true")
     add_common(p, "json")
-    p.set_defaults(handler=_cmd_nullsets)
 
     p = sub.add_parser("examples", help="the product-action constructions")
     p.add_argument("name", choices=["wreath", "manning", "ex42"])
     p.add_argument("--d", type=int, default=None)
     add_common(p, "json")
-    p.set_defaults(handler=_cmd_examples)
 
     return parser
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error or help
         return exc.code
     out = None
     try:
         out = _Output(args.out)
-        return args.handler(args, out)
+        # subcommand X is handled by _cmd_X, looked up at each call
+        return globals()[f"_cmd_{args.command}"](args, out)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE

@@ -45,7 +45,6 @@ da*db points, with sums valued in Z[z_L], L = lcm(da, db).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,7 +54,6 @@ from . import cyclotomic, permgroup
 from .cyclotomic import PrimitiveClass
 from .permgroup import BlockSystem, PermGroup, Permutation, WreathAction
 from .ramanujan import divisor_data
-from .coprime import RowSubset
 
 
 def relabel_by_cycle(G: PermGroup, g: Permutation) -> tuple[PermGroup, tuple[int, ...]]:
@@ -158,22 +156,16 @@ def _column_classes(
         powers[k : 2 * k] = powers[: min(k, L - k)] * pow(omega, k, p) % p
         k *= 2
 
-    # suborbits of one size are one contiguous run, summed as a reshape
-    ordered = sorted(subs, key=len)
-    runs = [(size, len(list(run))) for size, run in itertools.groupby(map(len, ordered))]
-    exps = coords[[i for o in ordered for i in o]].T * (L // shape)[:, None]  # (r, n)
+    # points in suborbit order, so each suborbit is one contiguous slice
+    starts = np.cumsum([0] + [len(o) for o in subs[:-1]])
+    exps = coords[[i for o in subs for i in o]].T * (L // shape)[:, None]  # (r, n)
     grid = np.indices(moduli).reshape(len(moduli), -1).T  # row c: (j_1, .., j_r)
     ids = np.empty(len(grid), dtype=np.min_scalar_type(len(grid)))
     distinct: dict[bytes, int] = {}
     step = max(1, _CHUNK // exps.shape[1])
     for c in range(0, len(grid), step):
         values = powers[grid[c : c + step] @ exps % L]
-        sums, start = [], 0
-        for size, count in runs:
-            end = start + size * count
-            sums.append(values[:, start:end].reshape(-1, count, size).sum(axis=2))
-            start = end
-        V = (np.concatenate(sums, axis=1) % p).astype(np.int32)
+        V = (np.add.reduceat(values, starts, axis=1) % p).astype(np.int32)
         ids[c : c + len(V)] = [distinct.setdefault(row.tobytes(), len(distinct)) for row in V]
 
     units = np.array([s for s in range(L) if math.gcd(s, L) == 1], dtype=np.int64)
@@ -349,7 +341,7 @@ def galois_orbit_action_check(M: SuborbitSumMatrix) -> bool:
 class OrbitRowReport:
     d: int
     orbit: tuple[int, ...]  # the stabiliser orbit containing d/2
-    rows: RowSubset  # orders r with the primitive class of r inside the orbit
+    rows: tuple[int, ...]  # orders r with the primitive class of r inside the orbit
     decomposition_ok: bool  # orbit is exactly the union of those classes
     is_full_complement: bool  # rows = all divisors except 1
     two_transitive: bool
@@ -384,7 +376,7 @@ def orbit_row_subset(M: SuborbitSumMatrix) -> OrbitRowReport:
     return OrbitRowReport(
         d=d,
         orbit=orbit,
-        rows=RowSubset.from_divisors(d, rows),
+        rows=tuple(rows),
         decomposition_ok=ok,
         is_full_complement=full_complement,
         two_transitive=two_t,

@@ -1,9 +1,11 @@
+import argparse
 import dataclasses
 import json
 import os
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -461,13 +463,34 @@ class TestPlumbing:
         code, _ = run_cli(["conjecture", "--max-d", "4", "--format", "csv"])
         assert code == 2
 
-    def test_jobs_env_default(self, monkeypatch):
+    def test_parser_built_once(self, monkeypatch, capsys):
+        built = []
+
+        class CountingParser(argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        # argparse's own code names ArgumentParser, so only cli's view of it
+        # is replaced
+        monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(ArgumentParser=CountingParser))
+        for argv in (["ramanujan", "4"], ["nullsets", "2", "2"], ["conjecture", "--max-d", "4"]):
+            assert run_cli(argv)[0] == cli.EXIT_OK
+        # at most one tree: the root parser and one subparser per subcommand
+        assert len(built) <= 7, built
+
+        # the handler is looked up per call, so one patched after the
+        # parser exists still runs
+        def broken(args, out):
+            raise KeyError("k")
+
+        monkeypatch.setattr(cli, "_cmd_ramanujan", broken)
+        assert run_cli(["ramanujan", "4"]) == (cli.EXIT_INTERNAL, "")
+        assert capsys.readouterr().err.startswith("internal error: ")
+
+        # no environment variable sets a default
         monkeypatch.setenv("BURNSIDE_JOBS", "3")
-        assert cli._default_jobs() == 3
-        monkeypatch.setenv("BURNSIDE_JOBS", "bogus")
-        assert cli._default_jobs() == 1
-        monkeypatch.delenv("BURNSIDE_JOBS")
-        assert cli._default_jobs() == 1
+        assert cli.build_parser().parse_args(["conjecture", "--max-d", "4"]).jobs == 1
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

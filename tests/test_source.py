@@ -20,6 +20,22 @@ def test_no_assert_statements():
     assert len(SOURCES) > 1 and not found, found
 
 
+def test_no_environment_reads():
+    # every setting is a command-line flag, so a run is reproduced from its argv
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                read = getattr(node.value, "id", "") == "os"
+            elif isinstance(node, ast.ImportFrom):
+                read = node.module == "os" and any(a.name in ("environ", "getenv") for a in node.names)
+            else:
+                continue
+            if read:
+                found.append(f"{path.name}:{node.lineno}")
+    assert len(SOURCES) > 1 and not found, found
+
+
 def test_no_randomness():
     # verdicts must be reproducible, and the first use of numpy.random alone
     # costs several MB of peak memory
