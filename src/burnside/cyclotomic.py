@@ -11,10 +11,10 @@ divisibility test is plain integer arithmetic with no tolerances.
 
 Canonical form of a value is the remainder mod Phi_d, a vector of length
 phi(d), computed by one mechanism: exact long division by the monic Phi_d
-(`_poly_divmod_monic`), in Python integers, so no coefficient size can
-wrap.  `method` reduces nothing: it evaluates its suborbit sums at a root
-of unity mod a prime (`is_prime`, `primitive_root`) chosen by a norm
-bound.  For d = p^n, Phi_{p^n}(X) = Phi_p(X^{p^{n-1}}), so the coefficient
+(`_poly_divmod_monic`), after a fold modulo a sparse multiple of it, in
+Python integers, so no coefficient size can wrap.  `method` reduces
+nothing: it evaluates its suborbit sums at a root of unity mod a prime
+(`is_prime`, `primitive_root`) chosen by a norm bound.  For d = p^n, Phi_{p^n}(X) = Phi_p(X^{p^{n-1}}), so the coefficient
 polynomial is divisible by Phi_{p^n} iff the coefficients are constant on
 each arithmetic progression {r, r + p^{n-1}, ..., r + (p-1)p^{n-1}};
 `nullsets` decides its sweep by that test and never divides.
@@ -223,10 +223,20 @@ def combine(a: CycSum, b: CycSum, sa: int, sb: int) -> CycSum:
 def reduced_coeffs(x: CycSum) -> tuple[int, ...]:
     """Canonical form: remainder mod Phi_d, a vector of length phi(d).
 
-    The long division runs in Python integers, so it is exact for
-    coefficients of any size.
+    The coefficients are first folded modulo the sparse monic multiple
+    Psi = (X^d - 1)/(X^(d/q) - 1) = sum_{k<q} X^(k d/q) of Phi_d, q the
+    least prime dividing d (Psi = Phi_d when d is a prime power), which
+    leaves fewer steps of the division by a dense Phi_d.  Both long
+    divisions run in Python integers, so they are exact for coefficients of
+    any size.
     """
-    _, rem = _poly_divmod_monic(list(x.coeffs), list(cyclotomic_poly(x.order).coeffs))
+    coeffs = list(x.coeffs)
+    if x.order > 1:
+        q = _factorize(x.order)[0][0]
+        low = x.order - x.order // q  # deg Psi: X^(low + t) = -sum_{k<q-1} X^(k d/q + t)
+        top = coeffs[low:]
+        coeffs = [c - top[i % len(top)] for i, c in enumerate(coeffs[:low])]
+    _, rem = _poly_divmod_monic(coeffs, list(cyclotomic_poly(x.order).coeffs))
     return tuple(rem)
 
 

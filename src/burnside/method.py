@@ -24,15 +24,17 @@ implicitly; the 1/d normalisation is the only sensible one even though
 sources sometimes misprint the factor.)
 
 The matrix is never reduced in Z[z].  Each column j is evaluated at an
-omega of order d modulo a prime p = 1 mod d, one residue per suborbit,
-and keyed by the evaluations of the columns s*j over the units s, which
-are column j under z -> z^s.  Since p splits completely and exceeds twice
-the largest suborbit, a norm bound makes equal keys exactly equal columns
-(`_evaluation_prime`, `_column_classes`).
-The cost is one pass over the d x d exponents plus a d x phi(d) key, not
-a reduction per sum.  A cycle that moves an orbital of G, so one outside
-G, is refused with ValueError (one more `permgroup.suborbits` count); a
-class count other than the suborbit count is then an internal error.
+omega of order d modulo a prime p = 1 mod d, one residue per suborbit but
+the largest (whose entry follows from the others away from column 0), and
+the classes are refined until the units s permute them, column s*j being
+column j under z -> z^s.  Since p splits completely and exceeds twice
+the largest suborbit, a norm bound makes equal classes exactly equal
+columns (`_evaluation_prime`, `_column_classes`).
+The cost is one pass over d x (d - largest suborbit) exponents plus O(d)
+ids per refinement step, not a reduction per sum.  A cycle that moves an
+orbital of G, so one outside G, is refused with ValueError (one more
+`permgroup.suborbits` count); a class count other than the suborbit count
+is then an internal error.
 `suborbit_sums` keeps only the classes, and every consumer takes that
 result, as `diagnose` does:
 
@@ -126,6 +128,60 @@ def _check_orbitals_kept(G: PermGroup, subs, regular: tuple[Permutation, ...]) -
         raise ValueError("the regular subgroup does not preserve the orbitals of the group")
 
 
+def _rank(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ids 0..k-1 with equal ids exactly for equal keys, and k, by a
+    stable argsort (np.unique would first import numpy.ma, ~15 ms)."""
+    order = np.argsort(keys, kind="stable")
+    ranked = np.empty(len(keys), dtype=np.int64)
+    ranked[order] = np.cumsum(np.concatenate([[0], keys[order[1:]] != keys[order[:-1]]]))
+    return ranked, int(ranked[order[-1]]) + 1
+
+
+def _unit_generators(L: int) -> list[int]:
+    """Units s of Z/L, each outside the subgroup the earlier ones generate,
+    until together they generate (Z/L)^*."""
+    units = int(np.count_nonzero(np.gcd(np.arange(L), L) == 1))
+    seen = np.zeros(L, dtype=bool)
+    seen[1 % L] = True
+    gens, size = [], 1
+    for s in range(2, L):
+        if size == units:
+            break
+        if seen[s] or math.gcd(s, L) != 1:
+            continue
+        gens.append(s)
+        H, t = np.flatnonzero(seen), s
+        while not seen[t]:  # <H, s> is the union of the cosets H s^i
+            seen[H * t % L] = True
+            size += len(H)
+            t = t * s % L
+    return gens
+
+
+def _refine_by_units(ids: np.ndarray, moduli: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """The coarsest refinement of the partition `ids` of the columns that
+    every unit s mod L = lcm(moduli) permutes, as dense ids and their count.
+
+    Column c is the mixed-radix index of (j_1, .., j_r), and s*c that of
+    (s j_k mod moduli[k]).  The ids are refined by (id[c], id[s*c]) for
+    each generator s of (Z/L)^* (`_unit_generators`) until a pass over them
+    leaves the count unchanged.  A partition kept by the generators is kept
+    by every unit, a product of them, so this is the partition by the key
+    (id[s*c] over every unit s), without a table of d x phi(L) entries.
+    """
+    shape = np.array(moduli, dtype=np.int64)
+    radix = np.array([math.prod(moduli[k + 1 :]) for k in range(len(moduli))], dtype=np.int64)
+    grid = np.indices(moduli).reshape(len(moduli), -1).T  # row c: (j_1, .., j_r)
+    images = [s * grid % shape @ radix for s in _unit_generators(math.lcm(*moduli))]
+    ids, count = _rank(ids)
+    while True:
+        before = count
+        for image in images:
+            ids, count = _rank(ids * count + ids[image])
+        if count == before:
+            return ids, count
+
+
 def _column_classes(
     subs, coords: np.ndarray, moduli: tuple[int, ...]
 ) -> tuple[tuple[int, ...], ...]:
@@ -137,17 +193,19 @@ def _column_classes(
     L / moduli[k]) to its suborbit's sum, z of order L = lcm(moduli).
 
     V[O][c] is that sum evaluated at omega of order L mod a prime p = 1 mod
-    L (`_evaluation_prime`), and each distinct column of V gets a class id.
-    Column s*c is column c under z -> z^s, so keying c by the ids of s*c
-    over the units s mod L maps each sum into Z[z]/(p), which is F_p^phi(L)
-    because p splits completely (Washington, Introduction to Cyclotomic
-    Fields, Thm 2.13).  Since p exceeds twice the largest suborbit, equal
-    keys are equal sums in Z[z] (the norm bound of `_evaluation_prime`).
-    There is one class per suborbit (the rank argument above); any other
-    count raises RuntimeError.
+    L (`_evaluation_prime`), for every suborbit O but the largest.  Summed
+    over all points, a column is n at c = 0 and 0 elsewhere, so the largest
+    suborbit's entry is fixed by the others and sets apart column 0 only:
+    column 0 gets its own id, and each other distinct column of V one id.
+    Column s*c is column c under z -> z^s, so refining the ids until every
+    unit s mod L permutes them (`_refine_by_units`) maps each sum into
+    Z[z]/(p), which is F_p^phi(L) because p splits completely (Washington,
+    Introduction to Cyclotomic Fields, Thm 2.13).  Since p exceeds twice the
+    largest suborbit, equal classes are equal sums in Z[z] (the norm bound
+    of `_evaluation_prime`).  There is one class per suborbit (the rank
+    argument above); any other count raises RuntimeError.
     """
     shape = np.array(moduli, dtype=np.int64)
-    radix = np.array([math.prod(moduli[k + 1 :]) for k in range(len(moduli))], dtype=np.int64)
     L = math.lcm(*moduli)
     p, omega = _evaluation_prime(L, max(map(len, subs)))
     powers = np.ones(L, dtype=np.int64)  # omega^k mod p, by doubling
@@ -156,27 +214,27 @@ def _column_classes(
         powers[k : 2 * k] = powers[: min(k, L - k)] * pow(omega, k, p) % p
         k *= 2
 
-    # points in suborbit order, so each suborbit is one contiguous slice
-    starts = np.cumsum([0] + [len(o) for o in subs[:-1]])
-    exps = coords[[i for o in subs for i in o]].T * (L // shape)[:, None]  # (r, n)
+    # points of the evaluated suborbits in order, each one contiguous slice
+    largest = max(range(len(subs)), key=lambda i: len(subs[i]))
+    rows = subs[:largest] + subs[largest + 1 :]
+    starts = np.cumsum([0] + [len(o) for o in rows[:-1]])
+    exps = coords[[i for o in rows for i in o]].T * (L // shape)[:, None]  # (r, n)
     grid = np.indices(moduli).reshape(len(moduli), -1).T  # row c: (j_1, .., j_r)
-    ids = np.empty(len(grid), dtype=np.min_scalar_type(len(grid)))
+    ids = np.empty(len(grid), dtype=np.int64)
     distinct: dict[bytes, int] = {}
     step = max(1, _CHUNK // exps.shape[1])
     for c in range(0, len(grid), step):
         values = powers[grid[c : c + step] @ exps % L]
         V = (np.add.reduceat(values, starts, axis=1) % p).astype(np.int32)
         ids[c : c + len(V)] = [distinct.setdefault(row.tobytes(), len(distinct)) for row in V]
+    ids[0] = len(distinct)  # the largest suborbit's entry sets column 0 apart
 
-    units = np.array([s for s in range(L) if math.gcd(s, L) == 1], dtype=np.int64)
-    classes: dict[bytes, list[int]] = {}
-    step = max(1, _CHUNK // (len(units) * len(moduli)))
-    for c in range(0, len(grid), step):
-        images = units[:, None] * grid[c : c + step, None, :] % shape @ radix  # (cols, units)
-        for t, key in enumerate(ids[images]):
-            classes.setdefault(key.tobytes(), []).append(c + t)
-    if len(classes) != len(subs):
-        raise RuntimeError(f"{len(classes)} column classes for {len(subs)} suborbits (p = {p})")
+    ids, count = _refine_by_units(ids, moduli)
+    if count != len(subs):
+        raise RuntimeError(f"{count} column classes for {len(subs)} suborbits (p = {p})")
+    classes: dict[int, list[int]] = {}
+    for c, k in enumerate(ids.tolist()):
+        classes.setdefault(k, []).append(c)
     return tuple(map(tuple, classes.values()))
 
 

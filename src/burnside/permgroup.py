@@ -7,7 +7,9 @@ union of the Schreier-map edges x - S[a, x], in chunks of coset rows.  The
 transversal is free when a generator is a full cycle (its translations;
 no m x m table), and otherwise comes from a search that holds two int16
 m x m tables.  A transitive group is regular when every suborbit is a
-single point.
+single point.  The first non-trivial block system of a group with a
+full-cycle generator is read off one gcd per suborbit; otherwise a
+union-find glues points.
 
 Groups are immutable and all functions are pure.
 """
@@ -310,8 +312,19 @@ class BlockSystem:
         return out
 
 
+def _system(keys: Sequence[int]) -> BlockSystem:
+    """The partition of the points into equal keys, keys[x] for point x,
+    with the blocks numbered in the order of their least points."""
+    ids: dict[int, int] = {}
+    block_of = tuple(ids.setdefault(k, len(ids)) for k in keys)
+    if len(keys) % len(ids):
+        raise RuntimeError(f"{len(ids)} blocks do not divide the degree {len(keys)}")
+    return BlockSystem(block_of, len(keys) // len(ids), len(ids))
+
+
 def minimal_blocks(G: PermGroup, alpha: int, beta: int) -> BlockSystem:
-    """Finest block system in which alpha and beta share a block.
+    """Finest block system in which alpha and beta share a block, its
+    blocks numbered by least point.
 
     Classical union-find merge: whenever two points are glued, their images
     under every generator are glued as well, until stable.
@@ -337,27 +350,51 @@ def minimal_blocks(G: PermGroup, alpha: int, beta: int) -> BlockSystem:
             if a != b:
                 parent[b] = a
                 queue.append((a, b))
-
-    reps = sorted({find(x) for x in range(G.degree)})
-    ids = {r: i for i, r in enumerate(reps)}
-    block_of = tuple(ids[find(x)] for x in range(G.degree))
-    count = len(reps)
-    if G.degree % count:
-        raise RuntimeError(f"{count} blocks do not divide the degree {G.degree}")
-    return BlockSystem(block_of, G.degree // count, count)
+    return _system([find(x) for x in range(G.degree)])
 
 
 def first_nontrivial_blocks(G: PermGroup, subs: Sequence) -> BlockSystem | None:
-    """minimal_blocks(G, 0, beta) for the least beta making it non-trivial,
-    or None when G is primitive; `subs` are the base-0 suborbits of G.
+    """The finest non-trivial block system through 0 and some beta, for the
+    least point beta of the first suborbit that gives one, or None when G is
+    primitive; `subs` are the base-0 suborbits of G.
+
+    The finest system through 0 and beta has as its blocks the components
+    of the orbital graph of (0, beta) (D. G. Higman, J. Algebra 6, 1967).
     A stabiliser element h maps the system through (0, beta) to the one
-    through (0, h(beta)) and fixes every G-invariant partition, so only the
-    least point of each suborbit is tried."""
+    through (0, h(beta)), so one point per suborbit O is enough.  When a
+    generator is a full cycle, its translations lie in G, so with points
+    numbered by their position along it from 0 that graph is the circulant
+    on O: its components are the residues mod k = gcd(m, O), and the
+    system is non-trivial iff k > 1 (k < m since O is not {0}).  Every
+    generator is then checked to keep those residues, and RuntimeError
+    raised if one does not (`subs` were not the suborbits of G).  Without
+    a full-cycle generator, each suborbit's least point is glued to 0 by
+    `minimal_blocks`.
+    """
+    m = G.degree
+    order = next((pts for g in G.generators if len(pts := cycle_points(g, 0)) == m), None)
+    if order is None:
+        for orbit in subs[1:]:
+            system = minimal_blocks(G, 0, orbit[0])
+            if not system.is_trivial:
+                return system
+        return None
+    pos = np.empty(m, np.int64)
+    pos[order] = np.arange(m)
     for orbit in subs[1:]:
-        system = minimal_blocks(G, 0, orbit[0])
-        if not system.is_trivial:
-            return system
-    return None
+        k = math.gcd(m, *pos[list(orbit)].tolist())
+        if k > 1:
+            break
+    else:
+        return None
+    residue = pos % k
+    for g in G.generators:
+        image = residue[np.array(g.images)]  # the residue of g(x)
+        table = np.empty(k, np.int64)
+        table[residue] = image
+        if not np.array_equal(table[residue], image):
+            raise RuntimeError(f"a generator does not keep the residues mod {k} along the cycle")
+    return _system(residue.tolist())
 
 
 def is_primitive(G: PermGroup) -> bool:

@@ -232,6 +232,11 @@ class TestDiagnoseCommand:
         assert code == 0
         assert json.loads(out)["verdict"] in ("imprimitive", "two_transitive")
 
+    def test_blocks_numbered_by_least_point(self):
+        code, out = run_cli(["diagnose", "--group", "affine:8:5"])
+        assert code == 0
+        assert json.loads(out)["blocks"]["blocks"] == [[0, 2, 4, 6], [1, 3, 5, 7]]
+
     def test_prime_degree_rejected(self):
         code, _ = run_cli(["diagnose", "--group", "dihedral:7"])
         assert code == 2
@@ -284,12 +289,15 @@ class TestDiagnoseCommand:
 
     def test_too_small_prime_merges_classes(self, monkeypatch, capsys):
         # z -> 2 mod 3 is a ring map from Z[z_6] (Phi_6(2) = 3), but 3 is
-        # not above 2 * 5 = 10: the sums 5 and -1 of the 5-point suborbit
-        # meet mod 3, so one class stands for two suborbits
+        # not above 2 * 2 = 4: the sums -1 and 2 of the suborbit {2, 4} at
+        # columns 1 and 3 meet mod 3, and so do the other evaluated rows
+        # ({0}, {3}; the largest, {1, 5}, is not evaluated), so one class
+        # stands for two suborbits.  sym:6 no longer fails here: only its
+        # row {0} is evaluated, and column 0 has its own class.
         monkeypatch.setattr(method, "_evaluation_prime", lambda L, largest: (3, 2))
-        code, out = run_cli(["diagnose", "--group", "sym:6"])
+        code, out = run_cli(["diagnose", "--group", "dihedral:6"])
         assert code == cli.EXIT_INTERNAL and out == ""
-        assert "1 column classes for 2 suborbits" in capsys.readouterr().err
+        assert "3 column classes for 4 suborbits" in capsys.readouterr().err
 
     def test_prime_past_int64_products_is_internal_error(self, monkeypatch, capsys):
         # a suborbit of 2^30 points would need p > 2^31
@@ -548,6 +556,27 @@ class TestPlumbing:
         )
         assert proc.returncode == 0 and proc.stderr == ""
         assert "identities ok: True" in proc.stdout
+
+    def test_commands_leave_numpy_ma_unimported(self):
+        # the first np.unique call imports numpy.ma, ~15 ms of every run
+        src = os.path.dirname(os.path.dirname(burnside.__file__))
+        script = (
+            "import contextlib, io, sys\n"
+            "from burnside import cli\n"
+            "for argv in (['conjecture', '--max-d', '200'], ['nullsets', '3', '3', '--verify'],\n"
+            "             ['diagnose', '--group', 'sym:12'], ['diagnose', '--group', 'dihedral:12'],\n"
+            "             ['examples', 'wreath']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.run(argv) == 0, argv\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_unwritable_out_path(self):
         code, _ = run_cli(

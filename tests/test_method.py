@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,6 +160,51 @@ class TestBasisPartition:
         else:
             M = me.suborbit_sums(G, g)
             assert len(M.column_classes) == len(M.suborbits) == len(set(orbital.values()))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_unit_refinement_matches_full_key(self, data):
+        # refining by the generators of (Z/L)^* gives the partition keyed by
+        # the ids of s*c over every unit s, including the splits it must make
+        moduli = data.draw(st.one_of(
+            st.tuples(st.integers(2, 200)), st.tuples(st.integers(2, 14), st.integers(2, 14))
+        ))
+        size = math.prod(moduli)
+        ids = np.array(data.draw(st.lists(st.integers(0, data.draw(st.integers(0, 4))),
+                                          min_size=size, max_size=size)))
+        L = math.lcm(*moduli)
+        grid = [divmod(c, moduli[-1]) if len(moduli) == 2 else (c,) for c in range(size)]
+
+        def index(js):
+            return js[0] * moduli[1] + js[1] if len(moduli) == 2 else js[0]
+
+        units = [s for s in range(L) if math.gcd(s, L) == 1]
+        keys = [tuple(ids[index([s * j % n for j, n in zip(js, moduli)])] for s in units)
+                for js in grid]
+        refined, count = me._refine_by_units(ids, moduli)
+        first: dict = {}
+        expected = [first.setdefault(k, len(first)) for k in keys]
+        seen: dict = {}
+        assert [seen.setdefault(k, len(seen)) for k in refined.tolist()] == expected
+        assert count == len(first) and sorted(set(refined.tolist())) == list(range(count))
+
+    @pytest.mark.parametrize("d", [4, 12, 64])
+    def test_largest_suborbit_never_evaluated(self, d, monkeypatch):
+        # its row is minus the sum of the others away from column 0
+        touched = []
+
+        class Watched(np.ndarray):
+            def __getitem__(self, key):
+                touched.extend(np.arange(len(self))[key].ravel().tolist())
+                return np.asarray(super().__getitem__(key))
+
+        real = me._column_classes
+        monkeypatch.setattr(me, "_column_classes",
+                            lambda subs, coords, moduli: real(subs, coords.view(Watched), moduli))
+        M = me.suborbit_sums(pg.symmetric(d), full_cycle(d))
+        assert M.suborbits == ((0,), tuple(range(1, d)))
+        assert touched == [0]
+        assert M.column_classes == ((0,), tuple(range(1, d)))
 
     def test_memory_at_degree_4096(self):
         # leaves no room for a d x phi(d) int64 reduction table (64 MiB here)
@@ -396,7 +443,8 @@ class TestDiagnose:
             counts.update(dict.fromkeys(counts, 0))
             rep = me.diagnose(G, g)
             assert counts["suborbit_sums"] == counts["relabel_by_cycle"] == 1, G.name
-            assert counts["minimal_blocks"] <= len(rep.suborbits) - 1, G.name
+            # every corpus group has a full-cycle generator: blocks by gcd
+            assert counts["minimal_blocks"] == 0, G.name
 
     def test_never_counterexample_on_corpus_sample(self):
         for G, g in cyclic_regular_corpus(30):

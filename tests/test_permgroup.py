@@ -273,6 +273,7 @@ class TestBlocks:
         + [pg.cyclic(d) for d in range(2, 31)]
         + [pg.symmetric(d) for d in range(3, 12)]
         + [pg.wreath_product_action(d).group for d in range(2, 7)]
+        + [pg.affine(d, s) for d, s in [(8, 5), (9, 7), (12, 7), (16, 5), (25, 7), (35, 4)]]
     )
 
     def test_primitivity_matches_exhaustive_search(self):
@@ -286,6 +287,18 @@ class TestBlocks:
             (K,) = random_relabelling(rng, G)
             found = pg.first_nontrivial_blocks(K, pg.suborbits(K))
             assert found == exhaustive_first_blocks(K), G.name
+
+    def test_blocks_numbered_by_least_point(self):
+        # the union-find root of the block of 0 is not 0 here, and blocks
+        # numbered by sorted roots came out as [[1, 3, 5, 7], [0, 2, 4, 6]]
+        system = pg.minimal_blocks(pg.affine(8, 5), 0, 2)
+        assert system.blocks() == [[0, 2, 4, 6], [1, 3, 5, 7]]
+
+    def test_wrong_suborbits_refused(self):
+        # dihedral suborbits give k = gcd(12, 2, 10) = 2, whose residues the
+        # transposition (0,1) of sym:12 does not keep
+        with pytest.raises(RuntimeError, match="residues mod 2"):
+            pg.first_nontrivial_blocks(pg.symmetric(12), pg.suborbits(pg.dihedral(12)))
 
     def test_blocks_respected_by_generators(self):
         G = pg.dihedral(12)
