@@ -16,7 +16,9 @@ semicolons, e.g. "(0,1,2,3)(4,5);(0,4)".
 Exit codes: 0 success (all verdicts hold), 1 a mathematical verdict
 failed, 2 usage or input error (including an input past a stated budget
 or too large to hold in memory), 3 internal error (a checked invariant
-broke, or any other unexpected exception; never a verdict).
+broke, or any other unexpected exception; never a verdict), 141 the
+reader closed stdout early, as `| head` does (128 + SIGPIPE, what a shell
+reports for a filter that SIGPIPE ended; nothing is printed).
 Sweep output is one JSON object per line so long runs can be monitored;
 results are canonically ordered and independent of the worker count.
 """
@@ -27,6 +29,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 import traceback
 
@@ -36,6 +39,7 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _family_points(head: str, d: int) -> int:
@@ -86,14 +90,6 @@ def parse_group(spec: str) -> permgroup.PermGroup:
         gens = permgroup.parse_generators(spec)
         return permgroup.PermGroup(gens[0].degree, tuple(gens), name="custom")
     raise ValueError(f"unrecognised group spec {spec!r}")
-
-
-def _default_cycle(G: permgroup.PermGroup) -> permgroup.Permutation:
-    """The canonical full cycle for families that contain one."""
-    candidate = G.generators[0]
-    if len(permgroup.cycle_points(candidate, 0)) == G.degree:
-        return candidate
-    raise ValueError("this group has no canonical full cycle; pass --cycle")
 
 
 class _Output:
@@ -186,10 +182,8 @@ def _cmd_suborbits(args, out: _Output) -> int:
 
 def _cmd_diagnose(args, out: _Output) -> int:
     G = parse_group(args.group)
-    if args.cycle:
-        g = permgroup.parse_permutation(args.cycle, G.degree)
-    else:
-        g = _default_cycle(G)
+    # without --cycle, the first generator is the canonical full cycle
+    g = permgroup.parse_permutation(args.cycle, G.degree) if args.cycle else None
     report = method.diagnose(G, g)
     payload = {
         "group": report.group,
@@ -392,6 +386,13 @@ def run(argv: list[str]) -> int:
         out = _Output(args.out)
         # subcommand X is handled by _cmd_X, looked up at each call
         return globals()[f"_cmd_{args.command}"](args, out)
+    except BrokenPipeError:
+        # stdout points at devnull from here on, so that the interpreter's
+        # last flush of what is still buffered has somewhere to go
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE

@@ -23,18 +23,37 @@ examples below validate it against independently known basis sets.
 implicitly; the 1/d normalisation is the only sensible one even though
 sources sometimes misprint the factor.)
 
-The matrix is never reduced in Z[z].  Each column j is evaluated at an
-omega of order d modulo a prime p = 1 mod d, one residue per suborbit but
-the largest (whose entry follows from the others away from column 0), and
-the classes are refined until the units s permute them, column s*j being
-column j under z -> z^s.  Since p splits completely and exceeds twice
-the largest suborbit, a norm bound makes equal classes exactly equal
-columns (`_evaluation_prime`, `_column_classes`).
-The cost is one pass over d x (d - largest suborbit) exponents plus O(d)
-ids per refinement step, not a reduction per sum.  A cycle that moves an
-orbital of G, so one outside G, is refused with ValueError (one more
-`permgroup.suborbits` count); a class count other than the suborbit count
-is then an internal error.
+The matrix is never reduced in Z[z].  Most inputs need no sum at all:
+relabelled along the cycle, the suborbits are the basic sets of a Schur
+ring over Z_d (Schur 1933; Wielandt, Finite Permutation Groups, 1964,
+ch. IV), and when that ring is an *orbit* ring, the suborbits being the
+orbits of a group H of units mod d, the classes are the suborbits
+(`_orbit_classes`).  Column h*j equals column j for h in H, so there are
+at most as many classes as H-orbits, and the r independent suborbit rows
+under the invertible DFT give at least r; the test that H (the suborbit
+of 1) is such a group and has r orbits, counted by the orbit-counting
+lemma, is O(d) numpy per generator of H, at most log2|H| of them.  Every
+named family with a full cycle gives an orbit ring (sym: r = 2, where no
+test is needed), so there the classes cost O(d log d) instead of the
+d x (d - largest suborbit) evaluation below.
+
+Other inputs (a non-orbit ring, the pair variants) are evaluated.  Each
+column j is evaluated at an omega of order d modulo a prime p = 1 mod d,
+one residue per suborbit but the largest (whose entry follows from the
+others away from column 0), and the classes are refined until the units s
+permute them, column s*j being column j under z -> z^s.  Since p splits
+completely and exceeds twice the largest suborbit, a norm bound makes
+equal classes exactly equal columns (`_evaluation_prime`,
+`_column_classes`).  The cost is one pass over d x (d - largest suborbit)
+exponents plus O(d) ids per refinement step, not a reduction per sum.
+
+The cycle is walked once, by `relabel_by_cycle`: when it is a generator
+of G, the new labels are its positions, which `permgroup.suborbits` and
+`permgroup.first_nontrivial_blocks` take as they are.  Any other cycle is
+found again by `suborbits`, and one that moves an orbital of G, so one
+outside G, is refused with ValueError (one more `permgroup.suborbits`
+count); a class count other than the suborbit count is then an internal
+error.
 `suborbit_sums` keeps only the classes, and every consumer takes that
 result, as `diagnose` does:
 
@@ -53,28 +72,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cyclotomic, permgroup
-from .cyclotomic import PrimitiveClass
 from .permgroup import BlockSystem, PermGroup, Permutation, WreathAction
 from .ramanujan import divisor_data
 
 
-def relabel_by_cycle(G: PermGroup, g: Permutation) -> tuple[PermGroup, tuple[int, ...]]:
-    """Relabel points so the given d-cycle becomes (0,1,...,d-1).
+def relabel_by_cycle(
+    G: PermGroup, g: Permutation | None = None
+) -> tuple[PermGroup, tuple[int, ...]]:
+    """Relabel points so the given d-cycle becomes (0,1,...,d-1): each point
+    takes its position along g from 0, one gather per generator.  g defaults
+    to G's first generator, which must then be a d-cycle.
 
     Returns the relabelled group and the map new_label -> old_point.
     """
     d = G.degree
-    if g.degree != d:
+    cycle = G.generators[0] if g is None else g
+    if cycle.degree != d:
         raise ValueError("cycle degree differs from group degree")
-    order_pts = permgroup.cycle_points(g, 0)
-    if len(order_pts) != d:
+    order = permgroup.cycle_points(cycle, 0)
+    if len(order) != d:
+        if g is None:
+            raise ValueError("this group has no canonical full cycle; pass --cycle")
         raise ValueError("the supplied permutation is not a d-cycle")
-    new_of_old = {old: new for new, old in enumerate(order_pts)}
-    gens = tuple(
-        Permutation(tuple(new_of_old[gen[order_pts[i]]] for i in range(d)))
-        for gen in G.generators
-    )
-    return PermGroup(d, gens, name=G.name), tuple(order_pts)
+    pos = np.empty(d, np.intp)
+    pos[order] = np.arange(d)
+    gens = tuple(Permutation(tuple(pos[np.array(h.images)[order]].tolist())) for h in G.generators)
+    return PermGroup(d, gens, name=G.name), tuple(order)
 
 
 @dataclass(frozen=True)
@@ -87,6 +110,7 @@ class SuborbitSumMatrix:
     suborbits: tuple[tuple[int, ...], ...]
     column_classes: tuple[tuple[int, ...], ...]  # ascending, by least member
     relabelling: tuple[int, ...]  # new label -> original point
+    cycle_in_group: bool  # the cycle is a generator, so its translations lie in `group`
 
 
 _CHUNK = 1 << 14  # array entries per chunk of rows or columns: 128 KiB of int64
@@ -182,11 +206,62 @@ def _refine_by_units(ids: np.ndarray, moduli: tuple[int, ...]) -> tuple[np.ndarr
             return ids, count
 
 
+def _orbit_classes(subs, d: int) -> tuple[tuple[int, ...], ...] | None:
+    """The column classes with no sum evaluated, when the suborbits `subs`
+    of Z/d are the orbits of a group H of units mod d (an orbit Schur ring);
+    otherwise None.
+
+    H is then the suborbit of 1.  For h in H, hO = O makes column h*j equal
+    to column j (sum_{i in O} z^(ihj) = sum_{i in O} z^(ij)), so there are
+    at most as many classes as H-orbits.  The r suborbit indicators are
+    independent and the DFT is invertible, so the r x d matrix has rank r
+    and at least r distinct columns.  With r H-orbits the classes are the
+    H-orbits, which are the suborbits, already ascending by least member.
+
+    The test, O(d) numpy per generator: every suborbit is kept by x -> s*x
+    (one gather) for greedy generators s of H, each outside the subgroup K
+    the earlier ones generate (grown by doubling, K{1, s, .., s^(2^k - 1)}),
+    so at most log2|H| of them; and the H-orbits number r, counted as
+    (1/|H|) sum_{h in H} gcd(h - 1, d) by the orbit-counting lemma
+    (x -> hx fixes gcd(h - 1, d) points).  Each s is a unit, since a
+    non-unit sends x = d / gcd(s, d) != 0 into {0}.  The last generator
+    leaves no point of H outside K, and each keeps H, the suborbit of 1, so
+    K = H: H is a group of units.  With r <= 2 no test is needed: column 0
+    is alone, and there are r classes.
+    """
+    r = len(subs)
+    if r <= 2:
+        return subs
+    label = np.empty(d, np.intp)
+    label[[x for o in subs for x in o]] = np.repeat(np.arange(r), [len(o) for o in subs])
+    in_h = label == label[1]
+    points = np.arange(d)
+    seen = np.zeros(d, dtype=bool)  # the subgroup K generated so far
+    seen[1] = True
+    while len(rest := np.flatnonzero(in_h & ~seen)):
+        s = int(rest[0])
+        if not np.array_equal(label[s * points % d], label):
+            return None
+        t = s
+        while True:  # K{1, .., s^(2^k - 1)} grows by its product with t = s^(2^k)
+            grown = np.flatnonzero(seen) * t % d
+            if seen[grown].all():
+                break
+            seen[grown] = True
+            t = t * t % d
+    H = np.flatnonzero(in_h)
+    if int(np.gcd(H - 1, d).sum()) != r * len(H):
+        return None
+    return subs
+
+
 def _column_classes(
     subs, coords: np.ndarray, moduli: tuple[int, ...]
 ) -> tuple[tuple[int, ...], ...]:
     """Classes of equal suborbit-sum columns, each an ascending tuple of
-    column indices, the classes in ascending order of least member.
+    column indices, the classes in ascending order of least member, by
+    evaluation: the path of the pair variants and of the suborbits that
+    are no orbits of a group of units (`_orbit_classes`).
 
     Column c is the mixed-radix index of (j_1, .., j_r), j_k mod moduli[k].
     The point with coordinates x = coords[point] adds z^(sum_k x_k j_k
@@ -238,19 +313,31 @@ def _column_classes(
     return tuple(map(tuple, classes.values()))
 
 
-def suborbit_sums(G: PermGroup, g: Permutation) -> SuborbitSumMatrix:
+def suborbit_sums(G: PermGroup, g: Permutation | None = None) -> SuborbitSumMatrix:
     """Classes of equal columns of the stabiliser-orbit sums
     sum_{i in O} z^{ij}, over every exponent j.
 
-    Points are relabelled so that g = (0,1,...,d-1); the relabelled group
-    and the relabelling are recorded in the result.
+    Points are relabelled so that g = (0,1,...,d-1), g by default G's first
+    generator; the relabelled group and the relabelling are recorded in the
+    result.  When g is a generator, the new labels are the positions along
+    a full-cycle generator, and `suborbits` takes them as they are.  For
+    any other g, `suborbits` looks for a full-cycle generator itself, and g
+    must keep every orbital (`_check_orbitals_kept`).  The classes are the suborbits when those are
+    the orbits of a group of units (`_orbit_classes`, O(d log d)), and
+    otherwise come from the evaluation mod p (`_column_classes`).
     """
     H, relab = relabel_by_cycle(G, g)
     d = H.degree
-    subs = tuple(tuple(o) for o in permgroup.suborbits(H))
-    _check_orbitals_kept(H, subs, (permgroup.cycle(range(d), d),))
-    classes = _column_classes(subs, np.arange(d)[:, None], (d,))
-    return SuborbitSumMatrix(d, H, subs, classes, relab)
+    in_group = g is None or g in G.generators
+    if in_group:
+        subs = tuple(tuple(o) for o in permgroup.suborbits(H, pos=np.arange(d)))
+    else:
+        subs = tuple(tuple(o) for o in permgroup.suborbits(H))
+        _check_orbitals_kept(H, subs, (permgroup.cycle(range(d), d),))
+    classes = _orbit_classes(subs, d)
+    if classes is None:
+        classes = _column_classes(subs, np.arange(d)[:, None], (d,))
+    return SuborbitSumMatrix(d, H, subs, classes, relab, in_group)
 
 
 @dataclass(frozen=True)
@@ -419,22 +506,20 @@ def orbit_row_subset(M: SuborbitSumMatrix) -> OrbitRowReport:
     if d % 2:
         raise ValueError("the half-degree orbit needs even degree")
     orbit = next(o for o in M.suborbits if d // 2 in o)
-    members = set(orbit)
+    # i lies in the primitive class of its order d / gcd(i, d); a class is
+    # inside the orbit when the orbit holds all of its members
+    order = d // np.gcd(np.arange(d), d)
+    inside = np.bincount(order[list(orbit)], minlength=d + 1)
+    total = np.bincount(order, minlength=d + 1)
     divisors = divisor_data(d).divisors
-    rows = []
-    covered: set[int] = set()
-    for r in divisors:
-        elems = set(PrimitiveClass(d, r).elements)
-        if elems <= members:
-            rows.append(r)
-            covered |= elems
-    ok = covered == members
-    full_complement = tuple(rows) == tuple(r for r in divisors if r != 1)
+    rows = tuple(r for r in divisors if inside[r] == total[r])
+    ok = int(total[list(rows)].sum()) == len(orbit)  # the classes cover the orbit
+    full_complement = rows == tuple(r for r in divisors if r != 1)
     two_t = len(M.suborbits) == 2
     return OrbitRowReport(
         d=d,
         orbit=orbit,
-        rows=tuple(rows),
+        rows=rows,
         decomposition_ok=ok,
         is_full_complement=full_complement,
         two_transitive=two_t,
@@ -530,9 +615,10 @@ class DiagnosisReport:
     relabelling: tuple[int, ...]
 
 
-def diagnose(G: PermGroup, g: Permutation) -> DiagnosisReport:
+def diagnose(G: PermGroup, g: Permutation | None = None) -> DiagnosisReport:
     """Classify a transitive group of composite degree with a regular
-    cyclic subgroup as imprimitive or 2-transitive.
+    cyclic subgroup, generated by the d-cycle g (by default G's first
+    generator), as imprimitive or 2-transitive.
 
     Any group for which neither holds is reported as a counterexample with
     full supporting data; no such group can contain a regular cyclic
@@ -544,7 +630,8 @@ def diagnose(G: PermGroup, g: Permutation) -> DiagnosisReport:
         raise ValueError(f"the dichotomy concerns composite degrees, got {d}")
     M = suborbit_sums(G, g)
     orbit_rows = orbit_row_subset(M) if d % 2 == 0 else None
-    blocks = permgroup.first_nontrivial_blocks(M.group, M.suborbits)
+    pos = np.arange(d) if M.cycle_in_group else None
+    blocks = permgroup.first_nontrivial_blocks(M.group, M.suborbits, pos)
     if blocks is not None:
         verdict = "imprimitive"
     elif len(M.suborbits) == 2:
@@ -554,7 +641,7 @@ def diagnose(G: PermGroup, g: Permutation) -> DiagnosisReport:
     return DiagnosisReport(
         degree=d,
         group=G.name or "<unnamed>",
-        cycle=str(g),
+        cycle="(" + ",".join(map(str, M.relabelling)) + ")",  # str(g): one cycle from 0
         verdict=verdict,
         blocks=blocks,
         suborbits=M.suborbits,

@@ -197,6 +197,18 @@ def cycle_points(g: Permutation, start: int) -> list[int]:
     return pts
 
 
+def cycle_positions(G: PermGroup, base: int = 0) -> np.ndarray | None:
+    """Each point's position along the first generator of G that is a full
+    cycle, counted from `base`, or None when no generator is one."""
+    for g in G.generators:
+        pts = cycle_points(g, base)
+        if len(pts) == G.degree:
+            pos = np.empty(G.degree, np.intp)
+            pos[pts] = np.arange(G.degree)
+            return pos
+    return None
+
+
 def _merge(label: np.ndarray, S: np.ndarray) -> None:
     """Join the class of x with the class of S[r, x] for every row r.
 
@@ -218,7 +230,7 @@ def _merge(label: np.ndarray, S: np.ndarray) -> None:
         a, b = label.take(lo), label.take(hi)
 
 
-def suborbits(G: PermGroup, base: int = 0) -> list[list[int]]:
+def suborbits(G: PermGroup, base: int = 0, pos: np.ndarray | None = None) -> list[list[int]]:
     """Orbits of the stabiliser of `base` in a transitive group, including
     {base}, each sorted and listed by least element.
 
@@ -230,29 +242,37 @@ def suborbits(G: PermGroup, base: int = 0) -> list[list[int]]:
 
     * a generator c of G that is a full m-cycle: with the points relabelled
       by their position along c from `base`, t[a] is x -> x + a, so S[a, x]
-      = h(x + a) - h(a) mod m, and the generators that are translations
-      add nothing.  No search and no m x m table: a few length-m arrays
-      and int16 chunks of 32 KiB (under 1 MiB in all at m = 4096).
+      = h(x + a) - h(a) mod m.  A generator that is affine on positions,
+      h(x) = s x + h(0) (a translation, the reflection of `dihedral`, the
+      multiplier of `affine`), has S[a, x] = s x for every a: one row.
+      No search and no m x m table: a few length-m arrays and int16 chunks
+      of 32 KiB (under 1 MiB in all at m = 4096).
     * otherwise, a search over points, which is also the transitivity
       check, fills t and the inverses inv: two int16 m x m tables, 1 GiB
       at MAX_DEGREE, read per chunk through int64 flat indices (128 KiB).
+
+    `pos`, when given, must be `cycle_positions(G, base)` or the positions
+    along another full-cycle generator; otherwise they are found here.
     """
     m = G.degree
     if not 0 <= base < m:
         raise ValueError(f"base point {base} outside 0..{m - 1}")
     check_point_budget(m)
     dtype = int_dtype(2 * m - 2)  # S[a, x] indexes h at x + a < 2m - 1
-    order = next((pts for g in G.generators if len(pts := cycle_points(g, base)) == m), None)
+    if pos is None:
+        pos = cycle_positions(G, base)
     points = np.arange(m, dtype=dtype)
     label = points.copy()
     step = max(1, _CHUNK // m)
-    if order is not None:
-        order = np.array(order)
-        pos = np.empty(m, dtype)
-        pos[order] = points
+    if pos is not None:
+        pos = pos.astype(dtype, copy=False)
+        order = np.empty(m, np.intp)
+        order[pos] = np.arange(m)
         for g in G.generators:
             h = pos[np.array(g.images, dtype)[order]]  # g on positions along the cycle
-            if np.array_equal(h, (points + h[0]) % m):  # a translation: every S[a] is 1
+            row = np.arange(m) * (int(h[1 % m]) - int(h[0])) % m  # x -> s x
+            if np.array_equal(h, (row + h[0]) % m):  # affine: every S[a] is that row
+                _merge(label, row[None])
                 continue
             twice = np.concatenate([h, h])
             for a in range(0, m, step):
@@ -353,7 +373,9 @@ def minimal_blocks(G: PermGroup, alpha: int, beta: int) -> BlockSystem:
     return _system([find(x) for x in range(G.degree)])
 
 
-def first_nontrivial_blocks(G: PermGroup, subs: Sequence) -> BlockSystem | None:
+def first_nontrivial_blocks(
+    G: PermGroup, subs: Sequence, pos: np.ndarray | None = None
+) -> BlockSystem | None:
     """The finest non-trivial block system through 0 and some beta, for the
     least point beta of the first suborbit that gives one, or None when G is
     primitive; `subs` are the base-0 suborbits of G.
@@ -369,18 +391,17 @@ def first_nontrivial_blocks(G: PermGroup, subs: Sequence) -> BlockSystem | None:
     generator is then checked to keep those residues, and RuntimeError
     raised if one does not (`subs` were not the suborbits of G).  Without
     a full-cycle generator, each suborbit's least point is glued to 0 by
-    `minimal_blocks`.
+    `minimal_blocks`.  `pos` is as for `suborbits` with base 0.
     """
     m = G.degree
-    order = next((pts for g in G.generators if len(pts := cycle_points(g, 0)) == m), None)
-    if order is None:
+    if pos is None:
+        pos = cycle_positions(G)
+    if pos is None:
         for orbit in subs[1:]:
             system = minimal_blocks(G, 0, orbit[0])
             if not system.is_trivial:
                 return system
         return None
-    pos = np.empty(m, np.int64)
-    pos[order] = np.arange(m)
     for orbit in subs[1:]:
         k = math.gcd(m, *pos[list(orbit)].tolist())
         if k > 1:

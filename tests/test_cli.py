@@ -1,11 +1,13 @@
 import argparse
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import time
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 import burnside
 from burnside import cli, coprime, method, nullsets, permgroup, ramanujan
-from helpers import full_cycle, masked_report_lines, run_cli, scalar_column_classes
+from helpers import masked_report_lines, run_cli, scalar_column_classes
 
 
 class TestRamanujanCommand:
@@ -212,6 +214,11 @@ class TestSuborbitsCommand:
         assert "degree must be at least 2" in err and "point budget" not in err
 
 
+# suborbits {0}, {1, 4}, {2, 5}, {3}: 4 is no unit mod 6, so no group of
+# units has them as orbits, and the column classes come from the evaluation
+NON_ORBIT = "(0,1,2,3,4,5);(0,3)"
+
+
 class TestDiagnoseCommand:
     def test_named_default_cycle(self):
         code, out = run_cli(["diagnose", "--group", "dihedral:6"])
@@ -262,10 +269,49 @@ class TestDiagnoseCommand:
         assert code == 2
         assert "not coprime" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec, evaluated",
+        [("dihedral:16", 0), ("cyclic:16", 0), ("affine:24:7", 0), ("sym:16", 0),
+         ("sym:24", 0), ("affine:27:2", 0), ("affine:32:3", 0), (NON_ORBIT, 1)],
+    )
+    def test_orbit_groups_skip_the_evaluation(self, spec, evaluated, monkeypatch):
+        # the benchmark's families at small degree take `_orbit_classes`
+        real, calls = method._evaluation_prime, []
+        monkeypatch.setattr(method, "_evaluation_prime", lambda *a: calls.append(a) or real(*a))
+        assert run_cli(["diagnose", "--group", spec])[0] == 0
+        assert len(calls) == evaluated
+
+    def test_benchmark_digests_unchanged(self, monkeypatch):
+        # the canonical results the benchmark checks, named and relabelled
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclass
+        spec.loader.exec_module(workloads)
+        for name, (verdict, _, digest) in workloads.DIAGNOSE_EXPECT.items():
+            code, out = run_cli(["diagnose", "--group", name])
+            payload = json.loads(out)
+            assert code == 0 and payload["verdict"] == verdict, name
+            assert workloads.diagnose_digest(payload) == digest, name
+        for workload in ("diagnose-sparse", "diagnose-dense"):
+            for inst in workloads.instances(workload, seed=1):
+                code, out = run_cli(list(inst.argv))
+                assert workloads.check(inst, code, out) == (1, 0, []), inst.label
+
+    @pytest.mark.parametrize("spec", ["dihedral:12", "sym:12", "affine:27:2", "[[1,2,3,0],[3,2,1,0]]"])
+    def test_cycle_walked_once(self, spec, monkeypatch):
+        # the positions along the first generator serve the relabelling, the
+        # suborbits and the blocks
+        real, walks = permgroup.cycle_points, []
+        monkeypatch.setattr(permgroup, "cycle_points", lambda g, start: walks.append(start) or real(g, start))
+        assert run_cli(["diagnose", "--group", spec])[0] == 0
+        assert len(walks) <= 1
+
     def test_evaluation_reads_no_reduction_table(self, monkeypatch):
-        # p comes from the norm bound alone: sym:6 has a suborbit of 5
-        # points, so p > 10, and no sum is reduced mod Phi_d
-        M = method.suborbit_sums(permgroup.symmetric(6), full_cycle(6))
+        # p comes from the norm bound alone: the largest suborbit of
+        # NON_ORBIT has 2 points, so p > 4, and no sum is reduced mod Phi_d
+        G = cli.parse_group(NON_ORBIT)
+        M = method.suborbit_sums(G, G.generators[0])
         true = [list(c) for c in scalar_column_classes(M)]
 
         def no_reduction(x):
@@ -279,23 +325,24 @@ class TestDiagnoseCommand:
             return calls[-1][2:]
 
         monkeypatch.setattr(method, "_evaluation_prime", spy)
-        code, out = run_cli(["diagnose", "--group", "sym:6"])
+        code, out = run_cli(["diagnose", "--group", NON_ORBIT])
         assert code == 0
         (L, largest, p, omega), = calls
-        assert (L, largest) == (6, 5)
+        assert (L, largest) == (6, 2)
         assert p > 2 * largest and p % L == 1
         assert pow(omega, 2, p) != 1 and pow(omega, 3, p) != 1 and pow(omega, 6, p) == 1
-        assert json.loads(out)["basis_classes"] == true == [[0], [1, 2, 3, 4, 5]]
+        assert json.loads(out)["basis_classes"] == true == [[0], [1, 3, 5], [2], [4]]
 
     def test_too_small_prime_merges_classes(self, monkeypatch, capsys):
         # z -> 2 mod 3 is a ring map from Z[z_6] (Phi_6(2) = 3), but 3 is
-        # not above 2 * 2 = 4: the sums -1 and 2 of the suborbit {2, 4} at
-        # columns 1 and 3 meet mod 3, and so do the other evaluated rows
-        # ({0}, {3}; the largest, {1, 5}, is not evaluated), so one class
-        # stands for two suborbits.  sym:6 no longer fails here: only its
-        # row {0} is evaluated, and column 0 has its own class.
+        # not above 2 * 2 = 4: the sums 2z^4 and 2z^2 of the suborbit {2, 5}
+        # at columns 2 and 4 both map to 2, and the other evaluated rows
+        # ({0}, {3}; the largest, {1, 4}, is not evaluated) agree there too,
+        # so one class stands for two suborbits.  sym:6 and dihedral:6 no
+        # longer reach the evaluation: their suborbits are orbits of unit
+        # groups.
         monkeypatch.setattr(method, "_evaluation_prime", lambda L, largest: (3, 2))
-        code, out = run_cli(["diagnose", "--group", "dihedral:6"])
+        code, out = run_cli(["diagnose", "--group", NON_ORBIT])
         assert code == cli.EXIT_INTERNAL and out == ""
         assert "3 column classes for 4 suborbits" in capsys.readouterr().err
 
@@ -303,7 +350,7 @@ class TestDiagnoseCommand:
         # a suborbit of 2^30 points would need p > 2^31
         real = method._evaluation_prime
         monkeypatch.setattr(method, "_evaluation_prime", lambda L, largest: real(L, 2**30))
-        code, out = run_cli(["diagnose", "--group", "sym:6"])
+        code, out = run_cli(["diagnose", "--group", NON_ORBIT])
         assert code == cli.EXIT_INTERNAL and out == ""
         assert "is not below 2^31" in capsys.readouterr().err
 
@@ -556,6 +603,27 @@ class TestPlumbing:
         )
         assert proc.returncode == 0 and proc.stderr == ""
         assert "identities ok: True" in proc.stdout
+
+    def test_reader_closing_early_ends_quietly(self):
+        # `conjecture ... | head -1`: the next line meets a closed pipe while
+        # the sweep to 1200 has seconds of degrees left
+        src = os.path.dirname(os.path.dirname(burnside.__file__))
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "burnside", "conjecture", "--max-d", "1200"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert json.loads(proc.stdout.readline())["d"] == 2
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+            assert err == b""
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
 
     def test_commands_leave_numpy_ma_unimported(self):
         # the first np.unique call imports numpy.ma, ~15 ms of every run

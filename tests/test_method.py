@@ -189,7 +189,7 @@ class TestBasisPartition:
         assert count == len(first) and sorted(set(refined.tolist())) == list(range(count))
 
     @pytest.mark.parametrize("d", [4, 12, 64])
-    def test_largest_suborbit_never_evaluated(self, d, monkeypatch):
+    def test_largest_suborbit_never_evaluated(self, d):
         # its row is minus the sum of the others away from column 0
         touched = []
 
@@ -198,13 +198,12 @@ class TestBasisPartition:
                 touched.extend(np.arange(len(self))[key].ravel().tolist())
                 return np.asarray(super().__getitem__(key))
 
-        real = me._column_classes
-        monkeypatch.setattr(me, "_column_classes",
-                            lambda subs, coords, moduli: real(subs, coords.view(Watched), moduli))
+        # sym:d takes `_orbit_classes`, so the evaluation is called directly
         M = me.suborbit_sums(pg.symmetric(d), full_cycle(d))
         assert M.suborbits == ((0,), tuple(range(1, d)))
+        classes = me._column_classes(M.suborbits, np.arange(d)[:, None].view(Watched), (d,))
         assert touched == [0]
-        assert M.column_classes == ((0,), tuple(range(1, d)))
+        assert classes == M.column_classes == ((0,), tuple(range(1, d)))
 
     def test_memory_at_degree_4096(self):
         # leaves no room for a d x phi(d) int64 reduction table (64 MiB here)
@@ -217,6 +216,66 @@ class TestBasisPartition:
             tracemalloc.stop()
         assert len(M.column_classes) == 2049
         assert peak < 48 * 2**20, peak
+
+
+def evaluated_classes(M):
+    """M's column classes as the evaluation mod p finds them."""
+    return me._column_classes(M.suborbits, np.arange(M.d)[:, None], (M.d,))
+
+
+class TestOrbitClasses:
+    def test_equal_to_evaluation_on_corpus(self):
+        # the criterion-08 corpus, each group also under a random labelling;
+        # every group in it takes the orbit path
+        rng = random.Random(21)
+        corpus = cyclic_regular_corpus(100) + [
+            (family(1024), full_cycle(1024))
+            for family in (pg.dihedral, pg.symmetric, lambda d: pg.affine(d, 3))
+        ]
+        for G, g in corpus:
+            for K, k in ((G, g), random_relabelling(rng, G, g)):
+                M = me.suborbit_sums(K, k)
+                assert me._orbit_classes(M.suborbits, M.d) is not None, G.name
+                assert M.column_classes == evaluated_classes(M), G.name
+
+    @pytest.mark.parametrize("G", [pg.dihedral(4096), pg.affine(4096, 3)], ids=lambda G: G.name)
+    def test_equal_to_evaluation_at_4096(self, G):
+        # the evaluation also keeps the 48 MiB of test_memory_at_degree_4096
+        M = me.suborbit_sums(G)
+        assert me._orbit_classes(M.suborbits, M.d) is not None
+        tracemalloc.start()
+        try:
+            evaluated = evaluated_classes(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert M.column_classes == evaluated
+        assert peak < 48 * 2**20, peak
+
+    @pytest.mark.parametrize(
+        "d, subs",
+        [
+            # {1, 11} mod 12 keeps every set, but 7 orbits make 5 sets
+            (12, ((0,), (1, 11), (2, 4, 8, 10), (3, 6, 9), (5, 7))),
+            # 5 * 7 = 11 leaves the suborbit of 1
+            (12, ((0,), (1, 5, 7), (2, 3, 4, 6, 8, 9, 10, 11))),
+            # 4 is no unit mod 6, though {1, 4} is closed
+            (6, ((0,), (1, 4), (2, 5), (3,))),
+            # {1, 7} mod 8 is a group, but 7 * 2 = 6 leaves {2, 3}
+            (8, ((0,), (1, 7), (2, 3), (4,), (5, 6))),
+        ],
+        ids=["unions-of-orbits", "not-closed", "non-unit", "not-kept"],
+    )
+    def test_fallback(self, d, subs):
+        assert me._orbit_classes(subs, d) is None
+
+    def test_non_orbit_group_evaluates(self, monkeypatch):
+        real, calls = me._evaluation_prime, []
+        monkeypatch.setattr(me, "_evaluation_prime", lambda *a: calls.append(a) or real(*a))
+        G = pg.PermGroup(6, (full_cycle(6), pg.parse_permutation("(0,3)", 6)))
+        M = me.suborbit_sums(G)
+        assert calls == [(6, 2)]
+        assert M.column_classes == scalar_column_classes(M) == ((0,), (1, 3, 5), (2,), (4,))
 
 
 class TestPairPartitions:
@@ -339,6 +398,22 @@ class TestOrbitRowSubset:
         M = me.suborbit_sums(pg.dihedral(9), full_cycle(9))
         with pytest.raises(ValueError):
             me.orbit_row_subset(M)
+
+
+    def test_rows_match_primitive_classes_on_corpus(self):
+        # the report as the primitive classes of every order r | d give it
+        for G, g in cyclic_regular_corpus(100):
+            if G.degree % 2:
+                continue
+            M = me.suborbit_sums(G, g)
+            d, rep = M.d, me.orbit_row_subset(M)
+            members = set(next(o for o in M.suborbits if d // 2 in o))
+            divisors = [r for r in range(1, d + 1) if d % r == 0]
+            classes = {r: set(cy.PrimitiveClass(d, r).elements) for r in divisors}
+            rows = tuple(r for r in divisors if classes[r] <= members)
+            assert rep.orbit == tuple(sorted(members)) and rep.rows == rows, G.name
+            assert rep.decomposition_ok == (set().union(*(classes[r] for r in rows)) == members)
+            assert rep.is_full_complement == (rows == tuple(divisors[1:])), G.name
 
 
 class TestBlockPrediction:
