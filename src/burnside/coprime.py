@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ramanujan import RamanujanMatrix, divisor_data, matrix_formula
-from .cyclotomic import _factorize, int_dtype, prime_power_split
+from .cyclotomic import _factorize, int_dtype
 
 _SAMPLE = 1 << 14  # at most this many masks rank the checks by pass rate
 # masks tested at once without a join; join keys per batch of (b1, b2)
@@ -87,44 +87,21 @@ class DivisorPartition:
     profile: dict[int, int]
 
 
-def _group_by_profile(columns: tuple[int, ...], profile: dict[int, int]):
-    groups: dict[int, list[int]] = {}
-    for c in columns:
-        groups.setdefault(profile[c], []).append(c)
-    classes = tuple(tuple(sorted(g)) for g in groups.values())
-    return tuple(sorted(classes, key=lambda cl: cl[0]))
-
-
 def partition_for(R: RamanujanMatrix, E: RowSubset) -> DivisorPartition:
-    """Partition of the proper divisors by the row sums over E."""
+    """Partition of the proper divisors by the row sums over E.  The
+    columns are met in ascending order, so each class is ascending and the
+    classes come out by least member."""
     if E.mask == 0:
         raise ValueError("row subset must be nonempty")
     if E.d != R.d:
         raise ValueError("row subset and matrix degree differ")
     rows = [i for i in range(len(R.divisors)) if E.mask >> i & 1]
-    columns = R.divisors[:-1]
-    profile = {
-        c: sum(R.entries[i][j] for i in rows) for j, c in enumerate(columns)
-    }
-    return DivisorPartition(R.d, _group_by_profile(columns, profile), profile)
-
-
-def partition_mod(R: RamanujanMatrix, E: RowSubset, modulus: int) -> DivisorPartition:
-    """Same relation, but profiles compared modulo `modulus`.
-
-    Restricted to degrees d = 2 p^n with p an odd prime, the setting in
-    which the modular refinement is meaningful, and modulus p^n or p^{n-1}.
-    """
-    half = prime_power_split(R.d // 2) if R.d % 2 == 0 else None
-    if half is None or half[0] == 2:
-        raise ValueError(f"degree {R.d} is not of the form 2*p^n with p odd")
-    p, n = half
-    if modulus not in (p**n, p ** (n - 1)):
-        raise ValueError(f"modulus must be {p**n} or {p**(n-1)}")
-    plain = partition_for(R, E)
-    profile = {c: v % modulus for c, v in plain.profile.items()}
-    columns = R.divisors[:-1]
-    return DivisorPartition(R.d, _group_by_profile(columns, profile), profile)
+    profile: dict[int, int] = {}
+    groups: dict[int, list[int]] = {}
+    for j, c in enumerate(R.divisors[:-1]):
+        profile[c] = sum(R.entries[i][j] for i in rows)
+        groups.setdefault(profile[c], []).append(c)
+    return DivisorPartition(R.d, tuple(map(tuple, groups.values())), profile)
 
 
 def is_coprime(P: DivisorPartition) -> bool:
@@ -361,8 +338,3 @@ def iter_verify_range(d_max: int, jobs: int = 1):
 
     with multiprocessing.Pool(jobs) as pool:
         yield from pool.imap(verify_degree, degrees, chunksize=1)
-
-
-def verify_range(d_max: int, jobs: int = 1) -> list[ConjectureReport]:
-    """verify_degree for every even d <= d_max, as a degree-ordered list."""
-    return list(iter_verify_range(d_max, jobs=jobs))

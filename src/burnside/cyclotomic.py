@@ -12,12 +12,16 @@ divisibility test is plain integer arithmetic with no tolerances.
 Canonical form of a value is the remainder mod Phi_d, a vector of length
 phi(d), computed by one mechanism: exact long division by the monic Phi_d
 (`_poly_divmod_monic`), after a fold modulo a sparse multiple of it, in
-Python integers, so no coefficient size can wrap.  `method` reduces
-nothing: it evaluates its suborbit sums at a root of unity mod a prime
-(`is_prime`, `primitive_root`) chosen by a norm bound.  For d = p^n, Phi_{p^n}(X) = Phi_p(X^{p^{n-1}}), so the coefficient
-polynomial is divisible by Phi_{p^n} iff the coefficients are constant on
-each arithmetic progression {r, r + p^{n-1}, ..., r + (p-1)p^{n-1}};
-`nullsets` decides its sweep by that test and never divides.
+Python integers, so no coefficient size can wrap.  Two sums are compared
+by one test, `value_equal`: the Galois-fixed test (`galois_fixed`), the
+constancy law (`progression_constancy_check`) and the oracle
+`nullsets.is_solution` all go through it.  `method` reduces nothing: it
+evaluates its suborbit sums at a root of unity mod a prime (`is_prime`,
+`primitive_root`) chosen by a norm bound.  For d = p^n, Phi_{p^n}(X) =
+Phi_p(X^{p^{n-1}}), so the coefficient polynomial is divisible by
+Phi_{p^n} iff the coefficients are constant on each arithmetic
+progression {r, r + p^{n-1}, ..., r + (p-1)p^{n-1}}; `nullsets` decides
+its sweep by that test and never divides.
 
 All values are immutable after construction and safe to share between
 threads; the Phi_d cache is a memoised pure function (idempotent fill).
@@ -248,6 +252,7 @@ def is_zero(x: CycSum) -> bool:
 
 
 def value_equal(a: CycSum, b: CycSum) -> bool:
+    """True iff a and b have the same value: Phi_d divides a - b."""
     return is_zero(combine(a, b, 1, -1))
 
 
@@ -281,7 +286,7 @@ def galois_fixed(x: CycSum, s: int) -> bool:
     """
     if math.gcd(s, x.order) != 1:
         raise ValueError(f"{s} is not coprime to {x.order}")
-    return is_zero(combine(power_map(x, s), x, 1, -1))
+    return value_equal(power_map(x, s), x)
 
 
 # ---------------------------------------------------------------------------
@@ -356,18 +361,8 @@ def progression_constancy_check(x: CycSum) -> bool:
     if split is None:
         raise ValueError(f"order {x.order} is not a prime power")
     p, n = split
-    d = x.order
-
-    hypothesis = True
-    for s in range(1 + p, d, p):
-        mapped = power_map(x, s)
-        if mapped.coeffs == x.coeffs:
-            continue  # fixed as a formal vector, no reduction needed
-        if not is_zero(combine(mapped, x, 1, -1)):
-            hypothesis = False
-            break
-    if not hypothesis:
-        return True
+    if not all(galois_fixed(x, s) for s in range(1 + p, x.order, p)):
+        return True  # the hypothesis fails
 
     step = p ** (n - 1)
     for r in range(1, step):

@@ -32,10 +32,11 @@ orbits of a group H of units mod d, the classes are the suborbits
 at most as many classes as H-orbits, and the r independent suborbit rows
 under the invertible DFT give at least r; the test that H (the suborbit
 of 1) is such a group and has r orbits, counted by the orbit-counting
-lemma, is O(d) numpy per generator of H, at most log2|H| of them.  Every
-named family with a full cycle gives an orbit ring (sym: r = 2, where no
-test is needed), so there the classes cost O(d log d) instead of the
-d x (d - largest suborbit) evaluation below.
+lemma, is O(d) numpy per generator of H, at most log2|H| of them
+(`_greedy_generators`, which also gives the units of the refinement
+below).  Every named family with a full cycle gives an orbit ring (sym:
+r = 2, where no test is needed), so there the classes cost O(d log d)
+instead of the d x (d - largest suborbit) evaluation below.
 
 Other inputs (a non-orbit ring, the pair variants) are evaluated.  Each
 column j is evaluated at an omega of order d modulo a prime p = 1 mod d,
@@ -161,24 +162,25 @@ def _rank(keys: np.ndarray) -> tuple[np.ndarray, int]:
     return ranked, int(ranked[order[-1]]) + 1
 
 
-def _unit_generators(L: int) -> list[int]:
-    """Units s of Z/L, each outside the subgroup the earlier ones generate,
-    until together they generate (Z/L)^*."""
-    units = int(np.count_nonzero(np.gcd(np.arange(L), L) == 1))
-    seen = np.zeros(L, dtype=bool)
-    seen[1 % L] = True
-    gens, size = [], 1
-    for s in range(2, L):
-        if size == units:
-            break
-        if seen[s] or math.gcd(s, L) != 1:
-            continue
+def _greedy_generators(members: np.ndarray, n: int) -> list[int]:
+    """Greedy generators of the subgroup of units mod n that the boolean
+    mask `members` holds: each the least member outside the subgroup K the
+    earlier ones generate, until K covers `members`.
+
+    K grows by doubling: K{1, s, .., s^(2^k - 1)} by its product with
+    t = s^(2^k), until that adds nothing.  Each generator at least doubles
+    K, so there are at most log2 |K| of them.  On a mask that holds no
+    group of units the list still ends, since each s adds a point to K.
+    """
+    seen = np.zeros(n, dtype=bool)  # the subgroup K generated so far
+    seen[1 % n] = True
+    gens = []
+    while len(rest := np.flatnonzero(members & ~seen)):
+        s = t = int(rest[0])
         gens.append(s)
-        H, t = np.flatnonzero(seen), s
-        while not seen[t]:  # <H, s> is the union of the cosets H s^i
-            seen[H * t % L] = True
-            size += len(H)
-            t = t * s % L
+        while not seen[grown := np.flatnonzero(seen) * t % n].all():
+            seen[grown] = True
+            t = t * t % n
     return gens
 
 
@@ -188,7 +190,7 @@ def _refine_by_units(ids: np.ndarray, moduli: tuple[int, ...]) -> tuple[np.ndarr
 
     Column c is the mixed-radix index of (j_1, .., j_r), and s*c that of
     (s j_k mod moduli[k]).  The ids are refined by (id[c], id[s*c]) for
-    each generator s of (Z/L)^* (`_unit_generators`) until a pass over them
+    each generator s of (Z/L)^* (`_greedy_generators`) until a pass over them
     leaves the count unchanged.  A partition kept by the generators is kept
     by every unit, a product of them, so this is the partition by the key
     (id[s*c] over every unit s), without a table of d x phi(L) entries.
@@ -196,7 +198,9 @@ def _refine_by_units(ids: np.ndarray, moduli: tuple[int, ...]) -> tuple[np.ndarr
     shape = np.array(moduli, dtype=np.int64)
     radix = np.array([math.prod(moduli[k + 1 :]) for k in range(len(moduli))], dtype=np.int64)
     grid = np.indices(moduli).reshape(len(moduli), -1).T  # row c: (j_1, .., j_r)
-    images = [s * grid % shape @ radix for s in _unit_generators(math.lcm(*moduli))]
+    L = math.lcm(*moduli)
+    units = np.gcd(np.arange(L), L) == 1
+    images = [s * grid % shape @ radix for s in _greedy_generators(units, L)]
     ids, count = _rank(ids)
     while True:
         before = count
@@ -219,9 +223,9 @@ def _orbit_classes(subs, d: int) -> tuple[tuple[int, ...], ...] | None:
     H-orbits, which are the suborbits, already ascending by least member.
 
     The test, O(d) numpy per generator: every suborbit is kept by x -> s*x
-    (one gather) for greedy generators s of H, each outside the subgroup K
-    the earlier ones generate (grown by doubling, K{1, s, .., s^(2^k - 1)}),
-    so at most log2|H| of them; and the H-orbits number r, counted as
+    (one gather) for the greedy generators s of H (`_greedy_generators`),
+    each outside the subgroup K the earlier ones generate, so at most
+    log2|H| of them; and the H-orbits number r, counted as
     (1/|H|) sum_{h in H} gcd(h - 1, d) by the orbit-counting lemma
     (x -> hx fixes gcd(h - 1, d) points).  Each s is a unit, since a
     non-unit sends x = d / gcd(s, d) != 0 into {0}.  The last generator
@@ -236,19 +240,9 @@ def _orbit_classes(subs, d: int) -> tuple[tuple[int, ...], ...] | None:
     label[[x for o in subs for x in o]] = np.repeat(np.arange(r), [len(o) for o in subs])
     in_h = label == label[1]
     points = np.arange(d)
-    seen = np.zeros(d, dtype=bool)  # the subgroup K generated so far
-    seen[1] = True
-    while len(rest := np.flatnonzero(in_h & ~seen)):
-        s = int(rest[0])
+    for s in _greedy_generators(in_h, d):
         if not np.array_equal(label[s * points % d], label):
             return None
-        t = s
-        while True:  # K{1, .., s^(2^k - 1)} grows by its product with t = s^(2^k)
-            grown = np.flatnonzero(seen) * t % d
-            if seen[grown].all():
-                break
-            seen[grown] = True
-            t = t * t % d
     H = np.flatnonzero(in_h)
     if int(np.gcd(H - 1, d).sum()) != r * len(H):
         return None
@@ -543,11 +537,12 @@ def predict_blocks_from_basis(M: SuborbitSumMatrix, p: int) -> BlockPrediction:
     If some basis class other than {0} consists entirely of indices
     divisible by p, the group must preserve a non-trivial block system
     whose blocks are unions of orbits of g^{d/p}; the prediction is
-    cross-checked by gluing the points 0 and d/p.
+    cross-checked by gluing the points 0 and d/p.  Raises ValueError
+    unless p > 1 divides d.
     """
     d = M.d
-    if d % p:
-        raise ValueError(f"{p} does not divide the degree {d}")
+    if p < 2 or d % p:
+        raise ValueError(f"p = {p} is not a divisor of the degree {d} greater than 1")
     B = basis_partition(M)
     witness = next(
         (cl for cl in B.classes if cl != (0,) and all(j % p == 0 for j in cl)), None
@@ -556,46 +551,6 @@ def predict_blocks_from_basis(M: SuborbitSumMatrix, p: int) -> BlockPrediction:
         return BlockPrediction(d, p, False, None, None, None)
     system = permgroup.minimal_blocks(M.group, 0, d // p)
     return BlockPrediction(d, p, True, witness, system, not system.is_trivial)
-
-
-@dataclass(frozen=True)
-class CosetStructureReport:
-    """How each basis class meets the cosets of <d/p> in Z/dZ."""
-
-    d: int
-    p: int
-    per_class: tuple[tuple[tuple[int, ...], bool, tuple[int, ...]], ...]
-    # (class, structure_ok, offsets of proper cosets met only partially)
-
-
-def coset_structure_report(
-    B: BasisPartition, d: int, p: int
-) -> CosetStructureReport:
-    """Report, per basis class, which cosets of <d/p> are empty, full or
-    partial; the structural expectation is that proper cosets are never
-    partial while the subgroup itself may contribute any subset.
-
-    Analysis only: the expectation is a consequence of primitivity
-    hypotheses, so on imprimitive inputs partial cosets are simply flagged.
-    Requires composite, non-prime-power d.
-    """
-    if cyclotomic.prime_power_split(d) is not None or d < 2:
-        raise ValueError("coset structure analysis needs composite non-prime-power degree")
-    if d % p:
-        raise ValueError(f"{p} does not divide {d}")
-    step = d // p
-    subgroup = set(range(0, d, step))
-    results = []
-    for cl in B.classes:
-        members = set(cl)
-        partial = []
-        for offset in range(step):
-            coset = {(offset + k * step) % d for k in range(p)}
-            inter = members & coset
-            if inter and inter != coset and offset != 0:
-                partial.append(offset)
-        results.append((cl, not partial, tuple(partial)))
-    return CosetStructureReport(d, p, tuple(results))
 
 
 # ---------------------------------------------------------------------------

@@ -109,9 +109,8 @@ def paired_sums(O: IndexSet) -> tuple[CycSum, CycSum]:
 
 
 def is_solution(O: IndexSet) -> bool:
-    """Exact test: the difference of the two sums reduces to zero."""
-    zside, wside = paired_sums(O)
-    return cyclotomic.is_zero(cyclotomic.combine(zside, wside, 1, -1))
+    """Exact test: the two sums are equal in value (`cyclotomic.value_equal`)."""
+    return cyclotomic.value_equal(*paired_sums(O))
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +214,6 @@ def classify(O: IndexSet) -> SolutionClass:
     grid = (tuple(rows[0]),) + tuple(tuple(row[1:]) for row in rows[1:])
     remainder = NullCertificate(p, n, len(rows[0]), grid)
     return SolutionClass(LAYERED, residue_reps=reps, remainder=remainder)
-
-
-def null_set(cert: NullCertificate) -> IndexSet:
-    return IndexSet(cert.p, cert.n, cert.mask)
 
 
 def layered_set(p: int, n: int, reps: tuple[int, ...], remainder: NullCertificate) -> IndexSet:

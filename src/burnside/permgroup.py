@@ -309,10 +309,6 @@ def suborbits(G: PermGroup, base: int = 0, pos: np.ndarray | None = None) -> lis
     return list(classes.values())
 
 
-def is_2transitive(G: PermGroup) -> bool:
-    return len(suborbits(G)) == 2
-
-
 @dataclass(frozen=True)
 class BlockSystem:
     """A partition of the point set permuted by the group."""
@@ -527,13 +523,3 @@ def wreath_product_action(d: int) -> WreathAction:
         second_coordinate_perm(dcycle, d),
     )
     return WreathAction(d, group, embedded)
-
-
-def standard_groups(d: int) -> dict[str, PermGroup]:
-    """Canonical constructions used throughout the test corpus."""
-    return {
-        "cyclic": cyclic(d),
-        "dihedral": dihedral(d),
-        "symmetric": symmetric(d),
-        "wreath": wreath_product_action(d).group,
-    }

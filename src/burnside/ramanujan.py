@@ -23,7 +23,6 @@ phi(r) <= d, and the fraction-free determinant never leaves Z).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -302,7 +301,3 @@ def to_json_dict(R: RamanujanMatrix) -> dict:
         "divisors": list(R.divisors),
         "entries": [list(row) for row in R.entries],
     }
-
-
-def to_json(R: RamanujanMatrix) -> str:
-    return json.dumps(to_json_dict(R), separators=(",", ":"))

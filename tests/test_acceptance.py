@@ -56,16 +56,24 @@ def test_criterion_03_prime_power_identities():
     start = time.perf_counter()
     checked = 0
     for d in range(2, 129):
-        if cy.prime_power_split(d) is None:
+        split = cy.prime_power_split(d)
+        if split is None:
             continue
-        rep = ra.structure_identities(ra.matrix_formula(d))
+        R = ra.matrix_formula(d)
+        rep = ra.structure_identities(R)
         assert rep.ok, (d, rep.failures)
         assert rep.determinant_ok and rep.rotation_inverse_ok and rep.triangular_ok
+        p, n = split
+        for e in range(n + 1):
+            for f in range(n + 1):
+                assert R.entry(p**e, p**f) == ra.prime_power_entry(p, n, e, f), (d, e, f)
         checked += 1
     wall = time.perf_counter() - start
     assert wall < 10 and checked >= 40
-    report(3, f"column sums, determinant, rotation inverse and triangular "
-              f"factorisation for {checked} prime powers <= 128 ({wall:.1f}s)")
+    report(3, f"column sums, determinant, rotation inverse, triangular "
+              f"factorisation and the piecewise entries of R(p^n) (0 below the "
+              f"subdiagonal, -p^(e-1) on it, (p-1)p^(e-1) on and above the "
+              f"diagonal) for {checked} prime powers <= 128 ({wall:.1f}s)")
 
 
 def test_criterion_04_tensor_factorisation():
@@ -140,11 +148,21 @@ def test_criterion_08_dichotomy_on_corpus():
         rep = method.diagnose(G, g)
         assert rep.verdict != "counterexample", G.name
         verdicts[rep.verdict] += 1
+        # Burnside's block argument: a basis class other than {0} made only
+        # of p-divisible indices, for a prime p | d, predicts blocks, and
+        # the gluing of 0 and d/p confirms them
+        M = method.suborbit_sums(G, g)
+        primes = [q for q in ra.divisor_data(G.degree).divisors if cy.is_prime(q)]
+        predictions = [method.predict_blocks_from_basis(M, q) for q in primes]
+        assert all(pred.confirmed for pred in predictions if pred.predicted), G.name
+        assert any(pred.predicted for pred in predictions) == (rep.verdict == "imprimitive"), G.name
     wall = time.perf_counter() - start
     assert wall < 60
     report(8, f"{len(corpus)} groups diagnosed ({verdicts['imprimitive']} "
               f"imprimitive, {verdicts['two_transitive']} 2-transitive, "
-              f"0 counterexamples, {wall:.1f}s)")
+              f"0 counterexamples, {wall:.1f}s); a basis class of p-divisible "
+              f"indices predicts blocks, confirmed, exactly for the imprimitive "
+              f"ones (Burnside's imprimitivity argument)")
 
 
 def test_criterion_09_cyclotomic_property_suite():

@@ -155,7 +155,7 @@ class TestConjectureScan:
             cp.verify_degree(9)
 
     def test_small_range(self):
-        reports = cp.verify_range(10)
+        reports = list(cp.iter_verify_range(10))
         assert [r.d for r in reports] == [2, 4, 6, 8, 10]
         assert all(r.holds for r in reports)
 
@@ -411,9 +411,9 @@ class TestConjectureScan:
         assert time.perf_counter() - start < 1.0
 
     def test_range_deterministic_across_worker_counts(self):
-        serial = cp.verify_range(60, jobs=1)
+        serial = list(cp.iter_verify_range(60, jobs=1))
         for jobs in (4, 8):
-            parallel = cp.verify_range(60, jobs=jobs)
+            parallel = list(cp.iter_verify_range(60, jobs=jobs))
             assert [
                 (r.d, r.subsets_scanned, r.coprime_masks, r.holds) for r in serial
             ] == [
@@ -445,68 +445,21 @@ class TestConjectureScan:
 
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(cp.os, "cpu_count", lambda: 3)
-        serial = outcome(cp.verify_range(20, jobs=1))
-        assert outcome(cp.verify_range(20, jobs=10**6)) == serial
-        assert outcome(cp.verify_range(4, jobs=10**6)) == serial[:2]
+        serial = outcome(cp.iter_verify_range(20, jobs=1))
+        assert outcome(cp.iter_verify_range(20, jobs=10**6)) == serial
+        assert outcome(cp.iter_verify_range(4, jobs=10**6)) == serial[:2]
         monkeypatch.setattr(cp.os, "cpu_count", lambda: None)
-        assert outcome(cp.verify_range(20, jobs=10**6)) == serial
+        assert outcome(cp.iter_verify_range(20, jobs=10**6)) == serial
         assert sizes == [3, 2]
 
     def test_range_rejects_tiny_bound(self):
         with pytest.raises(ValueError):
-            cp.verify_range(1)
+            list(cp.iter_verify_range(1))
 
     def test_iter_range_streams_in_degree_order(self):
         it = cp.iter_verify_range(20, jobs=2)
         assert iter(it) is it  # a generator, not a materialised list
         assert [r.d for r in it] == [2, 4, 6, 8, 10, 12, 14, 16, 18, 20]
-
-
-class TestPartitionMod:
-    def test_d6_pattern(self):
-        # reduced matrix mod p over the display order 1, p, 2, 2p
-        R = matrix_formula(6)
-        order = [1, 3, 2, 6]
-        reduced = [[R.entry(r, c) % 3 for c in order] for r in order]
-        assert reduced == [
-            [1, 1, 1, 1],
-            [2, 2, 2, 2],
-            [2, 2, 1, 1],
-            [1, 1, 2, 2],
-        ]
-
-    def test_without_top_row_not_coprime(self):
-        P = cp.partition_mod(matrix_formula(6), cp.RowSubset.from_divisors(6, [1, 2]), 3)
-        assert P.classes == ((1, 3), (2,))
-        assert not cp.is_coprime(P)
-
-    def test_with_top_row_coprime(self):
-        P = cp.partition_mod(
-            matrix_formula(6), cp.RowSubset.from_divisors(6, [1, 2, 6]), 3
-        )
-        assert P.classes == ((1, 2, 3),)
-        assert cp.is_coprime(P)
-
-    def test_modulus_refines_plain_partition(self):
-        # every plain class sits inside a single modular class
-        for d in (18, 50):
-            R = matrix_formula(d)
-            p = 3 if d == 18 else 5
-            for E in [(1, 2), (1, 2, d), (2, d // 2), (1, 2, p)]:
-                subset = cp.RowSubset.from_divisors(d, E)
-                plain = cp.partition_for(R, subset)
-                modular = cp.partition_mod(R, subset, p ** (1 if d == 50 else 2))
-                modular_class_of = {
-                    x: i for i, mc in enumerate(modular.classes) for x in mc
-                }
-                for cls in plain.classes:
-                    assert len({modular_class_of[x] for x in cls}) == 1
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            cp.partition_mod(matrix_formula(12), cp.RowSubset(12, 0b11), 3)
-        with pytest.raises(ValueError):
-            cp.partition_mod(matrix_formula(6), cp.RowSubset(6, 0b11), 7)
 
 
 class TestRowSubset:

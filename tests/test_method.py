@@ -188,6 +188,19 @@ class TestBasisPartition:
         assert [seen.setdefault(k, len(seen)) for k in refined.tolist()] == expected
         assert count == len(first) and sorted(set(refined.tolist())) == list(range(count))
 
+    def test_greedy_generators_of_the_units(self):
+        # for every L <= 200: the generators of the unit mask generate
+        # exactly (Z/L)^*, by brute-force closure, and each is the least
+        # unit outside the subgroup the earlier ones generate
+        for L in range(1, 201):
+            units = {s for s in range(L) if math.gcd(s, L) == 1}
+            subgroup = {1 % L}
+            for s in me._greedy_generators(np.gcd(np.arange(L), L) == 1, L):
+                assert s == min(units - subgroup), (L, s)
+                while not (grown := {x * s % L for x in subgroup}) <= subgroup:
+                    subgroup |= grown
+            assert subgroup == units, L
+
     @pytest.mark.parametrize("d", [4, 12, 64])
     def test_largest_suborbit_never_evaluated(self, d):
         # its row is minus the sum of the others away from column 0
@@ -444,29 +457,13 @@ class TestBlockPrediction:
                 if pred.predicted:
                     assert pred.confirmed, (G.name, p)
 
-
-class TestCosetStructure:
-    def test_two_transitive_clean(self):
-        B = me.basis_partition(me.suborbit_sums(pg.symmetric(6), full_cycle(6)))
-        for p in (2, 3):
-            rep = me.coset_structure_report(B, 6, p)
-            assert all(ok for _, ok, _ in rep.per_class)
-
-    def test_imprimitive_flagged(self):
-        B = me.basis_partition(me.suborbit_sums(pg.dihedral(6), full_cycle(6)))
-        rep = me.coset_structure_report(B, 6, 2)
-        flagged = {cl for cl, ok, _ in rep.per_class if not ok}
-        assert (2, 4) in flagged
-
-    def test_dihedral10_runs(self):
-        B = me.basis_partition(me.suborbit_sums(pg.dihedral(10), full_cycle(10)))
-        rep = me.coset_structure_report(B, 10, 5)
-        assert len(rep.per_class) == len(B.classes)
-
-    def test_rejects_prime_power_degree(self):
-        B = me.basis_partition(me.suborbit_sums(pg.dihedral(8), full_cycle(8)))
-        with pytest.raises(ValueError):
-            me.coset_structure_report(B, 8, 2)
+    @pytest.mark.parametrize("p", [1, 0, -2, 3])
+    def test_p_must_be_a_divisor_above_one(self, p):
+        # without the check, 1 and 0 fail inside the arithmetic, and -2
+        # glues 0 to point 4 through a negative index and reports "confirmed"
+        M = me.suborbit_sums(pg.dihedral(8), full_cycle(8))
+        with pytest.raises(ValueError, match="is not a divisor of the degree 8"):
+            me.predict_blocks_from_basis(M, p)
 
 
 class TestDiagnose:

@@ -77,7 +77,7 @@ class TestProgressionTable:
         kinds = {ns.classify(ns.IndexSet(2, 3, m)).kind for m in range(0, 256, 2)}
         assert kinds == {ns.NULL, ns.LAYERED, ns.NOT_SOLUTION}
         certs, layered = ns.enumerate_certificates(3, 3)
-        assert ns.null_set(certs[-1]).mask and ns.layered_set(3, 3, *layered[-1]).mask
+        assert ns.IndexSet(3, 3, certs[-1].mask).mask and ns.layered_set(3, 3, *layered[-1]).mask
 
 
 @given(st.sampled_from(ALL_MODULI), st.data())
@@ -124,7 +124,7 @@ class TestIsNull:
         for p, n in [(2, 3), (2, 4), (3, 3)]:
             certs, _ = ns.enumerate_certificates(p, n)
             for cert in certs:
-                Z = ns.null_set(cert)
+                Z = ns.IndexSet(p, n, cert.mask)
                 back = ns.is_null(Z)
                 assert back is not None and back.s == cert.s
 
@@ -160,7 +160,7 @@ class TestClassify:
         for O in ns.enumerate_solutions(p, n):
             got = ns.classify(O)
             if got.kind == ns.NULL:
-                back = ns.null_set(got.remainder)
+                back = ns.IndexSet(p, n, got.remainder.mask)
             else:
                 assert got.kind == ns.LAYERED, O.members
                 back = ns.layered_set(p, n, got.residue_reps, got.remainder)
@@ -263,7 +263,7 @@ class TestInvariants:
         for p, n in [(2, 3), (2, 4), (3, 3)]:
             certs, _ = ns.enumerate_certificates(p, n)
             for cert in certs:
-                zside, wside = ns.paired_sums(ns.null_set(cert))
+                zside, wside = ns.paired_sums(ns.IndexSet(p, n, cert.mask))
                 assert cy.is_zero(zside) and cy.is_zero(wside), (p, n, cert)
 
     def test_solution_family_closed_under_unit_scalings(self):
@@ -290,7 +290,7 @@ class TestInvariants:
             _, layered = ns.enumerate_certificates(p, n)
             sample = [ns.layered_set(p, n, reps, cert) for reps, cert in layered[:10]]
             certs, _ = ns.enumerate_certificates(p, n)
-            sample += [ns.null_set(c) for c in certs[:10]]
+            sample += [ns.IndexSet(p, n, c.mask) for c in certs[:10]]
             for O in sample:
                 assert ns.is_solution(O)
                 for s in range(1, N, p):

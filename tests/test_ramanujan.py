@@ -181,7 +181,7 @@ class TestExport:
 
     def test_json_round_trip(self):
         R = ra.matrix_formula(12)
-        obj = json.loads(ra.to_json(R))
+        obj = json.loads(json.dumps(ra.to_json_dict(R)))
         assert obj["divisors"] == [1, 2, 3, 4, 6, 12]
         assert obj["entries"][0] == [1] * 6
         assert obj["d"] == 12
