@@ -10,12 +10,12 @@ divisible by the d-th cyclotomic polynomial Phi_d, which is monic, so the
 divisibility test is plain integer arithmetic with no tolerances.
 
 Canonical form of a value is the remainder mod Phi_d, a vector of length
-phi(d), computed by one mechanism: exact long division by the monic Phi_d
-(`_poly_divmod_monic`), after a fold modulo a sparse multiple of it, in
-Python integers, so no coefficient size can wrap.  Two sums are compared
-by one test, `value_equal`: the Galois-fixed test (`galois_fixed`), the
-constancy law (`progression_constancy_check`) and the oracle
-`nullsets.is_solution` all go through it.  `method` reduces nothing: it
+phi(d), computed by one mechanism: one exact long division by the monic
+Phi_d (`_poly_divmod_monic`), in Python integers, so no coefficient size
+can wrap.  Two sums are compared by one test, `value_equal`: the
+Galois-fixed test (`galois_fixed`), the constancy law
+(`progression_constancy_check`) and the oracle `nullsets.is_solution` all
+go through it.  `method` reduces nothing: it
 evaluates its suborbit sums at a root of unity mod a prime (`is_prime`,
 `primitive_root`) chosen by a norm bound.  For d = p^n, Phi_{p^n}(X) =
 Phi_p(X^{p^{n-1}}), so the coefficient polynomial is divisible by
@@ -227,20 +227,10 @@ def combine(a: CycSum, b: CycSum, sa: int, sb: int) -> CycSum:
 def reduced_coeffs(x: CycSum) -> tuple[int, ...]:
     """Canonical form: remainder mod Phi_d, a vector of length phi(d).
 
-    The coefficients are first folded modulo the sparse monic multiple
-    Psi = (X^d - 1)/(X^(d/q) - 1) = sum_{k<q} X^(k d/q) of Phi_d, q the
-    least prime dividing d (Psi = Phi_d when d is a prime power), which
-    leaves fewer steps of the division by a dense Phi_d.  Both long
-    divisions run in Python integers, so they are exact for coefficients of
-    any size.
+    The long division runs in Python integers, so it is exact for
+    coefficients of any size.
     """
-    coeffs = list(x.coeffs)
-    if x.order > 1:
-        q = _factorize(x.order)[0][0]
-        low = x.order - x.order // q  # deg Psi: X^(low + t) = -sum_{k<q-1} X^(k d/q + t)
-        top = coeffs[low:]
-        coeffs = [c - top[i % len(top)] for i, c in enumerate(coeffs[:low])]
-    _, rem = _poly_divmod_monic(coeffs, list(cyclotomic_poly(x.order).coeffs))
+    _, rem = _poly_divmod_monic(list(x.coeffs), list(cyclotomic_poly(x.order).coeffs))
     return tuple(rem)
 
 

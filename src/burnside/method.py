@@ -48,13 +48,13 @@ equal classes exactly equal columns (`_evaluation_prime`,
 `_column_classes`).  The cost is one pass over d x (d - largest suborbit)
 exponents plus O(d) ids per refinement step, not a reduction per sum.
 
-The cycle is walked once, by `relabel_by_cycle`: when it is a generator
-of G, the new labels are its positions, which `permgroup.suborbits` and
-`permgroup.first_nontrivial_blocks` take as they are.  Any other cycle is
-found again by `suborbits`, and one that moves an orbital of G, so one
-outside G, is refused with ValueError (one more `permgroup.suborbits`
-count); a class count other than the suborbit count is then an internal
-error.
+The cycle is walked once, by `relabel_by_cycle`, whose group leads with
+the translation x -> x + 1 it becomes; `permgroup` reads positions off
+it.  A cycle outside G's generators must keep every orbital of G (then
+its translations change no suborbit and no block system: Wielandt, ch.
+IV; D. G. Higman, 1967), or it is refused with ValueError, by one more
+`permgroup.suborbits` count, on the group without it.  A class count
+other than the suborbit count is an internal error.
 `suborbit_sums` keeps only the classes, and every consumer takes that
 result, as `diagnose` does:
 
@@ -73,18 +73,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cyclotomic, permgroup
-from .permgroup import BlockSystem, PermGroup, Permutation, WreathAction
+from .permgroup import BlockSystem, PermGroup, Permutation
 from .ramanujan import divisor_data
 
 
 def relabel_by_cycle(
     G: PermGroup, g: Permutation | None = None
 ) -> tuple[PermGroup, tuple[int, ...]]:
-    """Relabel points so the given d-cycle becomes (0,1,...,d-1): each point
-    takes its position along g from 0, one gather per generator.  g defaults
-    to G's first generator, which must then be a d-cycle.
+    """Relabel points so the given d-cycle becomes the translation x -> x + 1:
+    each point takes its position along g from 0, one gather per generator.
+    g defaults to G's first generator, which must then be a d-cycle.
 
-    Returns the relabelled group and the map new_label -> old_point.
+    Returns the relabelled group, led by the translation and followed by
+    G's generators other than g, and the map new_label -> old_point.
     """
     d = G.degree
     cycle = G.generators[0] if g is None else g
@@ -97,8 +98,10 @@ def relabel_by_cycle(
         raise ValueError("the supplied permutation is not a d-cycle")
     pos = np.empty(d, np.intp)
     pos[order] = np.arange(d)
-    gens = tuple(Permutation(tuple(pos[np.array(h.images)[order]].tolist())) for h in G.generators)
-    return PermGroup(d, gens, name=G.name), tuple(order)
+    rest = (h for h in G.generators if h != cycle)
+    gens = tuple(Permutation(tuple(pos[np.array(h.images)[order]].tolist())) for h in rest)
+    shift = Permutation(tuple(range(1, d)) + (0,))
+    return PermGroup(d, (shift,) + gens, name=G.name), tuple(order)
 
 
 @dataclass(frozen=True)
@@ -107,11 +110,10 @@ class SuborbitSumMatrix:
     of exponent columns j on which the reduced sums agree."""
 
     d: int
-    group: PermGroup  # relabelled so that the cycle is (0,1,...,d-1)
+    group: PermGroup  # relabelled: the translation x -> x + 1, then G's other generators
     suborbits: tuple[tuple[int, ...], ...]
     column_classes: tuple[tuple[int, ...], ...]  # ascending, by least member
     relabelling: tuple[int, ...]  # new label -> original point
-    cycle_in_group: bool  # the cycle is a generator, so its translations lie in `group`
 
 
 _CHUNK = 1 << 14  # array entries per chunk of rows or columns: 128 KiB of int64
@@ -138,18 +140,13 @@ def _evaluation_prime(L: int, largest: int) -> tuple[int, int]:
     return p, pow(cyclotomic.primitive_root(p), (p - 1) // L, p)
 
 
-def _check_orbitals_kept(G: PermGroup, subs, regular: tuple[Permutation, ...]) -> None:
-    """Raise ValueError unless the generators `regular` of the regular
-    subgroup preserve every orbital of G, whose suborbits are `subs`, as the
-    rank argument needs (generators inside G do).
-
-    The orbitals of <G, regular> are unions of those of G (Wielandt, Finite
-    Permutation Groups, ch. IV), equal to them exactly when every added
-    permutation keeps each one; in a transitive group the orbitals and the
-    suborbits are equal in number.
-    """
-    extra = tuple(h for h in regular if h not in G.generators)
-    if extra and len(permgroup.suborbits(PermGroup(G.degree, G.generators + extra))) != len(subs):
+def _check_orbitals_kept(G: PermGroup, r: int) -> None:
+    """Raise ValueError unless G has r suborbits, r the count once the
+    regular subgroup's generators join G's, so that the regular subgroup
+    keeps every orbital of G, as the rank argument needs: the orbitals of
+    the larger group are unions of G's (Wielandt, Finite Permutation
+    Groups, ch. IV), and in a transitive group as many as its suborbits."""
+    if len(permgroup.suborbits(G)) != r:
         raise ValueError("the regular subgroup does not preserve the orbitals of the group")
 
 
@@ -311,27 +308,23 @@ def suborbit_sums(G: PermGroup, g: Permutation | None = None) -> SuborbitSumMatr
     """Classes of equal columns of the stabiliser-orbit sums
     sum_{i in O} z^{ij}, over every exponent j.
 
-    Points are relabelled so that g = (0,1,...,d-1), g by default G's first
-    generator; the relabelled group and the relabelling are recorded in the
-    result.  When g is a generator, the new labels are the positions along
-    a full-cycle generator, and `suborbits` takes them as they are.  For
-    any other g, `suborbits` looks for a full-cycle generator itself, and g
-    must keep every orbital (`_check_orbitals_kept`).  The classes are the suborbits when those are
+    Points are relabelled so that g, by default G's first generator, is the
+    translation x -> x + 1, which leads the relabelled group
+    (`relabel_by_cycle`); that group and the relabelling are recorded in
+    the result.  A g outside G's generators must keep every orbital of G
+    (`_check_orbitals_kept`).  The classes are the suborbits when those are
     the orbits of a group of units (`_orbit_classes`, O(d log d)), and
     otherwise come from the evaluation mod p (`_column_classes`).
     """
     H, relab = relabel_by_cycle(G, g)
     d = H.degree
-    in_group = g is None or g in G.generators
-    if in_group:
-        subs = tuple(tuple(o) for o in permgroup.suborbits(H, pos=np.arange(d)))
-    else:
-        subs = tuple(tuple(o) for o in permgroup.suborbits(H))
-        _check_orbitals_kept(H, subs, (permgroup.cycle(range(d), d),))
+    subs = tuple(tuple(o) for o in permgroup.suborbits(H))
+    if g is not None and g not in G.generators:
+        _check_orbitals_kept(PermGroup(d, H.generators[1:]), len(subs))
     classes = _orbit_classes(subs, d)
     if classes is None:
         classes = _column_classes(subs, np.arange(d)[:, None], (d,))
-    return SuborbitSumMatrix(d, H, subs, classes, relab, in_group)
+    return SuborbitSumMatrix(d, H, subs, classes, relab)
 
 
 @dataclass(frozen=True)
@@ -392,31 +385,13 @@ def pair_basis_partition(
     sum_{(x,y) in O} z_L^{x j L/da + y j' L/db} on the (j, j') grid,
     L = lcm(da, db), over every stabiliser orbit O."""
     coords = _coordinates(G.degree, a, b, da, db)
-    subs = tuple(tuple(o) for o in permgroup.suborbits(G))
-    _check_orbitals_kept(G, subs, (a, b))
+    extra = tuple(h for h in (a, b) if h not in G.generators)
+    subs = tuple(tuple(o) for o in permgroup.suborbits(PermGroup(G.degree, G.generators + extra)))
+    if extra:
+        _check_orbitals_kept(G, len(subs))
     xy = np.array([coords[p] for p in range(G.degree)], dtype=np.int64)
     classes = _column_classes(subs, xy, (da, db))
     return BasisPartition(tuple(tuple(divmod(c, db) for c in cl) for cl in classes))
-
-
-def basis_partition_pair(
-    W: WreathAction, generator_choice: str = "standard"
-) -> BasisPartition:
-    """Basis partition of the wreath product action over the (j, j') grid.
-
-    generator_choice selects the generating pair of the embedded regular
-    C_d x C_d: 'standard' uses the cycle on each coordinate separately;
-    'manning' replaces the second generator by the simultaneous cycle on
-    both coordinates, which relabels the grid and moves the middle class.
-    """
-    a, b = W.embedded_abelian
-    if generator_choice == "standard":
-        pair = (a, b)
-    elif generator_choice == "manning":
-        pair = (a, permgroup.compose(a, b))
-    else:
-        raise ValueError(f"unknown generator choice {generator_choice!r}")
-    return pair_basis_partition(W.group, pair[0], W.d, pair[1], W.d)
 
 
 @dataclass(frozen=True)
@@ -432,14 +407,16 @@ class ManningReport:
 def manning_invariance_check(d: int) -> ManningReport:
     """Check the two invariance claims for the mixed basis class.
 
-    With the 'manning' generators the class containing (0, 1) is
+    With the generators a and ab of the embedded C_d x C_d (a and b the
+    d-cycle on each coordinate) the class containing (0, 1) is
     C = {(j, j)} u {(0, j')}.  C is invariant under the simultaneous
     scalings (j, j') -> (s j, s j'), but not under independent scalings:
     (j, j') -> (j, -j') moves (1, 1) out of C whenever d > 2.  The first
     returned witness pair demonstrates the failure; None when d = 2.
     """
     W = permgroup.wreath_product_action(d)
-    B = basis_partition_pair(W, "manning")
+    a, b = W.embedded_abelian
+    B = pair_basis_partition(W.group, a, d, permgroup.compose(a, b), d)
     C = B.class_of((0, 1))
     members = set(C)
 
@@ -493,8 +470,8 @@ def orbit_row_subset(M: SuborbitSumMatrix) -> OrbitRowReport:
     For even d the orbit through d/2 is a union of the Galois-orbit index
     sets of primitive r-th roots; the returned row subset collects those r.
     The group is 2-transitive exactly when every order except 1 occurs.
-    A decomposition failure is reported rather than raised, since it would
-    falsify the Galois-invariance of that orbit.
+    `diagnose` raises RuntimeError when either check fails: a failed
+    decomposition would falsify the Galois-invariance of that orbit.
     """
     d = M.d
     if d % 2:
@@ -578,15 +555,17 @@ def diagnose(G: PermGroup, g: Permutation | None = None) -> DiagnosisReport:
     Any group for which neither holds is reported as a counterexample with
     full supporting data; no such group can contain a regular cyclic
     subgroup of composite order, so a counterexample verdict indicates a
-    bug somewhere in this package.
+    bug somewhere in this package, as is a failed invariant of
+    `orbit_row_subset`, raised as RuntimeError.
     """
     d = G.degree
     if d < 4 or cyclotomic.is_prime(d):
         raise ValueError(f"the dichotomy concerns composite degrees, got {d}")
     M = suborbit_sums(G, g)
     orbit_rows = orbit_row_subset(M) if d % 2 == 0 else None
-    pos = np.arange(d) if M.cycle_in_group else None
-    blocks = permgroup.first_nontrivial_blocks(M.group, M.suborbits, pos)
+    if orbit_rows and not (orbit_rows.decomposition_ok and orbit_rows.equivalence_ok):
+        raise RuntimeError(f"the suborbit through {d // 2} breaks an orbit-row invariant")
+    blocks = permgroup.first_nontrivial_blocks(M.group, M.suborbits)
     if blocks is not None:
         verdict = "imprimitive"
     elif len(M.suborbits) == 2:

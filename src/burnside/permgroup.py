@@ -199,12 +199,19 @@ def cycle_points(g: Permutation, start: int) -> list[int]:
 
 def cycle_positions(G: PermGroup, base: int = 0) -> np.ndarray | None:
     """Each point's position along the first generator of G that is a full
-    cycle, counted from `base`, or None when no generator is one."""
+    cycle, counted from `base`, or None when no generator is one.  Along
+    the translation x -> x + 1 (the first generator of every named family
+    but `wreath`, and of a group relabelled by `method.relabel_by_cycle`)
+    the position is (x - base) mod m, with no walk."""
+    m = G.degree
+    shift = tuple(range(1, m)) + (0,)
     for g in G.generators:
+        if g.images == shift:
+            return (np.arange(m) - base) % m
         pts = cycle_points(g, base)
-        if len(pts) == G.degree:
-            pos = np.empty(G.degree, np.intp)
-            pos[pts] = np.arange(G.degree)
+        if len(pts) == m:
+            pos = np.empty(m, np.intp)
+            pos[pts] = np.arange(m)
             return pos
     return None
 
@@ -230,7 +237,7 @@ def _merge(label: np.ndarray, S: np.ndarray) -> None:
         a, b = label.take(lo), label.take(hi)
 
 
-def suborbits(G: PermGroup, base: int = 0, pos: np.ndarray | None = None) -> list[list[int]]:
+def suborbits(G: PermGroup, base: int = 0) -> list[list[int]]:
     """Orbits of the stabiliser of `base` in a transitive group, including
     {base}, each sorted and listed by least element.
 
@@ -250,17 +257,13 @@ def suborbits(G: PermGroup, base: int = 0, pos: np.ndarray | None = None) -> lis
     * otherwise, a search over points, which is also the transitivity
       check, fills t and the inverses inv: two int16 m x m tables, 1 GiB
       at MAX_DEGREE, read per chunk through int64 flat indices (128 KiB).
-
-    `pos`, when given, must be `cycle_positions(G, base)` or the positions
-    along another full-cycle generator; otherwise they are found here.
     """
     m = G.degree
     if not 0 <= base < m:
         raise ValueError(f"base point {base} outside 0..{m - 1}")
     check_point_budget(m)
     dtype = int_dtype(2 * m - 2)  # S[a, x] indexes h at x + a < 2m - 1
-    if pos is None:
-        pos = cycle_positions(G, base)
+    pos = cycle_positions(G, base)
     points = np.arange(m, dtype=dtype)
     label = points.copy()
     step = max(1, _CHUNK // m)
@@ -369,9 +372,7 @@ def minimal_blocks(G: PermGroup, alpha: int, beta: int) -> BlockSystem:
     return _system([find(x) for x in range(G.degree)])
 
 
-def first_nontrivial_blocks(
-    G: PermGroup, subs: Sequence, pos: np.ndarray | None = None
-) -> BlockSystem | None:
+def first_nontrivial_blocks(G: PermGroup, subs: Sequence) -> BlockSystem | None:
     """The finest non-trivial block system through 0 and some beta, for the
     least point beta of the first suborbit that gives one, or None when G is
     primitive; `subs` are the base-0 suborbits of G.
@@ -387,11 +388,10 @@ def first_nontrivial_blocks(
     generator is then checked to keep those residues, and RuntimeError
     raised if one does not (`subs` were not the suborbits of G).  Without
     a full-cycle generator, each suborbit's least point is glued to 0 by
-    `minimal_blocks`.  `pos` is as for `suborbits` with base 0.
+    `minimal_blocks`.
     """
     m = G.degree
-    if pos is None:
-        pos = cycle_positions(G)
+    pos = cycle_positions(G)
     if pos is None:
         for orbit in subs[1:]:
             system = minimal_blocks(G, 0, orbit[0])

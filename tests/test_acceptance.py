@@ -120,12 +120,13 @@ def test_criterion_06_wreath_counterexamples():
 def test_criterion_07_basis_set_duality():
     for d in range(3, 7):
         W = pg.wreath_product_action(d)
-        std = method.basis_partition_pair(W, "standard")
+        a, b = W.embedded_abelian
+        std = method.pair_basis_partition(W.group, a, d, b, d)
         expected_b = tuple(
             sorted([(j, 0) for j in range(1, d)] + [(0, j) for j in range(1, d)])
         )
         assert std.class_of((1, 0)) == expected_b, d
-        man = method.basis_partition_pair(W, "manning")
+        man = method.pair_basis_partition(W.group, a, d, pg.compose(a, b), d)
         expected_c = tuple(
             sorted([(j, j) for j in range(1, d)] + [(0, j) for j in range(1, d)])
         )

@@ -119,6 +119,19 @@ class TestSuborbitsCommand:
         obj = json.loads(out)
         assert obj["suborbits"] == [[0], [1, 3], [2]]
 
+    @pytest.mark.parametrize(
+        "base, want",
+        [("0", [[0], [1, 11], [2, 10], [3, 9], [4, 8], [5, 7], [6]]),
+         ("3", [[0, 6], [1, 5], [2, 4], [3], [7, 11], [8, 10], [9]])],
+    )
+    def test_translation_is_not_walked(self, base, want, monkeypatch):
+        # the rotation of a named family is x -> x + 1: positions from `base`
+        # are x - base mod m
+        real, walks = permgroup.cycle_points, []
+        monkeypatch.setattr(permgroup, "cycle_points", lambda g, start: walks.append(start) or real(g, start))
+        code, out = run_cli(["suborbits", "--group", "dihedral:12", "--base", base])
+        assert (code, json.loads(out)["suborbits"], walks) == (0, want, [])
+
     def test_explicit_generators(self):
         code, out = run_cli(["suborbits", "--group", "(0,1,2,3,4);(1,4)(2,3)"])
         assert code == 0
@@ -300,12 +313,12 @@ class TestDiagnoseCommand:
 
     @pytest.mark.parametrize("spec", ["dihedral:12", "sym:12", "affine:27:2", "[[1,2,3,0],[3,2,1,0]]"])
     def test_cycle_walked_once(self, spec, monkeypatch):
-        # the positions along the first generator serve the relabelling, the
-        # suborbits and the blocks
+        # the relabelling walks the first generator; the suborbits and the
+        # blocks read the positions off the translation it becomes
         real, walks = permgroup.cycle_points, []
         monkeypatch.setattr(permgroup, "cycle_points", lambda g, start: walks.append(start) or real(g, start))
         assert run_cli(["diagnose", "--group", spec])[0] == 0
-        assert len(walks) <= 1
+        assert len(walks) == 1
 
     def test_evaluation_reads_no_reduction_table(self, monkeypatch):
         # p comes from the norm bound alone: the largest suborbit of
@@ -378,8 +391,8 @@ class TestDiagnoseCommand:
 
     def test_full_cycle_that_is_no_generator(self):
         # r^5 lies in dihedral:12 but is not a generator; relabelled along it,
-        # the group's own rotation r is x -> x + 5, a full cycle that
-        # `suborbits` relabels along in turn
+        # the group leads with x -> x + 1, and the orbital check runs on the
+        # group's own generators, whose rotation r is now x -> x + 5
         r5 = permgroup.Permutation(tuple((i + 5) % 12 for i in range(12)))
         code, out = run_cli(["diagnose", "--group", "dihedral:12", "--cycle", str(r5)])
         assert code == 0
@@ -387,6 +400,34 @@ class TestDiagnoseCommand:
         got, want = json.loads(out), json.loads(default)
         assert got["cycle"] != want["cycle"]
         assert (got["verdict"], got["basis_classes"]) == (want["verdict"], want["basis_classes"])
+
+    @pytest.mark.parametrize(
+        "spec, cycle",
+        [
+            ("(0,1,2)(3,4,5);(0,3)(1,4)(2,5)", "(0,4,2,3,1,5)"),  # the README example
+            ("(0,1);(1,2,3)", "(0,2,3,1)"),
+            ("(0,1)(2,3);(0,2)(1,3);(1,2)", "(0,1,3,2)"),
+            ("dihedral:12", "(0,5,10,3,8,1,6,11,4,9,2,7)"),  # r^5
+        ],
+    )
+    def test_cycle_outside_the_generators_takes_the_one_path(self, spec, cycle, monkeypatch):
+        # the relabelled group leads with the cycle's translation, so the
+        # blocks come from the gcds; besides the relabelling, only the
+        # orbital check walks, at most once per generator of the group
+        walks, glued = [], []
+        real_walk, real_glue = permgroup.cycle_points, permgroup.minimal_blocks
+        monkeypatch.setattr(permgroup, "cycle_points", lambda g, start: walks.append(start) or real_walk(g, start))
+        monkeypatch.setattr(permgroup, "minimal_blocks", lambda *a: glued.append(a) or real_glue(*a))
+        assert run_cli(["diagnose", "--group", spec, "--cycle", cycle])[0] == 0
+        assert glued == []
+        assert len(walks) <= 1 + len(cli.parse_group(spec).generators)
+
+    @pytest.mark.parametrize("field", ["decomposition_ok", "equivalence_ok"])
+    def test_broken_orbit_row_invariant_is_internal_error(self, field, monkeypatch, capsys):
+        real = method.orbit_row_subset
+        monkeypatch.setattr(method, "orbit_row_subset", lambda M: dataclasses.replace(real(M), **{field: False}))
+        assert run_cli(["diagnose", "--group", "dihedral:6"]) == (cli.EXIT_INTERNAL, "")
+        assert "orbit-row invariant" in capsys.readouterr().err
 
 
 class TestNullsetsCommand:

@@ -139,16 +139,6 @@ class TestReduction:
                 coeffs[i] += c
             assert cy.reduced_coeffs(cy.CycSum(d, tuple(coeffs))) == tuple(r0), d
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from([360, 385, 1024, 1155]), st.randoms(use_true_random=False))
-    def test_fold_agrees_with_plain_division(self, d, rng):
-        # the fold modulo sum_{k<q} X^(k d/q) must not change the remainder
-        # of the one long division by Phi_d
-        coeffs = [rng.randint(-9, 9) for _ in range(d)]
-        coeffs[rng.randrange(d)] = rng.choice((-1, 1)) * 10**20
-        _, plain = cy._poly_divmod_monic(coeffs, list(cy.cyclotomic_poly(d).coeffs))
-        assert cy.reduced_coeffs(cy.CycSum(d, tuple(coeffs))) == tuple(plain)
-
     @pytest.mark.parametrize("bound, dtype", [(32767, np.int16), (32768, np.int64)])
     def test_int_dtype_boundary(self, bound, dtype):
         assert cy.int_dtype(bound) is dtype

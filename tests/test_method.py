@@ -3,6 +3,7 @@ import json
 import math
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -295,7 +296,8 @@ class TestPairPartitions:
     @pytest.mark.parametrize("d", [3, 4])
     def test_standard(self, d):
         W = pg.wreath_product_action(d)
-        B = me.basis_partition_pair(W, "standard")
+        a, b = W.embedded_abelian
+        B = me.pair_basis_partition(W.group, a, d, b, d)
         middle = tuple(
             sorted([(j, 0) for j in range(1, d)] + [(0, j) for j in range(1, d)])
         )
@@ -306,19 +308,18 @@ class TestPairPartitions:
     @pytest.mark.parametrize("d", [3, 4])
     def test_manning(self, d):
         W = pg.wreath_product_action(d)
-        B = me.basis_partition_pair(W, "manning")
+        a, b = W.embedded_abelian
+        B = me.pair_basis_partition(W.group, a, d, pg.compose(a, b), d)
         mixed = tuple(
             sorted([(j, j) for j in range(1, d)] + [(0, j) for j in range(1, d)])
         )
         assert B.class_of((0, 1)) == mixed
 
     def test_middle_class_size(self):
-        B = me.basis_partition_pair(pg.wreath_product_action(3), "standard")
+        W = pg.wreath_product_action(3)
+        a, b = W.embedded_abelian
+        B = me.pair_basis_partition(W.group, a, 3, b, 3)
         assert len(B.class_of((1, 0))) == 4  # 2(d-1) at d=3
-
-    def test_unknown_choice(self):
-        with pytest.raises(ValueError):
-            me.basis_partition_pair(pg.wreath_product_action(3), "other")
 
     def test_coprime_pair_inside_dihedral6(self):
         # C_2 x C_3 generated by g^3 and g^2 inside the regular C_6
@@ -495,6 +496,25 @@ class TestDiagnose:
             K, k = random_relabelling(rng, G, g)
             H, _ = me.relabel_by_cycle(K, k)
             assert me.diagnose(K, k).blocks == exhaustive_first_blocks(H), G.name
+
+    def test_unit_powers_of_the_cycle_match_references(self):
+        # along c^s, c: x -> x + 1, the point k s mod d takes the label k;
+        # the references relabel G's own generators so, with no translation
+        # added, and search its blocks and reduce its columns one by one
+        for G, c in cyclic_regular_corpus(100):
+            d = G.degree
+            assert c == full_cycle(d)
+            for s in (s for s in range(2, d) if math.gcd(s, d) == 1):
+                cs = pg.Permutation(tuple((x + s) % d for x in range(d)))
+                inv = pow(s, -1, d)
+                K = pg.PermGroup(d, tuple(
+                    pg.Permutation(tuple(h[k * s % d] * inv % d for k in range(d)))
+                    for h in G.generators
+                ))
+                rep = me.diagnose(G, cs)
+                assert rep.blocks == exhaustive_first_blocks(K), (G.name, s)
+                ref = SimpleNamespace(d=d, suborbits=pg.suborbits(K))
+                assert rep.basis_classes == scalar_column_classes(ref), (G.name, s)
 
     def test_matrix_built_once(self, monkeypatch):
         counts = {"suborbit_sums": 0, "relabel_by_cycle": 0, "minimal_blocks": 0}

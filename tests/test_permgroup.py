@@ -192,8 +192,8 @@ class TestSuborbits:
         subs = pg.suborbits(G, base)
         assert subs == stabiliser_orbits(G, base)
         # relabelled by sigma the group keeps a full cycle among its
-        # generators, but no longer the rotation; hiding every full cycle
-        # from `suborbits` sends it down the search path
+        # generators, the rotation only when sigma commutes with it; hiding
+        # every full cycle from `suborbits` sends it down the search path
         sigma = data.draw(st.permutations(range(m)))
         inv = pg.inverse(pg.Permutation(tuple(sigma)))
         K = pg.PermGroup(m, tuple(
@@ -202,7 +202,7 @@ class TestSuborbits:
         want = sorted(sorted(sigma[x] for x in o) for o in subs)
         assert pg.suborbits(K, sigma[base]) == want
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pg, "cycle_points", lambda g, start: [start])
+            mp.setattr(pg, "cycle_positions", lambda G, base=0: None)
             assert pg.suborbits(K, sigma[base]) == want
 
     def test_rotation_path_builds_no_table(self):
