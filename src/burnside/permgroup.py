@@ -2,14 +2,14 @@
 
 Permutations act on the right and compose left to right: the image of a
 point i under first a then b is b[a[i]].  Everything here is polynomial
-in the degree and works straight from generator lists.  Suborbits are one
-union of the Schreier-map edges x - S[a, x], in chunks of coset rows.  The
-transversal is free when a generator is a full cycle (its translations;
-no m x m table), and otherwise comes from a search that holds two int16
-m x m tables.  A transitive group is regular when every suborbit is a
-single point.  The first non-trivial block system of a group with a
-full-cycle generator is read off one gcd per suborbit; otherwise a
-union-find glues points.
+in the degree and works straight from generator lists.  Orbits are one
+union of the edges x - g(x), and suborbits one union of the Schreier-map
+edges, in chunks of coset rows.  The inverse transversal is free when a
+generator is a full cycle (its translations; no m x m table), and
+otherwise comes from a search that holds one int16 m x m table.  A
+transitive group is regular when every suborbit is a single point.  The
+first non-trivial block system of a group with a full-cycle generator is
+read off one gcd per suborbit; otherwise a union-find glues points.
 
 Groups are immutable and all functions are pure.
 """
@@ -69,10 +69,6 @@ class Permutation:
         return "".join("(" + ",".join(map(str, c)) + ")" for c in cycs)
 
 
-def identity(degree: int) -> Permutation:
-    return Permutation(tuple(range(degree)))
-
-
 def compose(a: Permutation, b: Permutation) -> Permutation:
     """First apply a, then b (right action convention)."""
     if a.degree != b.degree:
@@ -104,7 +100,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     stripped = text.replace(" ", "")
     if not re.fullmatch(r"(\([\d,]*\))*", stripped):
         raise ValueError(f"malformed cycle notation: {text!r}")
-    perm = identity(degree)
+    images, inv = list(range(degree)), list(range(degree))
     for body in _CYCLE_RE.findall(stripped):
         if not body:
             continue
@@ -113,8 +109,10 @@ def parse_permutation(text: str, degree: int) -> Permutation:
             raise ValueError(f"repeated point in cycle: {text!r}")
         if max(pts) >= degree:
             raise ValueError(f"point {max(pts)} exceeds degree {degree}")
-        perm = compose(perm, cycle(pts, degree))
-    return perm
+        # cycles apply left to right: what reached pts[k] goes on to pts[k + 1]
+        for i, y in zip([inv[x] for x in pts], pts[1:] + pts[:1]):
+            images[i], inv[y] = y, i
+    return Permutation(tuple(images))
 
 
 def parse_generators(text: str, degree: int | None = None) -> list[Permutation]:
@@ -152,32 +150,19 @@ class PermGroup:
 
 
 def orbits(G: PermGroup) -> list[list[int]]:
-    """Orbit partition of the point set, each orbit sorted."""
-    seen = [False] * G.degree
-    out = []
-    for start in range(G.degree):
-        if seen[start]:
-            continue
-        orbit = [start]
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for g in G.generators:
-                y = g[x]
-                if not seen[y]:
-                    seen[y] = True
-                    orbit.append(y)
-                    queue.append(y)
-        out.append(sorted(orbit))
-    return out
+    """Orbit partition of the point set, each orbit sorted and listed by
+    least point: the classes of the edges x - g(x) over the generators g."""
+    images = np.array([g.images for g in G.generators])
+    label = np.arange(G.degree)
+    _merge(label, np.broadcast_to(np.arange(G.degree), images.shape), images)
+    return _classes(label)
 
 
 def is_transitive(G: PermGroup) -> bool:
     return len(orbits(G)) == 1
 
 
-MAX_DEGREE = 2**14  # the search transversal and its inverses: two int16 m x m tables, 1 GiB here
+MAX_DEGREE = 2**14  # the search's inverse transversal: one int16 m x m table, 512 MiB here
 _CHUNK = 1 << 14  # Schreier-map entries per chunk of coset rows: 32 KiB of int16
 
 
@@ -216,15 +201,15 @@ def cycle_positions(G: PermGroup, base: int = 0) -> np.ndarray | None:
     return None
 
 
-def _merge(label: np.ndarray, S: np.ndarray) -> None:
-    """Join the class of x with the class of S[r, x] for every row r.
+def _merge(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Join the class of a[i] with the class of b[i] for every i.
 
     `label` maps each point to the least point of its class.  The roots of
     every edge hook the larger onto the smaller (`np.minimum.at`), pointer
     jumping flattens the forest again, and edges whose ends share a root
     drop out, until none is left.
     """
-    a, b = np.broadcast_to(label, S.shape), label.take(S)
+    a, b = label.take(a), label.take(b)
     while True:
         keep = a != b
         if not keep.any():
@@ -237,79 +222,84 @@ def _merge(label: np.ndarray, S: np.ndarray) -> None:
         a, b = label.take(lo), label.take(hi)
 
 
+def _classes(label: np.ndarray) -> list[list[int]]:
+    """The points grouped by equal label, each group sorted and listed by
+    least point: in ascending x, a group first shows up at its least point."""
+    classes: dict[int, list[int]] = {}
+    for x, k in enumerate(label.tolist()):
+        classes.setdefault(k, []).append(x)
+    return list(classes.values())
+
+
 def suborbits(G: PermGroup, base: int = 0) -> list[list[int]]:
     """Orbits of the stabiliser of `base` in a transitive group, including
     {base}, each sorted and listed by least element.
 
     The stabiliser is generated by the Schreier maps t[a] h t[h(a)]^-1 for
     a transversal t (t[a] takes `base` to a) and the generators h (Seress
-    2003, Lemma 4.2.1), so the suborbits are the classes of the edges
-    x - S[a, x] over all of them, joined by `_merge` in chunks of coset rows
-    of at most `_CHUNK` entries.  The transversal has two sources:
+    2003, Lemma 4.2.1).  With y = t[a](x) and the inverse transversal u[a]
+    = t[a]^-1, the edge from x to its image is u[a, y] - u[h(a), h(y)]; the
+    suborbits are the classes of these edges, joined by `_merge` in chunks
+    of coset rows of at most `_CHUNK` entries.  u has two sources:
 
     * a generator c of G that is a full m-cycle: with the points relabelled
-      by their position along c from `base`, t[a] is x -> x + a, so S[a, x]
-      = h(x + a) - h(a) mod m.  A generator that is affine on positions,
-      h(x) = s x + h(0) (a translation, the reflection of `dihedral`, the
-      multiplier of `affine`), has S[a, x] = s x for every a: one row.
-      No search and no m x m table: a few length-m arrays and int16 chunks
-      of 32 KiB (under 1 MiB in all at m = 4096).
+      by their position along c from `base`, t[a] is x -> x + a and u[a, y]
+      = y - a mod m.  A generator that is affine on positions, h(x) = s x +
+      h(0) (a translation, the reflection of `dihedral`, the multiplier of
+      `affine`), gives the edges x - s x in every coset row: one row.  No
+      search and no m x m table: a few length-m arrays and int16 chunks of
+      32 KiB (under 1 MiB in all at m = 4096).
     * otherwise, a search over points, which is also the transitivity
-      check, fills t and the inverses inv: two int16 m x m tables, 1 GiB
-      at MAX_DEGREE, read per chunk through int64 flat indices (128 KiB).
+      check, fills u[h(a), h] = u[a]: one int16 m x m table, 512 MiB at
+      MAX_DEGREE.
     """
     m = G.degree
     if not 0 <= base < m:
         raise ValueError(f"base point {base} outside 0..{m - 1}")
     check_point_budget(m)
-    dtype = int_dtype(2 * m - 2)  # S[a, x] indexes h at x + a < 2m - 1
+    dtype = int_dtype(m - 1)  # u[a, y] and y - a lie in [1 - m, m - 1]
     pos = cycle_positions(G, base)
     points = np.arange(m, dtype=dtype)
     label = points.copy()
-    step = max(1, _CHUNK // m)
     if pos is not None:
         pos = pos.astype(dtype, copy=False)
-        order = np.empty(m, np.intp)
-        order[pos] = np.arange(m)
+        order = np.argsort(pos)  # the point at each position
+        gens = []
         for g in G.generators:
             h = pos[np.array(g.images, dtype)[order]]  # g on positions along the cycle
-            row = np.arange(m) * (int(h[1 % m]) - int(h[0])) % m  # x -> s x
-            if np.array_equal(h, (row + h[0]) % m):  # affine: every S[a] is that row
-                _merge(label, row[None])
-                continue
-            twice = np.concatenate([h, h])
-            for a in range(0, m, step):
-                rows = points[a : a + step, None]
-                S = twice.take(rows + points) - h.take(rows)
-                S[S < 0] += m
-                _merge(label, S)
-        label = label.take(pos)
+            row = np.arange(m) * (int(h[1 % m]) - int(h[0])) % m  # x -> s x, in int64
+            if np.array_equal(h, (row + h[0]) % m):  # affine: x - s x in every coset row
+                _merge(label, points, row)
+            else:
+                gens.append(h)
+
+        def u(a, y):
+            v = y - a[:, None]
+            return np.add(v, m, out=v, where=v < 0)  # a masked add: `% m` is slower
     else:
-        gens = [np.array(g.images) for g in G.generators]  # intp: they index the flat inv
-        t, inv = np.empty((2, m, m), dtype)
-        t[base] = inv[base] = points
+        gens = [np.array(g.images) for g in G.generators]
+        table = np.empty((m, m), dtype)
+        table[base] = points
         queue, found = [base], {base}
         for a in queue:
             for g, perm in zip(gens, G.generators):
                 b = perm.images[a]
                 if b not in found:
                     found.add(b)
-                    t[b] = g[t[a]]
-                    inv[b, t[b]] = points
+                    table[b, g] = table[a]
                     queue.append(b)
         if len(queue) < m:
             raise ValueError("suborbits require a transitive group")
-        cells = inv.reshape(-1)
-        for g in gens:
-            for a in range(0, m, step):
-                rows = slice(a, a + step)
-                _merge(label, cells.take(g[rows, None] * m + g.take(t[rows])))
-    # label[x] names the class of x: met in ascending x, each class first
-    # shows up at its least point
-    classes: dict[int, list[int]] = {}
-    for x, k in enumerate(label.tolist()):
-        classes.setdefault(k, []).append(x)
-    return list(classes.values())
+
+        def u(a, y):
+            rows = table[a]  # every y in order is the row itself, with no gather
+            return rows if y is points else rows.take(y, axis=1)
+    step = max(1, _CHUNK // m)
+    for h in gens:
+        for a in range(0, m, step):
+            rows = points[a : a + step]
+            _merge(label, u(rows, points), u(h[rows], h))
+    return _classes(label if pos is None else label.take(pos))
 
 
 @dataclass(frozen=True)
@@ -423,6 +413,7 @@ def regular_check(degree: int, gens: list[Permutation]) -> bool:
     """True iff the generated subgroup is transitive of order exactly `degree`:
     transitive with every suborbit a single point, since a stabiliser that
     fixes every point is trivial."""
+    check_point_budget(degree)
     group = PermGroup(degree, tuple(gens))
     return is_transitive(group) and len(suborbits(group)) == degree
 

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from collections import deque
 
@@ -17,8 +18,9 @@ from helpers import (
 
 
 def closure(gens, degree, cap=100_000):
-    elems = {pg.identity(degree).images}
-    queue = deque([pg.identity(degree)])
+    one = pg.Permutation(tuple(range(degree)))
+    elems = {one.images}
+    queue = deque([one])
     while queue:
         h = queue.popleft()
         for g in gens:
@@ -51,6 +53,28 @@ def stabiliser_orbits(G, base=0):
         seen |= orbit
         orbits.append(sorted(orbit))
     return orbits
+
+
+def bfs_orbits(G):
+    """Reference orbits: a breadth-first search from each unseen point."""
+    seen = [False] * G.degree
+    out = []
+    for start in range(G.degree):
+        if seen[start]:
+            continue
+        orbit = [start]
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            for g in G.generators:
+                y = g[x]
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.append(y)
+                    queue.append(y)
+        out.append(sorted(orbit))
+    return out
 
 
 @st.composite
@@ -107,6 +131,29 @@ class TestBasics:
         with pytest.raises(ValueError):
             pg.parse_permutation("(0,5)", 3)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_parse_matches_composed_cycles(self, data):
+        # cycles may share points, as in (0,1)(1,2): they apply left to right
+        n = data.draw(st.integers(1, 9))
+        cycles = data.draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True), max_size=5
+        ))
+        want = pg.Permutation(tuple(range(n)))
+        for pts in cycles:
+            want = pg.compose(want, pg.cycle(pts, n))
+        text = "".join("(" + ",".join(map(str, pts)) + ")" for pts in cycles)
+        assert pg.parse_permutation(text, n) == want
+
+    def test_parse_in_linear_time(self):
+        # composing one full-degree permutation per cycle took ~6 s (2-vCPU Xeon)
+        n = 8192
+        text = "".join(f"({i},{i + 1})" for i in range(0, n, 2))
+        start = time.perf_counter()
+        perm = pg.parse_permutation(text, n)
+        assert time.perf_counter() - start < 1
+        assert perm.images[:4] == (1, 0, 3, 2) and len(perm.cycles()) == n // 2
+
     def test_parse_generators_infers_degree(self):
         gens = pg.parse_generators("(0,1,2,3)(4,5);(0,4)")
         assert gens[0].degree == 6 and len(gens) == 2
@@ -121,8 +168,15 @@ class TestOrbits:
         assert pg.is_transitive(pg.cyclic(9))
 
     def test_trivial_group_singletons(self):
-        G = pg.PermGroup(3, (pg.identity(3),))
+        G = pg.PermGroup(3, (pg.Permutation(tuple(range(3))),))
         assert pg.orbits(G) == [[0], [1], [2]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(G=small_groups())
+    def test_agrees_with_breadth_first_search(self, G):
+        want = bfs_orbits(G)
+        assert pg.orbits(G) == want
+        assert pg.is_transitive(G) == (len(want) == 1)
 
 
 class TestSuborbits:
@@ -214,8 +268,20 @@ class TestSuborbits:
         finally:
             tracemalloc.stop()
         assert subs[:3] == [[0], [1, 4095], [2, 4094]] and len(subs) == 2049
-        # the search path's t and inv alone would be 2 * 4096^2 int16, 64 MiB
+        # the search path's inverse transversal alone would be 4096^2 int16, 32 MiB
         assert peak < 8 * 2**20, peak
+
+    def test_search_path_holds_one_table(self):
+        G = pg.wreath_product_action(64).group  # no full-cycle generator
+        tracemalloc.start()
+        try:
+            subs = pg.suborbits(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(len(s) for s in subs) == [1, 126, 3969]
+        # one int16 table of 4096^2 entries is 32 MiB; a second would pass 64
+        assert peak < 48 * 2**20, peak
 
     def test_point_budget_refused_before_tables(self, monkeypatch):
         m = pg.MAX_DEGREE + 1
