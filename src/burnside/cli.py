@@ -188,7 +188,7 @@ def _cmd_diagnose(args, out: _Output) -> int:
     payload = {
         "group": report.group,
         "degree": report.degree,
-        "cycle": report.cycle,
+        "cycle": "(" + ",".join(map(str, report.relabelling)) + ")",  # str(g): one cycle from 0
         "verdict": report.verdict,
         "blocks": _blocks_dict(report.blocks),
         "suborbits": [list(o) for o in report.suborbits],

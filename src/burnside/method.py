@@ -48,7 +48,7 @@ equal classes exactly equal columns (`_evaluation_prime`,
 `_column_classes`).  The cost is one pass over d x (d - largest suborbit)
 exponents plus O(d) ids per refinement step, not a reduction per sum.
 
-The cycle is walked once, by `relabel_by_cycle`, whose group leads with
+The cycle is walked once, by `permgroup.relabel`, whose group leads with
 the translation x -> x + 1 it becomes; `permgroup` reads positions off
 it.  A cycle outside G's generators must keep every orbital of G (then
 its translations change no suborbit and no block system: Wielandt, ch.
@@ -59,10 +59,11 @@ other than the suborbit count is an internal error.
 result, as `diagnose` does:
 
     M = suborbit_sums(G, g)
-    B, rows = basis_partition(M), orbit_row_subset(M)
+    classes, rows = M.column_classes, orbit_row_subset(M)
 
 The pair variants handle a regular product C_da x C_db inside a group on
-da*db points, with sums valued in Z[z_L], L = lcm(da, db).
+da*db points, labelled by the same `permgroup.relabel`, with sums valued
+in Z[z_L], L = lcm(da, db).
 """
 
 from __future__ import annotations
@@ -75,33 +76,6 @@ import numpy as np
 from . import cyclotomic, permgroup
 from .permgroup import BlockSystem, PermGroup, Permutation
 from .ramanujan import divisor_data
-
-
-def relabel_by_cycle(
-    G: PermGroup, g: Permutation | None = None
-) -> tuple[PermGroup, tuple[int, ...]]:
-    """Relabel points so the given d-cycle becomes the translation x -> x + 1:
-    each point takes its position along g from 0, one gather per generator.
-    g defaults to G's first generator, which must then be a d-cycle.
-
-    Returns the relabelled group, led by the translation and followed by
-    G's generators other than g, and the map new_label -> old_point.
-    """
-    d = G.degree
-    cycle = G.generators[0] if g is None else g
-    if cycle.degree != d:
-        raise ValueError("cycle degree differs from group degree")
-    order = permgroup.cycle_points(cycle, 0)
-    if len(order) != d:
-        if g is None:
-            raise ValueError("this group has no canonical full cycle; pass --cycle")
-        raise ValueError("the supplied permutation is not a d-cycle")
-    pos = np.empty(d, np.intp)
-    pos[order] = np.arange(d)
-    rest = (h for h in G.generators if h != cycle)
-    gens = tuple(Permutation(tuple(pos[np.array(h.images)[order]].tolist())) for h in rest)
-    shift = Permutation(tuple(range(1, d)) + (0,))
-    return PermGroup(d, (shift,) + gens, name=G.name), tuple(order)
 
 
 @dataclass(frozen=True)
@@ -310,13 +284,18 @@ def suborbit_sums(G: PermGroup, g: Permutation | None = None) -> SuborbitSumMatr
 
     Points are relabelled so that g, by default G's first generator, is the
     translation x -> x + 1, which leads the relabelled group
-    (`relabel_by_cycle`); that group and the relabelling are recorded in
+    (`permgroup.relabel`); that group and the relabelling are recorded in
     the result.  A g outside G's generators must keep every orbital of G
     (`_check_orbitals_kept`).  The classes are the suborbits when those are
     the orbits of a group of units (`_orbit_classes`, O(d log d)), and
     otherwise come from the evaluation mod p (`_column_classes`).
     """
-    H, relab = relabel_by_cycle(G, g)
+    try:
+        H, relab = permgroup.relabel(G, (G.generators[0] if g is None else g,))
+    except ValueError:
+        if g is None:
+            raise ValueError("this group has no canonical full cycle; pass --cycle") from None
+        raise
     d = H.degree
     subs = tuple(tuple(o) for o in permgroup.suborbits(H))
     if g is not None and g not in G.generators:
@@ -327,71 +306,27 @@ def suborbit_sums(G: PermGroup, g: Permutation | None = None) -> SuborbitSumMatr
     return SuborbitSumMatrix(d, H, subs, classes, relab)
 
 
-@dataclass(frozen=True)
-class BasisPartition:
-    """Partition of the exponent indices dual to the suborbits.
-
-    `classes` partitions {0..d-1} (or the pair grid, for the two-generator
-    variants); the class of the zero index is always the singleton {0}.
-    """
-
-    classes: tuple[tuple, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.classes)
-
-    def class_of(self, j):
-        for cl in self.classes:
-            if j in cl:
-                return cl
-        raise KeyError(j)
-
-
-def basis_partition(M: SuborbitSumMatrix) -> BasisPartition:
-    """Equality classes of the suborbit-sum columns."""
-    return BasisPartition(M.column_classes)
-
-
 # ---------------------------------------------------------------------------
 # two-generator (pair) variants
 
 
-def _coordinates(degree: int, a: Permutation, b: Permutation, da: int, db: int):
-    """Exponent coordinates (x, y) of every point, the image of 0 under a^x
-    then b^y.  a and b must act on them as the unit translations of C_da x
-    C_db, so that checking a and b (`_check_orbitals_kept`) checks every
-    translation."""
-    coords: dict[int, tuple[int, int]] = {}
-    pt_x = 0
-    for x in range(da):
-        pt = pt_x
-        for y in range(db):
-            coords[pt] = (x, y)
-            pt = b[pt]
-        pt_x = a[pt_x]
-    if len(coords) != degree or any(
-        coords.get(a[pt]) != ((x + 1) % da, y) or coords.get(b[pt]) != (x, (y + 1) % db)
-        for pt, (x, y) in coords.items()
-    ):
-        raise ValueError("generator pair does not act regularly")
-    return coords
-
-
-def pair_basis_partition(
-    G: PermGroup, a: Permutation, da: int, b: Permutation, db: int
-) -> BasisPartition:
+def pair_basis_partition(G: PermGroup, a: Permutation, b: Permutation) -> tuple[tuple, ...]:
     """Equality classes of the columns of the sums
     sum_{(x,y) in O} z_L^{x j L/da + y j' L/db} on the (j, j') grid,
-    L = lcm(da, db), over every stabiliser orbit O."""
-    coords = _coordinates(G.degree, a, b, da, db)
-    extra = tuple(h for h in (a, b) if h not in G.generators)
-    subs = tuple(tuple(o) for o in permgroup.suborbits(PermGroup(G.degree, G.generators + extra)))
-    if extra:
+    L = lcm(da, db), over every stabiliser orbit O, as ascending tuples of
+    (j, j') by least member.  The point a^x b^y(0) has the coordinates
+    (x, y), on which a and b must act as the unit translations of C_da x
+    C_db (`permgroup.relabel`), so that checking a and b
+    (`_check_orbitals_kept`, on G itself) checks every translation.
+    """
+    H, _ = permgroup.relabel(G, (a, b))
+    da, db = permgroup.translation_moduli(H)
+    subs = tuple(tuple(o) for o in permgroup.suborbits(H))
+    if a not in G.generators or b not in G.generators:
         _check_orbitals_kept(G, len(subs))
-    xy = np.array([coords[p] for p in range(G.degree)], dtype=np.int64)
+    xy = np.indices((da, db)).reshape(2, -1).T  # label x * db + y: (x, y)
     classes = _column_classes(subs, xy, (da, db))
-    return BasisPartition(tuple(tuple(divmod(c, db) for c in cl) for cl in classes))
+    return tuple(tuple(divmod(c, db) for c in cl) for cl in classes)
 
 
 @dataclass(frozen=True)
@@ -416,9 +351,8 @@ def manning_invariance_check(d: int) -> ManningReport:
     """
     W = permgroup.wreath_product_action(d)
     a, b = W.embedded_abelian
-    B = pair_basis_partition(W.group, a, d, permgroup.compose(a, b), d)
-    C = B.class_of((0, 1))
-    members = set(C)
+    classes = pair_basis_partition(W.group, a, permgroup.compose(a, b))
+    members = set(next(cl for cl in classes if (0, 1) in cl))
 
     galois_ok = True
     for s in range(1, d):
@@ -520,9 +454,8 @@ def predict_blocks_from_basis(M: SuborbitSumMatrix, p: int) -> BlockPrediction:
     d = M.d
     if p < 2 or d % p:
         raise ValueError(f"p = {p} is not a divisor of the degree {d} greater than 1")
-    B = basis_partition(M)
     witness = next(
-        (cl for cl in B.classes if cl != (0,) and all(j % p == 0 for j in cl)), None
+        (cl for cl in M.column_classes if cl != (0,) and all(j % p == 0 for j in cl)), None
     )
     if witness is None:
         return BlockPrediction(d, p, False, None, None, None)
@@ -538,7 +471,6 @@ def predict_blocks_from_basis(M: SuborbitSumMatrix, p: int) -> BlockPrediction:
 class DiagnosisReport:
     degree: int
     group: str
-    cycle: str
     verdict: str  # "imprimitive" | "two_transitive" | "counterexample"
     blocks: BlockSystem | None
     suborbits: tuple[tuple[int, ...], ...]
@@ -575,11 +507,10 @@ def diagnose(G: PermGroup, g: Permutation | None = None) -> DiagnosisReport:
     return DiagnosisReport(
         degree=d,
         group=G.name or "<unnamed>",
-        cycle="(" + ",".join(map(str, M.relabelling)) + ")",  # str(g): one cycle from 0
         verdict=verdict,
         blocks=blocks,
         suborbits=M.suborbits,
-        basis_classes=basis_partition(M).classes,
+        basis_classes=M.column_classes,
         orbit_rows=orbit_rows,
         relabelling=M.relabelling,
     )

@@ -4,12 +4,14 @@ Permutations act on the right and compose left to right: the image of a
 point i under first a then b is b[a[i]].  Everything here is polynomial
 in the degree and works straight from generator lists.  Orbits are one
 union of the edges x - g(x), and suborbits one union of the Schreier-map
-edges, in chunks of coset rows.  The inverse transversal is free when a
-generator is a full cycle (its translations; no m x m table), and
-otherwise comes from a search that holds one int16 m x m table.  A
-transitive group is regular when every suborbit is a single point.  The
-first non-trivial block system of a group with a full-cycle generator is
-read off one gcd per suborbit; otherwise a union-find glues points.
+edges, in chunks of coset rows.  The one walk, `relabel`, labels points
+by their coordinates in a regular K = Z_n1 x .. x Z_nk, which then acts by
+unit translations; these give the inverse transversal with no m x m
+table, and every named family leads with them.  Otherwise a search holds
+one int16 m x m table.  A transitive group is regular when every
+suborbit is a single point.  The first non-trivial block system of a
+group led by one full translation is read off one gcd per suborbit;
+otherwise a union-find glues points.
 
 Groups are immutable and all functions are pure.
 """
@@ -21,6 +23,7 @@ import re
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -182,22 +185,89 @@ def cycle_points(g: Permutation, start: int) -> list[int]:
     return pts
 
 
-def cycle_positions(G: PermGroup, base: int = 0) -> np.ndarray | None:
-    """Each point's position along the first generator of G that is a full
-    cycle, counted from `base`, or None when no generator is one.  Along
-    the translation x -> x + 1 (the first generator of every named family
-    but `wreath`, and of a group relabelled by `method.relabel_by_cycle`)
-    the position is (x - base) mod m, with no walk."""
+def _translation(m: int, n: int, s: int) -> tuple[int, ...]:
+    """Images of the unit translation of the digit of stride s, mod n, on
+    the mixed-radix labels 0..m-1: x -> x + s within each block of n * s."""
+    row = (*range(s, n * s), *range(s))
+    return row if n * s == m else tuple(b + x for b in range(0, m, n * s) for x in row)
+
+
+def relabel(
+    G: PermGroup, gens: Sequence[Permutation], base: int = 0
+) -> tuple[PermGroup, tuple[int, ...]]:
+    """Label the point a_1^x_1 .. a_k^x_k(base) by the mixed-radix index of
+    (x_1, .., x_k), x_i mod n_i, where a_1..a_k are `gens` and n_i is the
+    length of a_i's cycle through base: the index is sum x_i s_i, with
+    stride s_i = n_(i+1) .. n_k.  Each cycle is walked once.
+
+    Raises ValueError unless this labelling is a bijection on which each a_i
+    is the unit translation of coordinate i, that is, unless the a_i
+    generate a regular Z_n1 x .. x Z_nk, and unless each a_i moves base (on
+    more than one point), so that `translation_moduli` reads the n_i back.
+    Returns the relabelled group, led by those translations and followed by
+    G's other generators, and the map new label -> old point.
+    """
     m = G.degree
-    shift = tuple(range(1, m)) + (0,)
+    if any(a.degree != m for a in gens):
+        raise ValueError("generator degree differs from group degree")
+    cycles = [cycle_points(a, base) for a in gens]
+    moduli = [len(c) for c in cycles]
+    regular = math.prod(moduli) == m and (m == 1 or 1 not in moduli)
+    if regular:
+        order = np.array(cycles[-1])  # coordinates (0, .., 0, x_k)
+        for a, n in zip(gens[-2::-1], moduli[-2::-1]):  # prepend x_i: order, a(order), ..
+            images = [np.array(a.images)] * (n - 1)
+            order = np.concatenate([*accumulate(images, lambda o, g: g[o], initial=order)])
+        pos = np.full(m, m)
+        pos[order] = np.arange(m)
+        strides = [math.prod(moduli[i + 1 :]) for i in range(len(gens))]
+        translations = [_translation(m, n, s) for n, s in zip(moduli, strides)]
+        # one full cycle labels the points bijectively, and it is their shift
+        regular = len(gens) == 1 or ((pos < m).all() and all(
+            tuple(pos[np.array(a.images)[order]].tolist()) == t for a, t in zip(gens, translations)
+        ))
+    if not regular:
+        raise ValueError("the supplied permutation is not a d-cycle" if len(gens) == 1
+                         else "the generator tuple does not act regularly by translations")
+    rest = (h for h in G.generators if h not in gens)
+    relabelled = tuple(Permutation(tuple(pos[np.array(h.images)[order]].tolist())) for h in rest)
+    lead = tuple(map(Permutation, translations))
+    return PermGroup(m, lead + relabelled, name=G.name), tuple(order.tolist())
+
+
+def translation_moduli(G: PermGroup) -> tuple[int, ...] | None:
+    """(n_1, .., n_k) when G's first k generators are the unit translations
+    of Z_n1 x .. x Z_nk on the mixed-radix labels, as `relabel` leaves
+    them, else None.  Each stride is the translation's image of 0, checked
+    against its images with no walk; for k = 1 the one translation is the
+    shift x -> x + 1."""
+    m = period = G.degree
+    moduli: list[int] = []
     for g in G.generators:
-        if g.images == shift:
-            return (np.arange(m) - base) % m
-        pts = cycle_points(g, base)
-        if len(pts) == m:
-            pos = np.empty(m, np.intp)
-            pos[pts] = np.arange(m)
-            return pos
+        s = g[0]
+        if s == 0 or period % s or g.images != _translation(m, period // s, s):
+            return None
+        moduli.append(period // s)
+        if s == 1:
+            return tuple(moduli)
+        period = s
+    return None
+
+
+def _regular_abelian(G: PermGroup, base: int):
+    """The translation source of `suborbits`: (moduli, G, base, None) for G
+    led by unit translations (`translation_moduli`), else (moduli, H, 0,
+    back) for H = G relabelled along its first full cycle (`relabel`, one
+    walk) and back the map old point -> new label; or None."""
+    moduli = translation_moduli(G)
+    if moduli is not None:
+        return moduli, G, base, None
+    for g in G.generators:
+        try:
+            H, order = relabel(G, (g,), base)
+        except ValueError:
+            continue
+        return (G.degree,), H, 0, np.argsort(order)
     return None
 
 
@@ -242,13 +312,16 @@ def suborbits(G: PermGroup, base: int = 0) -> list[list[int]]:
     suborbits are the classes of these edges, joined by `_merge` in chunks
     of coset rows of at most `_CHUNK` entries.  u has two sources:
 
-    * a generator c of G that is a full m-cycle: with the points relabelled
-      by their position along c from `base`, t[a] is x -> x + a and u[a, y]
-      = y - a mod m.  A generator that is affine on positions, h(x) = s x +
-      h(0) (a translation, the reflection of `dihedral`, the multiplier of
-      `affine`), gives the edges x - s x in every coset row: one row.  No
-      search and no m x m table: a few length-m arrays and int16 chunks of
-      32 KiB (under 1 MiB in all at m = 4096).
+    * a regular K = Z_n1 x .. x Z_nk whose unit translations lead G, or
+      the full cycle that `relabel` makes the translation of Z_m
+      (`_regular_abelian`).  With the labels moved so that `base` is 0,
+      t[a] is x -> x + a and u[a, y] = y - a, digit by digit.  A generator
+      h(x) = phi(x) + h(0) with phi additive, n_i phi(e_i) = 0 (a
+      translation, the reflection of `dihedral`, the multiplier of
+      `affine`, the swap of `wreath`), gives the edges x - phi(x) in every
+      coset row: one row.  A phi that fails n_i phi(e_i) = 0 is no
+      homomorphism, and its rows differ.  No m x m table: a few length-m
+      arrays and chunks of 32 KiB per digit.
     * otherwise, a search over points, which is also the transitivity
       check, fills u[h(a), h] = u[a]: one int16 m x m table, 512 MiB at
       MAX_DEGREE.
@@ -258,25 +331,40 @@ def suborbits(G: PermGroup, base: int = 0) -> list[list[int]]:
         raise ValueError(f"base point {base} outside 0..{m - 1}")
     check_point_budget(m)
     dtype = int_dtype(m - 1)  # u[a, y] and y - a lie in [1 - m, m - 1]
-    pos = cycle_positions(G, base)
     points = np.arange(m, dtype=dtype)
     label = points.copy()
-    if pos is not None:
-        pos = pos.astype(dtype, copy=False)
-        order = np.argsort(pos)  # the point at each position
-        gens = []
-        for g in G.generators:
-            h = pos[np.array(g.images, dtype)[order]]  # g on positions along the cycle
-            row = np.arange(m) * (int(h[1 % m]) - int(h[0])) % m  # x -> s x, in int64
-            if np.array_equal(h, (row + h[0]) % m):  # affine: x - s x in every coset row
-                _merge(label, points, row)
-            else:
-                gens.append(h)
+    source = _regular_abelian(G, base)
+    if source is not None:
+        moduli, G, base, back = source
+        strides = np.array([math.prod(moduli[i + 1 :]) for i in range(len(moduli))])
+        mods = np.array(moduli)[:, None]
+        digits = points // strides[:, None] % mods  # row i: digit i of each label, in int64
+        # row 0 the labels, row i > 0 digit i, whose borrows `u` adds in turn
+        columns = np.vstack([points, digits[1:]]).astype(dtype)
+        spans = [(i, moduli[i] * strides[i]) for i in range(1, len(moduli))]
 
-        def u(a, y):
-            v = y - a[:, None]
+        def u(a, y):  # y - a digit by digit: y - a plus n_i s_i where digit i borrows
+            v = y[0] - a[0][:, None]
+            for i, span in spans:
+                np.add(v, span, out=v, where=y[i] < a[i][:, None])
+            # below the lower digits' span now, v < 0 exactly where the top one borrows
             return np.add(v, m, out=v, where=v < 0)  # a masked add: `% m` is slower
+
+        pos = u(columns[:, [base]], columns)[0]  # labels shifted so that base is 0
+        order = np.argsort(pos)  # the point at each label
+        gens = []
+        for g in G.generators[len(moduli) :]:  # the leading translations add no edge
+            x = pos[np.array(g.images, dtype)[order]]  # g on the labels
+            hd = digits[:, x]  # the digits of g(x)
+            P = (hd[:, strides % m] - hd[:, :1]) % mods  # column i: the digits of phi(e_i)
+            phi = P @ digits % mods  # the digits of phi(x) = sum x_i phi(e_i)
+            if not (P * mods.T % mods).any() and np.array_equal((phi + hd[:, :1]) % mods, hd):
+                _merge(label, points, strides @ phi)  # x - phi(x) in every coset row
+            else:
+                gens.append(columns[:, x])
+        pos = pos if back is None else pos[back]
     else:
+        columns, pos = points, None
         gens = [np.array(g.images) for g in G.generators]
         table = np.empty((m, m), dtype)
         table[base] = points
@@ -295,10 +383,9 @@ def suborbits(G: PermGroup, base: int = 0) -> list[list[int]]:
             rows = table[a]  # every y in order is the row itself, with no gather
             return rows if y is points else rows.take(y, axis=1)
     step = max(1, _CHUNK // m)
-    for h in gens:
+    for h in gens:  # the images, or their digits, of each generator
         for a in range(0, m, step):
-            rows = points[a : a + step]
-            _merge(label, u(rows, points), u(h[rows], h))
+            _merge(label, u(columns[..., a : a + step], columns), u(h[..., a : a + step], h))
     return _classes(label if pos is None else label.take(pos))
 
 
@@ -370,31 +457,26 @@ def first_nontrivial_blocks(G: PermGroup, subs: Sequence) -> BlockSystem | None:
     The finest system through 0 and beta has as its blocks the components
     of the orbital graph of (0, beta) (D. G. Higman, J. Algebra 6, 1967).
     A stabiliser element h maps the system through (0, beta) to the one
-    through (0, h(beta)), so one point per suborbit O is enough.  When a
-    generator is a full cycle, its translations lie in G, so with points
-    numbered by their position along it from 0 that graph is the circulant
-    on O: its components are the residues mod k = gcd(m, O), and the
-    system is non-trivial iff k > 1 (k < m since O is not {0}).  Every
+    through (0, h(beta)), so one point per suborbit O is enough.  When G is
+    led by the one translation x -> x + 1 (`translation_moduli`), as
+    `relabel` leaves a group along a full cycle, that graph is the
+    circulant on O: its components are the residues mod k = gcd(m, O), and
+    the system is non-trivial iff k > 1 (k < m since O is not {0}).  Every
     generator is then checked to keep those residues, and RuntimeError
-    raised if one does not (`subs` were not the suborbits of G).  Without
-    a full-cycle generator, each suborbit's least point is glued to 0 by
-    `minimal_blocks`.
+    raised if one does not (`subs` were not the suborbits of G).
+    Otherwise each suborbit's least point is glued to 0 by `minimal_blocks`.
     """
     m = G.degree
-    pos = cycle_positions(G)
-    if pos is None:
+    if translation_moduli(G) != (m,):
         for orbit in subs[1:]:
             system = minimal_blocks(G, 0, orbit[0])
             if not system.is_trivial:
                 return system
         return None
-    for orbit in subs[1:]:
-        k = math.gcd(m, *pos[list(orbit)].tolist())
-        if k > 1:
-            break
-    else:
+    k = next((k for k in (math.gcd(m, *orbit) for orbit in subs[1:]) if k > 1), 1)
+    if k == 1:
         return None
-    residue = pos % k
+    residue = np.arange(m) % k
     for g in G.generators:
         image = residue[np.array(g.images)]  # the residue of g(x)
         table = np.empty(k, np.int64)
@@ -463,26 +545,15 @@ def pair_code(i: int, j: int, d: int) -> int:
 
 def first_coordinate_perm(g: Permutation, d: int) -> Permutation:
     """Lift g acting on the first coordinate of the pair grid."""
-    images = [0] * (d * d)
-    for i in range(d):
-        gi = g[i]
-        for j in range(d):
-            images[pair_code(i, j, d)] = pair_code(gi, j, d)
-    return Permutation(tuple(images))
+    return Permutation(tuple(pair_code(g[i], j, d) for i in range(d) for j in range(d)))
 
 
 def second_coordinate_perm(g: Permutation, d: int) -> Permutation:
-    images = [0] * (d * d)
-    for i in range(d):
-        for j in range(d):
-            images[pair_code(i, j, d)] = pair_code(i, g[j], d)
-    return Permutation(tuple(images))
+    return Permutation(tuple(pair_code(i, g[j], d) for i in range(d) for j in range(d)))
 
 
 def coordinate_swap(d: int) -> Permutation:
-    return Permutation(
-        tuple(pair_code(j, i, d) for i in range(d) for j in range(d))
-    )
+    return Permutation(tuple(pair_code(j, i, d) for i in range(d) for j in range(d)))
 
 
 @dataclass(frozen=True)
@@ -498,19 +569,14 @@ def wreath_product_action(d: int) -> WreathAction:
     """S_d wr C_2 on {0..d-1}^2, pairs encoded as i*d + j.
 
     Generators are the S_d generators lifted to each coordinate plus the
-    coordinate swap.  Also returns the embedded regular C_d x C_d given by
-    the d-cycle acting on each coordinate separately.
+    coordinate swap, led by the embedded regular C_d x C_d: the d-cycle
+    acting on each coordinate separately, the unit translations of the
+    pair labels (`translation_moduli`), which is also returned.
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
-    base = symmetric(d)
-    gens = [first_coordinate_perm(g, d) for g in base.generators]
-    gens += [second_coordinate_perm(g, d) for g in base.generators]
-    gens.append(coordinate_swap(d))
-    group = PermGroup(d * d, tuple(gens), name=f"wreath:{d}")
-    dcycle = cycle(range(d), d)
-    embedded = (
-        first_coordinate_perm(dcycle, d),
-        second_coordinate_perm(dcycle, d),
-    )
+    dcycle, *rest = symmetric(d).generators
+    embedded = (first_coordinate_perm(dcycle, d), second_coordinate_perm(dcycle, d))
+    gens = [first_coordinate_perm(g, d) for g in rest] + [second_coordinate_perm(g, d) for g in rest]
+    group = PermGroup(d * d, (*embedded, *gens, coordinate_swap(d)), name=f"wreath:{d}")
     return WreathAction(d, group, embedded)

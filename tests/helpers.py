@@ -54,6 +54,11 @@ def random_relabelling(rng: random.Random, G: PermGroup, *perms: Permutation):
     return (K, *map(conj, perms))
 
 
+def class_of(classes, j):
+    """The class among `classes` that holds the index j."""
+    return next(cl for cl in classes if j in cl)
+
+
 def exhaustive_first_blocks(G: PermGroup) -> permgroup.BlockSystem | None:
     """Reference block search: glue 0 to every beta = 1, 2, ... in turn and
     return the first non-trivial system."""

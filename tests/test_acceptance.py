@@ -12,7 +12,7 @@ import time
 import pytest
 
 from burnside import coprime, cyclotomic as cy, method, nullsets, permgroup as pg, ramanujan as ra
-from helpers import cyclic_regular_corpus, full_cycle, masked_report_lines, run_cli
+from helpers import class_of, cyclic_regular_corpus, full_cycle, masked_report_lines, run_cli
 
 WORST_DEGREES = [360, 420, 480, 504, 540, 600]
 
@@ -121,16 +121,16 @@ def test_criterion_07_basis_set_duality():
     for d in range(3, 7):
         W = pg.wreath_product_action(d)
         a, b = W.embedded_abelian
-        std = method.pair_basis_partition(W.group, a, d, b, d)
+        std = method.pair_basis_partition(W.group, a, b)
         expected_b = tuple(
             sorted([(j, 0) for j in range(1, d)] + [(0, j) for j in range(1, d)])
         )
-        assert std.class_of((1, 0)) == expected_b, d
-        man = method.pair_basis_partition(W.group, a, d, pg.compose(a, b), d)
+        assert class_of(std, (1, 0)) == expected_b, d
+        man = method.pair_basis_partition(W.group, a, pg.compose(a, b))
         expected_c = tuple(
             sorted([(j, j) for j in range(1, d)] + [(0, j) for j in range(1, d)])
         )
-        assert man.class_of((0, 1)) == expected_c, d
+        assert class_of(man, (0, 1)) == expected_c, d
         rep = method.manning_invariance_check(d)
         assert rep.galois_invariant and rep.violation is not None, d
     rep2 = method.manning_invariance_check(2)

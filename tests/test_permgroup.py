@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -84,6 +86,71 @@ def small_groups(draw):
     m = draw(st.integers(2, 7))
     gens = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=3))
     return pg.PermGroup(m, tuple(pg.Permutation(tuple(g)) for g in gens))
+
+
+def orbital_suborbits(G, base=0):
+    """Brute-force oracle for groups too large to enumerate: the G-orbit of
+    (base, x) on ordered pairs meets {base} x points in x's suborbit."""
+    m = G.degree
+    first: dict[tuple[int, int], tuple[int, int]] = {}
+    for start in ((base, x) for x in range(m)):
+        if start in first:
+            continue
+        first[start], stack = start, [start]
+        while stack:
+            x, y = stack.pop()
+            for g in G.generators:
+                if (g[x], g[y]) not in first:
+                    first[g[x], g[y]] = start
+                    stack.append((g[x], g[y]))
+    classes: dict[tuple[int, int], list[int]] = {}
+    for x in range(m):
+        classes.setdefault(first[base, x], []).append(x)
+    return sorted(classes.values())
+
+
+def unit_translations(moduli):
+    """The unit translations of Z_n1 x .. x Z_nk on the mixed-radix labels
+    sum x_i s_i, s_i = n_(i+1) .. n_k, and the labels' digits."""
+    m = math.prod(moduli)
+    strides = [math.prod(moduli[i + 1 :]) for i in range(len(moduli))]
+    digits = [[x // s % n for n, s in zip(moduli, strides)] for x in range(m)]
+
+    def label(ds):
+        return sum(d % n * s for d, n, s in zip(ds, moduli, strides))
+
+    gens = [
+        pg.Permutation(tuple(label([d + (j == i) for j, d in enumerate(digits[x])]) for x in range(m)))
+        for i in range(len(moduli))
+    ]
+    return gens, digits, label
+
+
+@st.composite
+def groups_led_by_translations(draw):
+    """K = Z_n1 x .. x Z_nk (k <= 3, m <= 24) by its unit translations, then
+    0-2 random permutations, a map x -> sum x_i P_i + c for random P_i
+    (additive or not) when it is a bijection, and the swap of two
+    coordinates of equal moduli."""
+    moduli = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3).filter(
+        lambda ns: math.prod(ns) <= 24))
+    m = math.prod(moduli)
+    gens, digits, label = unit_translations(moduli)
+    extra = [pg.Permutation(tuple(p)) for p in draw(st.lists(st.permutations(range(m)), max_size=2))]
+    P = draw(st.lists(st.integers(0, m - 1), min_size=len(moduli), max_size=len(moduli)))
+    c = draw(st.integers(0, m - 1))
+    images = tuple(label([sum(x * digits[p][j] for x, p in zip(digits[y], P)) + digits[c][j]
+                          for j in range(len(moduli))]) for y in range(m))
+    if draw(st.booleans()) and len(set(images)) == m:
+        extra.append(pg.Permutation(images))
+    equal = [(i, j) for i in range(len(moduli)) for j in range(i) if moduli[i] == moduli[j]]
+    if equal and draw(st.booleans()):
+        i, j = draw(st.sampled_from(equal))
+        swapped = [list(ds) for ds in digits]
+        for ds in swapped:
+            ds[i], ds[j] = ds[j], ds[i]
+        extra.append(pg.Permutation(tuple(map(label, swapped))))
+    return pg.PermGroup(m, tuple(gens + draw(st.permutations(extra)))), moduli
 
 
 @st.composite
@@ -246,8 +313,9 @@ class TestSuborbits:
         subs = pg.suborbits(G, base)
         assert subs == stabiliser_orbits(G, base)
         # relabelled by sigma the group keeps a full cycle among its
-        # generators, the rotation only when sigma commutes with it; hiding
-        # every full cycle from `suborbits` sends it down the search path
+        # generators, the rotation only when sigma commutes with it, so
+        # `suborbits` relabels along it; hiding every translation source
+        # from `suborbits` sends it down the search path
         sigma = data.draw(st.permutations(range(m)))
         inv = pg.inverse(pg.Permutation(tuple(sigma)))
         K = pg.PermGroup(m, tuple(
@@ -256,8 +324,28 @@ class TestSuborbits:
         want = sorted(sorted(sigma[x] for x in o) for o in subs)
         assert pg.suborbits(K, sigma[base]) == want
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pg, "cycle_positions", lambda G, base=0: None)
+            mp.setattr(pg, "_regular_abelian", lambda G, base: None)
             assert pg.suborbits(K, sigma[base]) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=groups_led_by_translations(), data=st.data())
+    def test_translations_agree_with_orbitals_and_search(self, case, data):
+        G, moduli = case
+        base = data.draw(st.integers(0, G.degree - 1))
+        assert pg.translation_moduli(G) == tuple(moduli)
+        subs = pg.suborbits(G, base)
+        assert subs == orbital_suborbits(G, base)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pg, "_regular_abelian", lambda G, base: None)
+            assert pg.suborbits(G, base) == subs
+
+    def test_non_additive_map_is_not_one_row(self):
+        # h(x) = phi(x) + h(0) with phi(0, 1) = (2, 1), but 2 (2, 1) = (1, 0)
+        # is not 0 in Z_3 x Z_2: phi is no homomorphism, and merging x -
+        # phi(x) as one row gave wrong suborbits at base 4
+        (a, b), _, _ = unit_translations((3, 2))
+        G = pg.PermGroup(6, (a, b, pg.Permutation((5, 2, 3, 0, 1, 4))))
+        assert pg.suborbits(G, 4) == orbital_suborbits(G, 4) == stabiliser_orbits(G, 4)
 
     def test_rotation_path_builds_no_table(self):
         G = pg.dihedral(4096)
@@ -271,8 +359,23 @@ class TestSuborbits:
         # the search path's inverse transversal alone would be 4096^2 int16, 32 MiB
         assert peak < 8 * 2**20, peak
 
+    def test_translation_path_builds_no_table(self):
+        # wreath:64 leads with the unit translations of C_64 x C_64
+        G = pg.wreath_product_action(64).group
+        tracemalloc.start()
+        try:
+            subs = pg.suborbits(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(len(s) for s in subs) == [1, 126, 3969]
+        # the search path's inverse transversal alone would be 4096^2 int16, 32 MiB
+        assert peak < 8 * 2**20, peak
+
     def test_search_path_holds_one_table(self):
-        G = pg.wreath_product_action(64).group  # no full-cycle generator
+        # reversed, no translation leads and no generator is a full cycle
+        G = pg.wreath_product_action(64).group
+        G = pg.PermGroup(G.degree, G.generators[::-1])
         tracemalloc.start()
         try:
             subs = pg.suborbits(G)
@@ -307,6 +410,72 @@ class TestSuborbits:
 
     def test_degree_1024_admitted(self):
         assert pg.suborbits(pg.cyclic(1024)) == [[x] for x in range(1024)]
+
+
+class TestRelabel:
+    def test_embedded_product_labels_the_pair_grid(self):
+        # the embedded C_d x C_d leads wreath:d, and (i, j) is already i*d + j
+        W = pg.wreath_product_action(5)
+        H, order = pg.relabel(W.group, W.embedded_abelian)
+        assert order == tuple(range(25)) and H.generators == W.group.generators
+        assert pg.translation_moduli(H) == (5, 5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=groups_led_by_translations(), data=st.data())
+    def test_conjugated_translations_relabelled_back(self, case, data):
+        # sigma^-1 K sigma relabelled by its own generators from sigma(b) is
+        # K shifted by b: the point sigma(x) takes the label x - b
+        G, moduli = case
+        m, k = G.degree, len(moduli)
+        sigma = data.draw(st.permutations(range(m)))
+        b = data.draw(st.integers(0, m - 1))
+        inv = pg.inverse(pg.Permutation(tuple(sigma)))
+        K = pg.PermGroup(m, tuple(
+            pg.Permutation(tuple(sigma[g[inv[x]]] for x in range(m))) for g in G.generators
+        ))
+        H, order = pg.relabel(K, K.generators[:k], sigma[b])
+        assert H.generators[:k] == G.generators[:k] and pg.translation_moduli(H) == tuple(moduli)
+        _, digits, label = unit_translations(moduli)
+        shifted = [label([x - y for x, y in zip(digits[c], digits[b])]) for c in range(m)]
+        assert [shifted[inv[p]] for p in order] == list(range(m))
+        assert pg.suborbits(H) == orbital_suborbits(H)
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            ("(0,1)(2,3)", "(0,1)(2,3)"),  # (a, a): 0, 1, 1, 0 labels no bijection
+            ("(0,1,2,3)", "(0,1,2,3)"),  # (a, a): 16 labels for 4 points
+        ],
+    )
+    def test_repeated_generator_refused(self, gens):
+        G = pg.PermGroup(4, (pg.parse_permutation("(0,1,2,3)", 4),))
+        with pytest.raises(ValueError, match="does not act regularly"):
+            pg.relabel(G, [pg.parse_permutation(g, 4) for g in gens])
+
+    def test_no_generator_pair_of_the_product_refused(self):
+        # a and ab generate C_6, but ab has order 6: 12 labels for 6 points
+        a = pg.parse_permutation("(0,1)(2,3)(4,5)", 6)
+        ab = pg.compose(a, pg.parse_permutation("(0,2,4)(1,3,5)", 6))
+        with pytest.raises(ValueError, match="does not act regularly"):
+            pg.relabel(pg.cyclic(6), (a, ab))
+
+    def test_non_commuting_pair_refused(self):
+        # S_3 acting on itself by right multiplication: a^x b^y labels the 6
+        # elements bijectively, but ab = b^-1 a, so a is no unit translation
+        elems = sorted(itertools.permutations(range(3)))
+
+        def right(s):
+            return pg.Permutation(tuple(elems.index(tuple(s[i] for i in e)) for e in elems))
+
+        a, b = right((1, 0, 2)), right((1, 2, 0))
+        G = pg.PermGroup(6, (a, b))
+        assert len(pg.cycle_points(a, 0)) * len(pg.cycle_points(b, 0)) == 6
+        with pytest.raises(ValueError, match="does not act regularly"):
+            pg.relabel(G, (a, b))
+
+    def test_full_cycle_refusal_keeps_its_message(self):
+        with pytest.raises(ValueError, match="not a d-cycle"):
+            pg.relabel(pg.dihedral(6), (pg.parse_permutation("(0,1,2)(3,4,5)", 6),))
 
 
 class TestTwoTransitivity:
