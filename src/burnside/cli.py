@@ -13,6 +13,10 @@ Group specs are either a named family (cyclic:6, dihedral:8, wreath:5,
 sym:7, affine:9:2) or explicit cycle-notation generators separated by
 semicolons, e.g. "(0,1,2,3)(4,5);(0,4)".
 
+A process runs one subcommand, and builds the argument parser of that one
+alone (`build_parser`); help and errors before a subcommand name get the
+whole tree.  Usage lines and error messages read the same either way.
+
 Exit codes: 0 success (all verdicts hold), 1 a mathematical verdict
 failed, 2 usage or input error (including an input past a stated budget
 or too large to hold in memory), 3 internal error (a checked invariant
@@ -295,7 +299,9 @@ def _cmd_examples(args, out: _Output) -> int:
             "d": 4,
             "degree": 16,
             "generators": [str(a), str(k1), str(k2)],
-            "regular_c4xc2xc2": permgroup.regular_check(16, [a, k1, k2]),
+            # (a, k2, k1) are the unit translations of Z_4 x Z_2 x Z_2 on the
+            # pair labels, so the check takes the translation path, no search
+            "regular_c4xc2xc2": permgroup.regular_check(16, [a, k2, k1]),
             "primitive": permgroup.first_nontrivial_blocks(W.group, subs) is None,
             "two_transitive": len(subs) == 2,
         }
@@ -316,69 +322,103 @@ def _cmd_examples(args, out: _Output) -> int:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
-        prog="burnside",
-        description="Exact computations with Ramanujan matrices, divisor "
-        "partitions, suborbit dualities and cyclotomic solution sets.",
+def _add_common(p, default_format, formats=("json", "pretty")):
+    p.add_argument(
+        "--format",
+        choices=formats,
+        default=default_format,
+        help=f"output format (default {default_format})",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    p.add_argument("--out", default=None, help="write output to a file")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker count for conjecture; accepted and unused elsewhere "
+        "(default 1)",
+    )
 
-    def add_common(p, default_format, formats=("json", "pretty")):
-        p.add_argument(
-            "--format",
-            choices=formats,
-            default=default_format,
-            help=f"output format (default {default_format})",
-        )
-        p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="worker count for conjecture; accepted and unused elsewhere "
-            "(default 1)",
-        )
 
-    p = sub.add_parser("ramanujan", help="print R(d) and its identity report")
+def _ramanujan_args(p):
     p.add_argument("d", type=int)
-    add_common(p, "pretty", ("json", "csv", "pretty"))
+    _add_common(p, "pretty", ("json", "csv", "pretty"))
 
-    p = sub.add_parser("conjecture", help="coprime-partition sweep over even degrees")
+
+def _conjecture_args(p):
     p.add_argument("--max-d", type=int, required=True, dest="max_d")
-    add_common(p, "json")
+    _add_common(p, "json")
 
-    p = sub.add_parser("suborbits", help="stabiliser orbits of a group")
+
+def _suborbits_args(p):
     p.add_argument("--group", required=True)
     p.add_argument("--base", type=int, default=0)
-    add_common(p, "json")
+    _add_common(p, "json")
 
-    p = sub.add_parser("diagnose", help="imprimitive / 2-transitive dichotomy")
+
+def _diagnose_args(p):
     p.add_argument("--group", required=True)
     p.add_argument("--cycle", default=None, help="a full cycle in cycle notation")
-    add_common(p, "json")
+    _add_common(p, "json")
 
-    p = sub.add_parser("nullsets", help="enumerate or verify solution sets")
+
+def _nullsets_args(p):
     p.add_argument("p", type=int)
     p.add_argument("n", type=int)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--enumerate", action="store_true")
     mode.add_argument("--verify", action="store_true")
-    add_common(p, "json")
+    _add_common(p, "json")
 
-    p = sub.add_parser("examples", help="the product-action constructions")
+
+def _examples_args(p):
     p.add_argument("name", choices=["wreath", "manning", "ex42"])
     p.add_argument("--d", type=int, default=None)
-    add_common(p, "json")
+    _add_common(p, "json")
 
+
+# subcommand -> (help, its arguments), in the order the root help lists them
+SUBCOMMANDS = {
+    "ramanujan": ("print R(d) and its identity report", _ramanujan_args),
+    "conjecture": ("coprime-partition sweep over even degrees", _conjecture_args),
+    "suborbits": ("stabiliser orbits of a group", _suborbits_args),
+    "diagnose": ("imprimitive / 2-transitive dichotomy", _diagnose_args),
+    "nullsets": ("enumerate or verify solution sets", _nullsets_args),
+    "examples": ("the product-action constructions", _examples_args),
+}
+
+
+@functools.cache
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The root parser with the subparser of `command` only, or with all of
+    them when `command` is None, built once per process and command.
+
+    A process runs one subcommand, so `run` builds that one's parser; help
+    and errors before a subcommand name get the whole tree.  Every usage
+    line and error message is the same either way: a subparser's prog
+    ("burnside diagnose") comes from the root usage, which has no
+    positionals, and a partial tree's usage still names every subcommand.
+    """
+    parser = argparse.ArgumentParser(
+        prog="burnside",
+        description="Exact computations with Ramanujan matrices, divisor "
+        "partitions, suborbit dualities and cyclotomic solution sets.",
+    )
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        # None lets argparse list the choices and name the argument "command"
+        metavar=None if command is None else "{" + ",".join(SUBCOMMANDS) + "}",
+    )
+    for name, (help_text, add_arguments) in SUBCOMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def run(argv: list[str]) -> int:
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error or help
         return exc.code
     out = None

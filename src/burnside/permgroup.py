@@ -323,8 +323,8 @@ def suborbits(G: PermGroup, base: int = 0) -> list[list[int]]:
       homomorphism, and its rows differ.  No m x m table: a few length-m
       arrays and chunks of 32 KiB per digit.
     * otherwise, a search over points, which is also the transitivity
-      check, fills u[h(a), h] = u[a]: one int16 m x m table, 512 MiB at
-      MAX_DEGREE.
+      check, fills u[h(a)] = u[a] h^-1 by a gather: one int16 m x m table,
+      512 MiB at MAX_DEGREE.
     """
     m = G.degree
     if not 0 <= base < m:
@@ -366,15 +366,18 @@ def suborbits(G: PermGroup, base: int = 0) -> list[list[int]]:
     else:
         columns, pos = points, None
         gens = [np.array(g.images) for g in G.generators]
+        inverses = [np.argsort(g) for g in gens]
         table = np.empty((m, m), dtype)
         table[base] = points
         queue, found = [base], {base}
         for a in queue:
-            for g, perm in zip(gens, G.generators):
+            for g_inv, perm in zip(inverses, G.generators):
                 b = perm.images[a]
                 if b not in found:
                     found.add(b)
-                    table[b, g] = table[a]
+                    # u[b, g(y)] = u[a, y]; g_inv is a permutation, so "clip" clips
+                    # nothing and skips the buffer that "raise" fills before `out`
+                    table[a].take(g_inv, out=table[b], mode="clip")
                     queue.append(b)
         if len(queue) < m:
             raise ValueError("suborbits require a transitive group")

@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import dataclasses
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ import types
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import burnside
@@ -503,6 +505,21 @@ class TestExamplesCommand:
         obj = json.loads(out)
         assert obj["regular_c4xc2xc2"] and obj["verdict"] == "holds"
 
+    def test_ex42_checks_the_translations(self, monkeypatch):
+        # the triple passed to regular_check leads with the unit translations
+        # of Z_4 x Z_2 x Z_2, so its suborbits take no search
+        passed = []
+        real = permgroup.regular_check
+
+        def spy(degree, gens):
+            passed.append(permgroup.PermGroup(degree, tuple(gens)))
+            return real(degree, gens)
+
+        monkeypatch.setattr(permgroup, "regular_check", spy)
+        code, out = run_cli(["examples", "ex42"])
+        assert code == 0 and json.loads(out)["regular_c4xc2xc2"]
+        assert [permgroup.translation_moduli(G) for G in passed] == [(4, 2, 2)]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -559,7 +576,7 @@ class TestPlumbing:
         code, _ = run_cli(["conjecture", "--max-d", "4", "--format", "csv"])
         assert code == 2
 
-    def test_parser_built_once(self, monkeypatch, capsys):
+    def test_parser_built_once(self, monkeypatch, capsys, request):
         built = []
 
         class CountingParser(argparse.ArgumentParser):
@@ -568,12 +585,19 @@ class TestPlumbing:
                 super().__init__(*args, **kwargs)
 
         # argparse's own code names ArgumentParser, so only cli's view of it
-        # is replaced
+        # is replaced; the cache is emptied before and after, so that no
+        # parser built elsewhere is counted or one built here kept
         monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(ArgumentParser=CountingParser))
-        for argv in (["ramanujan", "4"], ["nullsets", "2", "2"], ["conjecture", "--max-d", "4"]):
-            assert run_cli(argv)[0] == cli.EXIT_OK
-        # at most one tree: the root parser and one subparser per subcommand
-        assert len(built) <= 7, built
+        cli.build_parser.cache_clear()
+        request.addfinalizer(cli.build_parser.cache_clear)
+        # a subcommand builds the root parser and its own subparser, once
+        for _ in range(2):
+            assert run_cli(["diagnose", "--group", "cyclic:4"])[0] == cli.EXIT_OK
+        assert built == ["burnside", "burnside diagnose"]
+        # the root help builds the whole tree: the root and six subparsers
+        built.clear()
+        assert run_cli(["--help"])[0] == cli.EXIT_OK
+        assert built == ["burnside"] + [f"burnside {name}" for name in cli.SUBCOMMANDS]
 
         # the handler is looked up per call, so one patched after the
         # parser exists still runs
@@ -773,6 +797,29 @@ TOKENS = st.lists(
     max_size=6,
 )
 ARGV = _argv(st.one_of(WELL_FORMED, TOKENS), FORMAT, JOBS)
+
+
+def _parse(parser, argv):
+    """parse_args's namespace, or its exit code with what it printed."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, stdout.getvalue(), stderr.getvalue()
+
+
+@given(ARGV, st.lists(SMALL, max_size=1))
+@example(["ramanujan", "4"], ["5"])
+@settings(max_examples=300)
+def test_one_subparser_parses_as_the_whole_tree(argv, stray):
+    # run builds only the subparser that argv[0] names; it must give the
+    # namespace, or the exit code, help and error text, of the whole tree.
+    # A stray positional after a complete command is refused by the root
+    # parser, in its own usage, which must still name every subcommand.
+    argv = argv + stray
+    command = argv[0] if argv and argv[0] in cli.SUBCOMMANDS else None
+    assert _parse(cli.build_parser(command), argv) == _parse(cli.build_parser(), argv)
 
 
 @given(ARGV)
