@@ -322,69 +322,8 @@ def _cmd_examples(args, out: _Output) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, default_format, formats=("json", "pretty")):
-    p.add_argument(
-        "--format",
-        choices=formats,
-        default=default_format,
-        help=f"output format (default {default_format})",
-    )
-    p.add_argument("--out", default=None, help="write output to a file")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker count for conjecture; accepted and unused elsewhere "
-        "(default 1)",
-    )
-
-
-def _ramanujan_args(p):
-    p.add_argument("d", type=int)
-    _add_common(p, "pretty", ("json", "csv", "pretty"))
-
-
-def _conjecture_args(p):
-    p.add_argument("--max-d", type=int, required=True, dest="max_d")
-    _add_common(p, "json")
-
-
-def _suborbits_args(p):
-    p.add_argument("--group", required=True)
-    p.add_argument("--base", type=int, default=0)
-    _add_common(p, "json")
-
-
-def _diagnose_args(p):
-    p.add_argument("--group", required=True)
-    p.add_argument("--cycle", default=None, help="a full cycle in cycle notation")
-    _add_common(p, "json")
-
-
-def _nullsets_args(p):
-    p.add_argument("p", type=int)
-    p.add_argument("n", type=int)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--enumerate", action="store_true")
-    mode.add_argument("--verify", action="store_true")
-    _add_common(p, "json")
-
-
-def _examples_args(p):
-    p.add_argument("name", choices=["wreath", "manning", "ex42"])
-    p.add_argument("--d", type=int, default=None)
-    _add_common(p, "json")
-
-
-# subcommand -> (help, its arguments), in the order the root help lists them
-SUBCOMMANDS = {
-    "ramanujan": ("print R(d) and its identity report", _ramanujan_args),
-    "conjecture": ("coprime-partition sweep over even degrees", _conjecture_args),
-    "suborbits": ("stabiliser orbits of a group", _suborbits_args),
-    "diagnose": ("imprimitive / 2-transitive dichotomy", _diagnose_args),
-    "nullsets": ("enumerate or verify solution sets", _nullsets_args),
-    "examples": ("the product-action constructions", _examples_args),
-}
+# the subcommands, in the order the root help lists them
+SUBCOMMANDS = ("ramanujan", "conjecture", "suborbits", "diagnose", "nullsets", "examples")
 
 
 @functools.cache
@@ -409,9 +348,60 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         # None lets argparse list the choices and name the argument "command"
         metavar=None if command is None else "{" + ",".join(SUBCOMMANDS) + "}",
     )
-    for name, (help_text, add_arguments) in SUBCOMMANDS.items():
-        if command in (None, name):
-            add_arguments(sub.add_parser(name, help=help_text))
+
+    def add_common(p, default_format, formats=("json", "pretty")):
+        p.add_argument(
+            "--format",
+            choices=formats,
+            default=default_format,
+            help=f"output format (default {default_format})",
+        )
+        p.add_argument("--out", default=None, help="write output to a file")
+        p.add_argument(
+            "--jobs",
+            type=int,
+            default=1,
+            help="worker count for conjecture; accepted and unused elsewhere "
+            "(default 1)",
+        )
+
+    if command in (None, "ramanujan"):
+        p = sub.add_parser("ramanujan", help="print R(d) and its identity report")
+        p.add_argument("d", type=int)
+        add_common(p, "pretty", ("json", "csv", "pretty"))
+
+    if command in (None, "conjecture"):
+        p = sub.add_parser("conjecture", help="coprime-partition sweep over even degrees")
+        p.add_argument("--max-d", type=int, required=True, dest="max_d")
+        add_common(p, "json")
+
+    if command in (None, "suborbits"):
+        p = sub.add_parser("suborbits", help="stabiliser orbits of a group")
+        p.add_argument("--group", required=True)
+        p.add_argument("--base", type=int, default=0)
+        add_common(p, "json")
+
+    if command in (None, "diagnose"):
+        p = sub.add_parser("diagnose", help="imprimitive / 2-transitive dichotomy")
+        p.add_argument("--group", required=True)
+        p.add_argument("--cycle", default=None, help="a full cycle in cycle notation")
+        add_common(p, "json")
+
+    if command in (None, "nullsets"):
+        p = sub.add_parser("nullsets", help="enumerate or verify solution sets")
+        p.add_argument("p", type=int)
+        p.add_argument("n", type=int)
+        mode = p.add_mutually_exclusive_group()
+        mode.add_argument("--enumerate", action="store_true")
+        mode.add_argument("--verify", action="store_true")
+        add_common(p, "json")
+
+    if command in (None, "examples"):
+        p = sub.add_parser("examples", help="the product-action constructions")
+        p.add_argument("name", choices=["wreath", "manning", "ex42"])
+        p.add_argument("--d", type=int, default=None)
+        add_common(p, "json")
+
     return parser
 
 

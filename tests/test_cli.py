@@ -600,12 +600,14 @@ class TestPlumbing:
         assert built == ["burnside"] + [f"burnside {name}" for name in cli.SUBCOMMANDS]
 
         # the handler is looked up per call, so one patched after the
-        # parser exists still runs
+        # parser exists still runs: diagnose's parser is the cached one
         def broken(args, out):
             raise KeyError("k")
 
-        monkeypatch.setattr(cli, "_cmd_ramanujan", broken)
-        assert run_cli(["ramanujan", "4"]) == (cli.EXIT_INTERNAL, "")
+        monkeypatch.setattr(cli, "_cmd_diagnose", broken)
+        built.clear()
+        assert run_cli(["diagnose", "--group", "cyclic:4"]) == (cli.EXIT_INTERNAL, "")
+        assert built == []
         assert capsys.readouterr().err.startswith("internal error: ")
 
         # no environment variable sets a default
