@@ -49,8 +49,9 @@ _SAMPLE = 1 << 14  # at most this many masks rank the checks by pass rate
 _CHUNK = 1 << 14
 # 38 free rows is every even degree below 2520 (1680 and 2160 have 40
 # divisors, 2520 has 48).  There the two half tables are 2^19 x 39 int16,
-# 39 MiB each, and each (b1, b2) join sorts 2^19 uint64 keys per half: 1680
-# took 15 s at 250 MB peak RSS on one core of a 2-vCPU Xeon VM.
+# 39 MiB each, and each (b1, b2) join sorts the 2^20 uint64 keys of both
+# halves as one array: 1680 took 6.5-9 s at 198 MB peak RSS on one core of a
+# 2-vCPU Xeon VM.
 MAX_FREE_ROWS = 38
 
 
@@ -152,15 +153,16 @@ def _passing(profiles: np.ndarray, checks) -> np.ndarray:
 
 def _rank_checks(checks, passes: np.ndarray):
     """The one-column checks (a, B) to join, and the one to test first,
-    from their passes on the sample (column i of `passes` is check i).  The
-    join takes the check of least pass rate and its best partner on another
-    column, by the pass rate of the two together.  The test leads with the
-    check of least pass rate that is not joined (a joined one if all are)."""
-    rank = np.argsort(passes.mean(axis=0), kind="stable")
+    from their passes on the sample (row i of `passes` is check i).  The
+    join takes the check of fewest passes and its best partner on another
+    column, by the passes of the two together.  The test leads with the
+    check of fewest passes that is not joined (a joined one if all are).
+    Every check has the same sample, so counts rank as pass rates do."""
+    rank = np.argsort(np.count_nonzero(passes, axis=1), kind="stable")
     picked = list(rank[:1])
     others = [i for i in rank if checks[i][0] != checks[rank[0]][0]]
     if others:
-        joint = (passes[:, others] & passes[:, rank[:1]]).mean(axis=0)
+        joint = np.count_nonzero(passes[others] & passes[rank[0]], axis=1)
         picked.append(others[np.argmin(joint)])
     lead = next((i for i in rank if i not in picked), picked[0])
     return [checks[i] for i in picked], checks[lead]
@@ -178,23 +180,45 @@ def _multipliers(n: int) -> np.ndarray:
 def join(low: np.ndarray, high: np.ndarray):
     """Index pairs (i, j), flat over the (batch, row) axes, of every low
     row equal to a high row of its batch, and of any others whose keys
-    collide, so callers re-test each pair (Horowitz-Sahni, JACM 1974).  A
-    key is a row's dot product with `_multipliers` modulo 2^64, the batch
-    index one more column; the sorted low keys are searched for high ones."""
-    c, keys = _multipliers(low.shape[-1] + 1), []
-    for rows in (low, high):
-        key = np.arange(len(rows), dtype=np.uint64)[:, None] * c[0]
+    collide, so callers re-test each pair (Horowitz-Sahni, JACM 1974).
+
+    One sort makes the pairs.  A row's key holds, from the top, its dot
+    product with `_multipliers` modulo 2^64 (the batch index one more
+    column), a side bit (0 low, 1 high) at bit b, and its flat index in the
+    low b bits, b the bit length of the larger side's last index.  Both
+    sides are sorted as one array, so each run of equal dot products lists
+    its low rows, then its high rows, and only the runs that hold both
+    sides make pairs.  Dropping the low b + 1 bits of the dot product only
+    adds collisions: 44 bits remain while a side has at most 2^19 rows."""
+    sizes = [math.prod(rows.shape[:-1]) for rows in (low, high)]
+    b = max(max(sizes) - 1, 0).bit_length()
+    c = _multipliers(low.shape[-1] + 1)
+    keys = np.empty(sum(sizes), dtype=np.uint64)
+    for side, (rows, key) in enumerate(zip((low, high), (keys[: sizes[0]], keys[sizes[0] :]))):
+        grid = key.reshape(rows.shape[:-1])
+        grid[:] = np.arange(len(rows), dtype=np.uint64)[:, None] * c[0]
         for j in range(rows.shape[-1]):
-            key = key + rows[..., j].astype(np.uint64) * c[j + 1]
-        keys.append(key.ravel())
-    low_order, high_order = np.argsort(keys[0]), np.argsort(keys[1])
-    low_key, high_key = keys[0][low_order], keys[1][high_order]
-    first = np.searchsorted(low_key, high_key)
-    hit = low_key[np.minimum(first, low_key.size - 1)] == high_key
-    high_order, high_key, first = high_order[hit], high_key[hit], first[hit]
-    count = np.searchsorted(low_key, high_key, "right") - first
-    offset = np.repeat(first - np.cumsum(count) + count, count)
-    return low_order[np.arange(offset.size) + offset], np.repeat(high_order, count)
+            grid += rows[..., j].astype(np.uint64) * c[j + 1]
+        key &= ~np.uint64((2 << b) - 1)
+        key |= np.arange(sizes[side], dtype=np.uint64) | np.uint64(side << b)
+    del low, high, rows  # frees the callers' temporary tables
+    keys.sort()
+    # a run's dot product and side bit: a low run is even, and the high
+    # run of the same dot product follows it as the next odd number
+    run = keys >> np.uint64(b)
+    mid = np.flatnonzero((run[:-1] ^ run[1:]) == np.uint64(1))  # a run's last low
+    start = np.searchsorted(run, run[mid])
+    highs = np.searchsorted(run, run[mid] + np.uint64(1), "right") - mid - 1
+    del run
+    keys &= np.uint64((1 << b) - 1)  # now the flat indices
+    keys = keys.view(np.int64)
+    # each high of those runs, with the lows of its run before it
+    where = np.repeat(mid + 1 - np.cumsum(highs) + highs, highs) + np.arange(highs.sum())
+    first, count = np.repeat(start, highs), np.repeat(mid + 1 - start, highs)
+    lo = np.repeat(first - np.cumsum(count) + count, count)
+    lo += np.arange(lo.size)
+    lo = keys[lo]
+    return lo, np.repeat(keys[where], count)
 
 
 def _check_scan_bound(d: int, free: int) -> None:
@@ -216,27 +240,35 @@ def _join_hits(columns: np.ndarray, groups) -> np.ndarray:
 
     # one (q-divisible column a, q-free columns B) check per a, q ascending,
     # with its passes on a fixed sample of 1/16 of the masks, at most
-    # _SAMPLE, taken by an odd multiplicative stride (distinct masks)
+    # _SAMPLE, taken by an odd multiplicative stride (distinct masks); the
+    # sample is transposed, one contiguous row per column, and so is the
+    # pass table, one row per check
     stride = np.arange(max(1, min(_SAMPLE, 1 << free >> 4)), dtype=np.int64) * 0x9E3779B1
-    sample = profiles(stride % (1 << free))
+    sample = profiles(stride % (1 << free)).T.copy()
     checks, passes = [], []
     for A, B in groups:
         checks.extend((a, B) for a in A)
-        passes.append((sample[:, A, None] == sample[:, None, B]).any(axis=2))
-    joined, lead = _rank_checks(checks, np.concatenate(passes, axis=1))
+        passes.append((sample[A, None] == sample[B]).any(axis=1))
+    joined, lead = _rank_checks(checks, np.concatenate(passes))
     # one column first prunes a full chunk at |B| compares a row; then every
     # check, the joined ones too, since the join keys may collide
     tests = [([lead[0]], lead[1])] + groups
 
     a_cols = np.array([a for a, _ in joined], dtype=np.intp)
+    low_a, high_a = low[:, a_cols], high[:, a_cols]
     combos = np.array(list(itertools.product(*(B for _, B in joined))), dtype=np.intp)
     per_batch = max(1, _CHUNK // max(len(low), len(high)))
     hits = [np.zeros(0, dtype=np.int64)]
     for i in range(0, len(combos), per_batch):
         bs = combos[i : i + per_batch]
-        lo, hi = join(low[:, a_cols].astype(np.int64) - low[:, bs].transpose(1, 0, 2),
-                      high[:, bs].transpose(1, 0, 2).astype(np.int64) - high[:, a_cols])
-        candidates = lo % len(low) | hi % len(high) << h
+        lo, hi = join(np.subtract(low_a, low[:, bs].transpose(1, 0, 2), dtype=np.int64),
+                      np.subtract(high[:, bs].transpose(1, 0, 2), high_a, dtype=np.int64))
+        # in place: at 1680 a (b1, b2) batch joins ~2 million pairs.  Each
+        # table has a power of two rows, so the mask takes a flat index's row
+        lo &= len(low) - 1
+        hi &= len(high) - 1
+        hi <<= h
+        candidates = np.bitwise_or(lo, hi, out=hi)
         for j in range(0, len(candidates), _CHUNK):
             chunk = candidates[j : j + _CHUNK]
             hits.append(chunk[_passing(profiles(chunk), tests)])

@@ -824,10 +824,15 @@ def test_one_subparser_parses_as_the_whole_tree(argv, stray):
     assert _parse(cli.build_parser(command), argv) == _parse(cli.build_parser(), argv)
 
 
-@given(ARGV)
+@given(_argv(ARGV, st.lists(SMALL, max_size=1)))
+@example(["ramanujan", "4", "5"])
 @settings(max_examples=300, deadline=1000)
 def test_argv_fuzz_keeps_exit_code_contract(argv):
     # deadline: every argv of this grammar is decided within milliseconds.
     # Exit 3 would mean a checked invariant broke, which no input may cause.
+    # The optional stray positional reaches the root parser's refusal of
+    # unrecognized arguments, a usage error.
     code, _ = run_cli(argv)
     assert code in (0, 1, 2)
+    if argv == ["ramanujan", "4", "5"]:
+        assert code == 2

@@ -5,6 +5,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from burnside import coprime as cp
 from burnside.ramanujan import divisor_data, matrix_formula
@@ -326,6 +329,55 @@ class TestConjectureScan:
         assert sorted(zip(lo.tolist(), hi.tolist())) == [
             (b * n + i, b * n + n - 1 - i) for b in range(2) for i in range(n)
         ]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_join_returns_every_equal_pair_once(self, data):
+        # entries from 3-5 values, so a run of equal keys holds several lows
+        # and several highs; the sides differ in rows, and either may have none
+        batches, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        values = data.draw(st.lists(st.integers(-(1 << 40), 1 << 40), min_size=3, max_size=5,
+                                    unique=True))
+        n_low = data.draw(st.integers(0, 8))
+        n_high = data.draw(st.integers(0, 8).filter(lambda n: n != n_low))
+        low, high = (data.draw(arrays(np.int64, (batches, n, m), elements=st.sampled_from(values)))
+                     for n in (n_low, n_high))
+        lo, hi = cp.join(low, high)
+        assert lo.dtype == hi.dtype == np.int64
+        pairs = list(zip(lo.tolist(), hi.tolist()))
+        assert len(set(pairs)) == len(pairs)
+        equal = {
+            (b * n_low + i, b * n_high + j)
+            for b in range(batches) for i in range(n_low) for j in range(n_high)
+            if (low[b, i] == high[b, j]).all()
+        }
+        assert equal <= set(pairs)
+        assert all(0 <= i < batches * n_low and 0 <= j < batches * n_high for i, j in pairs)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_rank_checks_as_by_pass_rate(self, seed):
+        # the old rule on the row-major table (column i is check i), by pass
+        # rates: counts over the check-major table must pick the same checks.
+        # A small sample and rows copied with their passes shuffled force
+        # ties, and few check columns leave some ranks with no partner.
+        def by_rate(checks, passes):
+            rank = np.argsort(passes.mean(axis=0), kind="stable")
+            picked = list(rank[:1])
+            others = [i for i in rank if checks[i][0] != checks[rank[0]][0]]
+            if others:
+                joint = (passes[:, others] & passes[:, rank[:1]]).mean(axis=0)
+                picked.append(others[np.argmin(joint)])
+            lead = next((i for i in rank if i not in picked), picked[0])
+            return [checks[i] for i in picked], checks[lead]
+
+        rng = np.random.default_rng(seed)
+        n, size = rng.integers(1, 9), rng.integers(1, 13)
+        passes = rng.random((n, size)) < rng.random()
+        for i in rng.integers(0, n, size=n // 2):
+            passes[i] = rng.permutation(passes[rng.integers(0, n)])
+        columns = rng.integers(0, rng.integers(1, 4), size=n)
+        checks = [(int(a), (i,)) for i, a in enumerate(columns)]
+        assert cp._rank_checks(checks, passes) == by_rate(checks, passes.T.copy())
 
     @pytest.mark.parametrize("d", [4, 12, 16, 60])
     def test_zero_keys_leave_the_exact_test(self, monkeypatch, d):
