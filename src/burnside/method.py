@@ -53,7 +53,7 @@ the translation x -> x + 1 it becomes; `permgroup` reads positions off
 it.  A cycle outside G's generators must keep every orbital of G (then
 its translations change no suborbit and no block system: Wielandt, ch.
 IV; D. G. Higman, 1967), or it is refused with ValueError, by one more
-`permgroup.suborbits` count, on the group without it.  A class count
+`permgroup.suborbits` count, on G itself.  A class count
 other than the suborbit count is an internal error.
 `suborbit_sums` keeps only the classes, and every consumer takes that
 result, as `diagnose` does:
@@ -61,9 +61,12 @@ result, as `diagnose` does:
     M = suborbit_sums(G, g)
     classes, rows = M.column_classes, orbit_row_subset(M)
 
-The pair variants handle a regular product C_da x C_db inside a group on
-da*db points, labelled by the same `permgroup.relabel`, with sums valued
-in Z[z_L], L = lcm(da, db).
+One pipeline, `_sums`, serves every regular abelian K given by its unit
+translations: K = <g> for `suborbit_sums`, and a regular C_da x C_db on
+da*db points for the pair variant `pair_basis_partition`, whose sums are
+valued in Z[z_L], L = lcm(da, db), with a column per (j, j').  The same
+relabelling, orbital check and class step serve both; only a cyclic K
+tries `_orbit_classes` before the evaluation.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ class SuborbitSumMatrix:
     of exponent columns j on which the reduced sums agree."""
 
     d: int
-    group: PermGroup  # relabelled: the translation x -> x + 1, then G's other generators
+    group: PermGroup  # relabelled: K's unit translations, then G's other generators
     suborbits: tuple[tuple[int, ...], ...]
     column_classes: tuple[tuple[int, ...], ...]  # ascending, by least member
     relabelling: tuple[int, ...]  # new label -> original point
@@ -112,16 +115,6 @@ def _evaluation_prime(L: int, largest: int) -> tuple[int, int]:
     if p >= 2**31:
         raise RuntimeError(f"evaluation prime {p} is not below 2^31")
     return p, pow(cyclotomic.primitive_root(p), (p - 1) // L, p)
-
-
-def _check_orbitals_kept(G: PermGroup, r: int) -> None:
-    """Raise ValueError unless G has r suborbits, r the count once the
-    regular subgroup's generators join G's, so that the regular subgroup
-    keeps every orbital of G, as the rank argument needs: the orbitals of
-    the larger group are unions of G's (Wielandt, Finite Permutation
-    Groups, ch. IV), and in a transitive group as many as its suborbits."""
-    if len(permgroup.suborbits(G)) != r:
-        raise ValueError("the regular subgroup does not preserve the orbitals of the group")
 
 
 def _rank(keys: np.ndarray) -> tuple[np.ndarray, int]:
@@ -272,38 +265,49 @@ def _column_classes(
     ids, count = _refine_by_units(ids, moduli)
     if count != len(subs):
         raise RuntimeError(f"{count} column classes for {len(subs)} suborbits (p = {p})")
-    classes: dict[int, list[int]] = {}
-    for c, k in enumerate(ids.tolist()):
-        classes.setdefault(k, []).append(c)
-    return tuple(map(tuple, classes.values()))
+    return tuple(map(tuple, permgroup._classes(ids)))
+
+
+def _sums(G: PermGroup, gens: tuple[Permutation, ...]) -> SuborbitSumMatrix:
+    """The suborbit-sum classes for the regular abelian K = Z_n1 x .. x Z_nk
+    whose unit translations are `gens`, points and columns labelled by the
+    mixed-radix index of their coordinates (`permgroup.relabel`).
+
+    A generator of K outside G's generators must keep every orbital of G,
+    as the rank argument needs: the orbitals of the larger group are unions
+    of G's (Wielandt, Finite Permutation Groups, ch. IV), in a transitive
+    group as many as its suborbits, so one count of G's refuses the rest
+    with ValueError.  Only a cyclic K tries `_orbit_classes`; otherwise the
+    classes come from the evaluation mod p (`_column_classes`).
+    """
+    H, relab = permgroup.relabel(G, gens)
+    subs = tuple(tuple(o) for o in permgroup.suborbits(H))
+    if any(a not in G.generators for a in gens) and len(permgroup.suborbits(G)) != len(subs):
+        raise ValueError("the regular subgroup does not preserve the orbitals of the group")
+    classes = _orbit_classes(subs, H.degree) if len(gens) == 1 else None
+    if classes is None:
+        moduli = permgroup.translation_moduli(H)
+        grid = np.indices(moduli).reshape(len(moduli), -1).T  # label c: (x_1, .., x_k)
+        classes = _column_classes(subs, grid, moduli)
+    return SuborbitSumMatrix(H.degree, H, subs, classes, relab)
 
 
 def suborbit_sums(G: PermGroup, g: Permutation | None = None) -> SuborbitSumMatrix:
     """Classes of equal columns of the stabiliser-orbit sums
-    sum_{i in O} z^{ij}, over every exponent j.
+    sum_{i in O} z^{ij}, over every exponent j (`_sums`, for K = <g>).
 
     Points are relabelled so that g, by default G's first generator, is the
-    translation x -> x + 1, which leads the relabelled group
-    (`permgroup.relabel`); that group and the relabelling are recorded in
-    the result.  A g outside G's generators must keep every orbital of G
-    (`_check_orbitals_kept`).  The classes are the suborbits when those are
-    the orbits of a group of units (`_orbit_classes`, O(d log d)), and
-    otherwise come from the evaluation mod p (`_column_classes`).
+    translation x -> x + 1, which leads the relabelled group; that group
+    and the relabelling are recorded in the result.
     """
     try:
-        H, relab = permgroup.relabel(G, (G.generators[0] if g is None else g,))
+        return _sums(G, (G.generators[0] if g is None else g,))
     except ValueError:
-        if g is None:
+        # relabel refused the default generator, which is no full cycle; a
+        # refusal by the point budget passes through
+        if g is None and len(permgroup.cycle_points(G.generators[0], 0)) < G.degree:
             raise ValueError("this group has no canonical full cycle; pass --cycle") from None
         raise
-    d = H.degree
-    subs = tuple(tuple(o) for o in permgroup.suborbits(H))
-    if g is not None and g not in G.generators:
-        _check_orbitals_kept(PermGroup(d, H.generators[1:]), len(subs))
-    classes = _orbit_classes(subs, d)
-    if classes is None:
-        classes = _column_classes(subs, np.arange(d)[:, None], (d,))
-    return SuborbitSumMatrix(d, H, subs, classes, relab)
 
 
 # ---------------------------------------------------------------------------
@@ -316,17 +320,12 @@ def pair_basis_partition(G: PermGroup, a: Permutation, b: Permutation) -> tuple[
     L = lcm(da, db), over every stabiliser orbit O, as ascending tuples of
     (j, j') by least member.  The point a^x b^y(0) has the coordinates
     (x, y), on which a and b must act as the unit translations of C_da x
-    C_db (`permgroup.relabel`), so that checking a and b
-    (`_check_orbitals_kept`, on G itself) checks every translation.
+    C_db (`_sums`, which checks a and b on G itself, and so every
+    translation).
     """
-    H, _ = permgroup.relabel(G, (a, b))
-    da, db = permgroup.translation_moduli(H)
-    subs = tuple(tuple(o) for o in permgroup.suborbits(H))
-    if a not in G.generators or b not in G.generators:
-        _check_orbitals_kept(G, len(subs))
-    xy = np.indices((da, db)).reshape(2, -1).T  # label x * db + y: (x, y)
-    classes = _column_classes(subs, xy, (da, db))
-    return tuple(tuple(divmod(c, db) for c in cl) for cl in classes)
+    M = _sums(G, (a, b))
+    _, db = permgroup.translation_moduli(M.group)
+    return tuple(tuple(divmod(c, db) for c in cl) for cl in M.column_classes)
 
 
 @dataclass(frozen=True)

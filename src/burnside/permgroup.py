@@ -405,10 +405,8 @@ class BlockSystem:
         return self.block_count == 1 or self.block_size == 1
 
     def blocks(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.block_count)]
-        for x, b in enumerate(self.block_of):
-            out[b].append(x)
-        return out
+        # in block id order: `_system` numbers the blocks by least point
+        return _classes(np.array(self.block_of))
 
 
 def _system(keys: Sequence[int]) -> BlockSystem:

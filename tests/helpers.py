@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import io
+import itertools
 import json
+import math
 import random
 from contextlib import redirect_stdout
+
+import numpy as np
 
 from burnside import cli, cyclotomic, permgroup
 from burnside.permgroup import PermGroup, Permutation
@@ -75,15 +79,23 @@ def orbit_sum(M, orbit_index: int, j: int) -> cyclotomic.CycSum:
     return cyclotomic.from_indices(M.d, [(i * j) % M.d for i in M.suborbits[orbit_index]])
 
 
-def scalar_column_classes(M) -> tuple[tuple[int, ...], ...]:
-    """Reference for M.column_classes: every column reduced one sum at a
-    time by `reduced_coeffs`, grouped by tuple equality."""
+def scalar_column_classes(suborbits, moduli) -> tuple[tuple[int, ...], ...]:
+    """Reference for the column classes of the suborbit sums over the
+    regular Z_n1 x .. x Z_nk, n = `moduli`, whose points and columns are
+    both labelled by the mixed-radix index of their coordinates (a
+    `permgroup.relabel` labelling): the point x adds z^(sum_k x_k j_k L/n_k)
+    to column j, z of order L = lcm(moduli).  Every column is reduced one
+    sum at a time by `reduced_coeffs` and grouped by tuple equality."""
+    L = math.lcm(*moduli)
+    coords = np.array(list(itertools.product(*map(range, moduli))))  # label c: its coordinates
+    exps = coords * (L // np.array(moduli)) @ coords.T % L  # [point, column]
     groups: dict = {}
-    for j in range(M.d):
+    for c, e in enumerate(exps.T.tolist()):
         column = tuple(
-            cyclotomic.reduced_coeffs(orbit_sum(M, oi, j)) for oi in range(len(M.suborbits))
+            cyclotomic.reduced_coeffs(cyclotomic.from_indices(L, [e[i] for i in o]))
+            for o in suborbits
         )
-        groups.setdefault(column, []).append(j)
+        groups.setdefault(column, []).append(c)
     return tuple(sorted((tuple(g) for g in groups.values()), key=lambda cl: cl[0]))
 
 

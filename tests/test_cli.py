@@ -327,7 +327,7 @@ class TestDiagnoseCommand:
         # NON_ORBIT has 2 points, so p > 4, and no sum is reduced mod Phi_d
         G = cli.parse_group(NON_ORBIT)
         M = method.suborbit_sums(G, G.generators[0])
-        true = [list(c) for c in scalar_column_classes(M)]
+        true = [list(c) for c in scalar_column_classes(M.suborbits, (M.d,))]
 
         def no_reduction(x):
             raise AssertionError("reduced_coeffs called")

@@ -3,7 +3,6 @@ import json
 import math
 import random
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,13 +103,13 @@ class TestBasisPartition:
     def test_classes_match_scalar_reduction_on_corpus(self):
         for G, g in cyclic_regular_corpus(40):
             M = me.suborbit_sums(G, g)
-            assert M.column_classes == scalar_column_classes(M), G.name
+            assert M.column_classes == scalar_column_classes(M.suborbits, (M.d,)), G.name
 
     def test_classes_match_scalar_reduction_on_conjugates(self):
         rng = random.Random(20170523)
         for G, g in cyclic_regular_corpus(40):
             M = me.suborbit_sums(*random_relabelling(rng, G, g))
-            assert M.column_classes == scalar_column_classes(M), G.name
+            assert M.column_classes == scalar_column_classes(M.suborbits, (M.d,)), G.name
 
     @pytest.mark.parametrize(
         "family, digest",
@@ -288,7 +287,8 @@ class TestOrbitClasses:
         G = pg.PermGroup(6, (full_cycle(6), pg.parse_permutation("(0,3)", 6)))
         M = me.suborbit_sums(G)
         assert calls == [(6, 2)]
-        assert M.column_classes == scalar_column_classes(M) == ((0,), (1, 3, 5), (2,), (4,))
+        want = ((0,), (1, 3, 5), (2,), (4,))
+        assert M.column_classes == scalar_column_classes(M.suborbits, (6,)) == want
 
 
 class TestPairPartitions:
@@ -358,6 +358,54 @@ class TestPairPartitions:
         g = full_cycle(6)
         with pytest.raises(ValueError):
             me.pair_basis_partition(pg.dihedral(6), g, g)
+
+    def test_classes_match_scalar_reduction_on_random_groups(self):
+        # the unit translations t1, t2 of Z_a x Z_b (label x * b + y) and 0-2
+        # extra generators, each a random permutation (mostly giving a
+        # 2-transitive group) or a scaling (x, y) -> (ux, vy) by units (which
+        # keeps several suborbits), under a random labelling; the reference
+        # reduces each (j, j') column one sum at a time in Z[z_L], L = lcm(a, b)
+        rng = random.Random(1921)
+
+        def extra(a, b):
+            d = a * b
+            if rng.random() < 0.5:
+                return pg.Permutation(tuple(rng.sample(range(d), d)))
+            u, v = (rng.choice([s for s in range(1, n) if math.gcd(s, n) == 1]) for n in (a, b))
+            return pg.Permutation(tuple(u * (x // b) % a * b + v * x % b for x in range(d)))
+
+        for _ in range(200):
+            a, b = rng.randint(2, 6), rng.randint(2, 6)
+            d = a * b
+            t1 = pg.Permutation(tuple((x + b) % d for x in range(d)))
+            t2 = pg.Permutation(tuple(x - x % b + (x + 1) % b for x in range(d)))
+            gens = (t1, t2) + tuple(extra(a, b) for _ in range(rng.randint(0, 2)))
+            G, t1, t2 = random_relabelling(rng, pg.PermGroup(d, gens), t1, t2)
+            subs = pg.suborbits(pg.relabel(G, (t1, t2))[0])
+            reference = scalar_column_classes(subs, (a, b))
+            want = tuple(tuple(divmod(c, b) for c in cl) for cl in reference)
+            assert me.pair_basis_partition(G, t1, t2) == want, (a, b, gens)
+
+    def test_cyclic_and_pair_coordinates_agree(self):
+        # for d = da * db coprime, the translations by db and by da are the
+        # unit translations of C_da x C_db, and the point i = x db + y da
+        # adds z_d^(iJ) = z_d^(x db J + y da J) to column J in the cyclic
+        # labels and to column (J mod da, J mod db) in the pair labels
+        cases = 0
+        for G, g in cyclic_regular_corpus(60):
+            M = me.suborbit_sums(G, g)
+            d = M.d
+            for da in range(2, d):
+                db = d // da
+                if d % da or db < 2 or math.gcd(da, db) != 1:
+                    continue
+                a, b = (pg.Permutation(tuple((x + s) % d for x in range(d))) for s in (db, da))
+                want = tuple(sorted(
+                    tuple(sorted((J % da, J % db) for J in cl)) for cl in M.column_classes
+                ))
+                assert me.pair_basis_partition(M.group, a, b) == want, (G.name, da)
+                cases += 1
+        assert cases == 66  # 33 factorisations, each in both orders
 
 
 class TestManningInvariance:
@@ -518,8 +566,8 @@ class TestDiagnose:
                 ))
                 rep = me.diagnose(G, cs)
                 assert rep.blocks == exhaustive_first_blocks(K), (G.name, s)
-                ref = SimpleNamespace(d=d, suborbits=pg.suborbits(K))
-                assert rep.basis_classes == scalar_column_classes(ref), (G.name, s)
+                reference = scalar_column_classes(pg.suborbits(K), (d,))
+                assert rep.basis_classes == reference, (G.name, s)
 
     def test_matrix_built_once(self, monkeypatch):
         counts = {"suborbit_sums": 0, "relabel": 0, "minimal_blocks": 0}
