@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import itertools
+import math
 import random
 import time
 
@@ -233,14 +235,14 @@ class TestConjectureScan:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_join_on_least_selective_checks(self, monkeypatch, seed):
         # the join checks only narrow the candidates: ranking the checks on
-        # the complement of their sample passes joins the least selective
-        # ones, with the same hits
+        # their negated estimates joins the least selective pair, the most
+        # likely to pass together, with the same hits
         rank = cp._rank_checks
         picked = []
 
-        def worst(checks, passes):
-            joined, lead = rank(checks, ~passes)
-            picked.append((joined, rank(checks, passes)[0]))
+        def worst(checks, single, joint):
+            joined, lead = rank(checks, -single, lambda i: -joint(i))
+            picked.append((joined, rank(checks, single, joint)[0]))
             return joined, lead
 
         expected = {d: cp.verify_degree(d).coprime_masks for d in (60, 240, 360)}
@@ -356,28 +358,149 @@ class TestConjectureScan:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_rank_checks_as_by_pass_rate(self, seed):
-        # the old rule on the row-major table (column i is check i), by pass
-        # rates: counts over the check-major table must pick the same checks.
-        # A small sample and rows copied with their passes shuffled force
-        # ties, and few check columns leave some ranks with no partner.
-        def by_rate(checks, passes):
-            rank = np.argsort(passes.mean(axis=0), kind="stable")
-            picked = list(rank[:1])
-            others = [i for i in rank if checks[i][0] != checks[rank[0]][0]]
+        # the rule on hand-built estimated pass rates, against a plain
+        # restatement: the least single estimate leads the join; its partner
+        # on another column has the least joint estimate, ties going to the
+        # better single rank; the test leads with the best check not joined.
+        # Estimates drawn from few values force ties, and few check columns
+        # leave some best checks with no partner.
+        def by_rate(checks, single, table):
+            order = sorted(range(len(checks)), key=lambda i: (single[i], i))
+            joined = order[:1]
+            others = [i for i in order if checks[i][0] != checks[order[0]][0]]
             if others:
-                joint = (passes[:, others] & passes[:, rank[:1]]).mean(axis=0)
-                picked.append(others[np.argmin(joint)])
-            lead = next((i for i in rank if i not in picked), picked[0])
-            return [checks[i] for i in picked], checks[lead]
+                joined.append(min(others, key=lambda i: (table[order[0]][i], order.index(i))))
+            lead = next((i for i in order if i not in joined), joined[0])
+            return [checks[i] for i in joined], checks[lead]
 
         rng = np.random.default_rng(seed)
-        n, size = rng.integers(1, 9), rng.integers(1, 13)
-        passes = rng.random((n, size)) < rng.random()
-        for i in rng.integers(0, n, size=n // 2):
-            passes[i] = rng.permutation(passes[rng.integers(0, n)])
+        n = int(rng.integers(1, 9))
+        values = rng.random(int(rng.integers(1, 4)))
+        single = rng.choice(values, size=n)
+        table = rng.choice(values, size=(n, n))
         columns = rng.integers(0, rng.integers(1, 4), size=n)
         checks = [(int(a), (i,)) for i, a in enumerate(columns)]
-        assert cp._rank_checks(checks, passes) == by_rate(checks, passes.T.copy())
+        asked = []
+
+        def joint(i):
+            asked.append(i)
+            return table[i]
+
+        assert cp._rank_checks(checks, single, joint) == by_rate(checks, single, table)
+        assert asked in ([], [int(np.argmin(single))])
+
+    def test_rank_checks_ties_by_check_order(self):
+        # checks 0 and 2 tie for the lead and 0 wins; 1 shares its column;
+        # 2 and 3 tie on the joint estimate and 2, the better single rank,
+        # is the partner; the test leads with 1, the best check not joined
+        checks = [(5, (0,)), (5, (1,)), (6, (2,)), (7, (3,))]
+        single = np.array([0.1, 0.2, 0.1, 0.3])
+        table = np.zeros((4, 4))
+        table[0] = [9.0, 9.0, 0.5, 0.5]
+        assert cp._rank_checks(checks, single, lambda i: table[i]) == (
+            [checks[0], checks[2]], checks[1])
+        # the lead falls back to a joined check when every check is joined
+        assert cp._rank_checks(checks[2:], single[2:], lambda i: table[2:, 2:][i]) == (
+            [checks[2], checks[3]], checks[2])
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_lattice_matches_minors(self, data):
+        # the lattice L of the pairs (d1[r, j], d2[r, i]): det(L) is the gcd
+        # of the 2x2 minors of its generators, and z lies in L iff adding z
+        # keeps that gcd (rank 2), or keeps every minor 0 and the gcd of the
+        # entries (rank < 2).  Entries in [-12, 12] with zero rows and
+        # parallel pairs, scaled by powers of 3 up to 2^50 so that the int64
+        # and Python-int widths are reached, where a float product would
+        # round
+        n, k, m = (data.draw(st.integers(1, top)) for top in (8, 3, 3))
+        d1 = data.draw(arrays(np.int64, (n, k), elements=st.integers(-12, 12)))
+        d2 = data.draw(arrays(np.int64, (n, m), elements=st.integers(-12, 12)))
+        for r in data.draw(st.lists(st.integers(0, n - 1), max_size=n)):
+            d1[r] = d2[r] = 0
+        for i in range(m):
+            if data.draw(st.booleans()):
+                d2[:, i] = data.draw(st.integers(-3, 3)) * d1[:, data.draw(st.integers(0, k - 1))]
+        # each z is small, or a combination of its column, so often in L
+        combos = arrays(np.int64, n, elements=st.integers(-2, 2))
+        z1, z2 = (np.array([data.draw(st.one_of(st.integers(-30, 30), combos.map(col.dot)))
+                            for col in d.T]) for d in (d1, d2))
+        scale = data.draw(st.sampled_from([1, 3**13, 3**18, 3**25, 3**32]))
+        g1, h, member = cp._lattice(d1 * scale, z1 * scale, d2 * scale, z2 * scale)
+
+        def minors(vs):
+            return math.gcd(*(x * w - y * v for (x, y), (v, w) in itertools.combinations(vs, 2)))
+
+        def entries(vs):
+            return math.gcd(*itertools.chain(*vs))
+
+        for j in range(k):
+            assert g1[j] == math.gcd(*d1[:, j].tolist()) * scale
+            for i in range(m):
+                vs = list(zip(d1[:, j].tolist(), d2[:, i].tolist()))
+                more = vs + [(int(z1[j]), int(z2[i]))]
+                assert g1[j] * h[i, j] == minors(vs) * scale * scale
+                if minors(vs):
+                    inside = minors(more) == minors(vs)
+                else:
+                    inside = minors(more) == 0 and entries(more) == entries(vs)
+                assert member[i, j] == inside, more
+
+    @pytest.mark.parametrize("d", [60, 120])
+    @pytest.mark.parametrize("doubled", [False, True], ids=["real", "doubled"])
+    def test_zero_estimates_are_exact(self, monkeypatch, d, doubled):
+        # every pair (a, b), and every (b1, a2, b2) with the lead column,
+        # rated 0 on the join path matches no mask at all.  R(d) itself
+        # has no such zero; with the free rows doubled every difference
+        # over them is even, so an odd difference of rows 1 and 2 is 0
+        formula = cp.matrix_formula
+
+        def double(d):
+            R = formula(d)
+            rows = tuple(tuple(2 * v for v in row) for row in R.entries[2:])
+            return dataclasses.replace(R, entries=R.entries[:2] + rows)
+
+        if doubled:
+            monkeypatch.setattr(cp, "matrix_formula", double)
+        pairs, joints = spy(monkeypatch, "_pair_estimates"), spy(monkeypatch, "_joint_estimates")
+        take_source(monkeypatch, "join", d)
+        cp.verify_degree(d)
+        free = len(divisor_data(d).divisors) - 2
+        bits = (np.arange(1 << free)[:, None] >> np.arange(free) & 1).astype(np.int64)
+
+        def zero(delta, z0):
+            return bits @ delta + z0 == 0  # (mask, column)
+
+        (delta, z0), = pairs
+        rated = cp._pair_estimates(delta, z0) == 0
+        assert rated.any() == doubled
+        assert not zero(delta, z0)[:, rated].any()
+        (d1, z1, p1, d2, z2, p2), = joints
+        rated = cp._joint_estimates(d1, z1, p1, d2, z2, p2) == 0
+        assert rated.any() == doubled
+        both = zero(d2, z2).T.astype(np.int64) @ zero(d1, z1).astype(np.int64)
+        assert not both[rated].any()
+
+    @pytest.mark.parametrize("d", [360, 540])
+    def test_best_estimate_in_exact_top_three(self, monkeypatch, d):
+        # the one-check join candidates of (a, B), counted exactly from the
+        # half tables: the sum over b in B of the (lo, hi) pairs with
+        # low[lo, a] - low[lo, b] == high[hi, b] - high[hi, a]
+        calls = spy(monkeypatch, "_estimates")
+        cp.verify_degree(d)
+        (columns, groups), = calls
+        h = (len(columns) - 2) // 2
+        low = cp.subset_sums(columns[2:][:h].astype(np.int64))
+        high = cp.subset_sums(columns[2:][h:].astype(np.int64)) + columns[0] + columns[1]
+
+        def matches(a, b):
+            x, y = np.sort(low[:, a] - low[:, b]), high[:, b] - high[:, a]
+            return int((np.searchsorted(x, y, "right") - np.searchsorted(x, y, "left")).sum())
+
+        counts = [sum(matches(a, b) for b in B) for A, B in groups for a in A]
+        single, _ = cp._estimates(columns, groups)
+        best = int(np.argmin(single))
+        assert sorted(counts).index(counts[best]) < 3, (counts[best], sorted(counts)[:3])
 
     @pytest.mark.parametrize("d", [4, 12, 16, 60])
     def test_zero_keys_leave_the_exact_test(self, monkeypatch, d):
@@ -441,7 +564,7 @@ class TestConjectureScan:
         assert list(cp.verify_degree(60).coprime_masks) == expected
 
     def test_join_runs_only_past_one_chunk(self, monkeypatch):
-        calls = {name: spy(monkeypatch, name) for name in ("_rank_checks", "join")}
+        calls = {name: spy(monkeypatch, name) for name in ("_estimates", "_rank_checks", "join")}
         for d in (2, 4, 12, 60, 120, 210):  # 0 to 14 free rows
             cp.verify_degree(d)
         assert not any(calls.values())
