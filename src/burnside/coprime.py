@@ -10,24 +10,22 @@ The verifier decides every E containing {1, 2}.  Dropping the
 complementary half of the space is sound because row 1 of R(d) is
 constant, so adding divisor 1 to E shifts every profile equally and
 leaves the partition unchanged; under this convention the two conjectured
-solutions collapse to the single full mask.  Profiles are built from
-tables of all subset sums of the free rows, made by doubling
-(`subset_sums`, the enumerator `nullsets` shares).  When the 2^free masks
-fit one test chunk (`_CHUNK`: 280 of the 300 even degrees up to 600,
-those with at most 14 free rows), one table holds every profile and every
-mask is tested at once.  Past one chunk the scan splits the free rows in
-two, so every profile is a low-table row plus a high-table row, and it
-never forms most profiles: the two most selective checks (below) become
-rows of differences on each table, `join` (shared with `nullsets`)
-matches equal rows, and only the matched subsets are tested.  The checks
-are ranked without drawing a mask: over uniform masks a difference of
-two profiles is z0 plus a sum of fair coins times fixed integer steps, so
-the chance that one, or two, of them vanish is read off those steps by
-the local limit theorem on the lattice they span (`_estimates`), and an
-estimate of 0 is exact.  Both sources go through the same test of every
-check (`_passing`), so these choices change only the speed.  Every table
-entry and profile is bounded by the largest column abs-sum of R(d), which
-is d: the tables are int16 while that bound fits and int64 beyond.
+solutions collapse to the single full mask.  When the 2^free masks fit
+one test chunk (`_CHUNK`: 280 of the 300 even degrees up to 600, those
+with at most 14 free rows), one table of all subset sums of the free rows
+(`subset_sums`, built by doubling, the enumerator `nullsets` shares) holds
+every profile, and every mask is tested at once.  Past one chunk the scan
+is an exact branch and bound over prefixes of the free rows
+(`_search_hits`).  For a check pair of columns (a, b), profile[a] -
+profile[b] is a fixed shift plus the free rows' steps R[r][a] - R[r][b]
+over the rows in E; a prefix of decisions confines the rest of that sum
+to an interval and to one residue class modulo the gcd of the undecided
+steps, and is dropped when some check has no b left whose difference can
+still be 0.  No passing mask is dropped, and the leaves go through the
+same test of every check (`_passing`) as the direct path, so the bounds
+change only the speed.  Every table entry and profile is bounded by the
+largest column abs-sum of R(d), which is d, and every difference by
+twice that: each is int16 while its bound fits and int64 beyond.
 
 A coprime partition is detected per prime q dividing d: some class lies
 entirely inside the q-divisible columns iff some q-divisible column's
@@ -36,7 +34,6 @@ profile matches no q-free column.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import time
@@ -47,14 +44,13 @@ import numpy as np
 from .ramanujan import RamanujanMatrix, divisor_data, matrix_formula
 from .cyclotomic import _factorize, int_dtype
 
-# masks tested at once without a join; join keys per batch of (b1, b2)
-# pairs; candidates per test
+# masks tested at once on the direct path; past it the search
 _CHUNK = 1 << 14
 # 38 free rows is every even degree below 2520 (1680 and 2160 have 40
-# divisors, 2520 has 48).  There the two half tables are 2^19 x 39 int16,
-# 39 MiB each, and each (b1, b2) join sorts the 2^20 uint64 keys of both
-# halves as one array: 1680 took 6.5-9 s at 198 MB peak RSS on one core of a
-# 2-vCPU Xeon VM.
+# divisors, 2520 has 48).  On one core of a 2-vCPU Xeon VM the search takes
+# 0.03 s at 1680 (5 421 nodes) and 0.01 s at 2160 (665 nodes), each under
+# 40 MB peak RSS.  2520, with its whole frontier held at once, took 2.0 s
+# at 264 MB, so raising the bound waits for a frontier tested in chunks.
 MAX_FREE_ROWS = 38
 
 
@@ -154,261 +150,84 @@ def _passing(profiles: np.ndarray, checks) -> np.ndarray:
     return idx
 
 
-def _bezout(v: list[int]) -> tuple[int, list[int]]:
-    """g = gcd(v) >= 0 and integers lam with sum(lam[r] * v[r]) = g.  An
-    entry that g already divides leaves lam as it is, so lam is rescaled
-    only when g drops, at most log2 of the first nonzero |entry| times."""
-    g, lam = 0, [0] * len(v)
-    for r, x in enumerate(v):
-        if x % g if g else x:
-            # extended Euclid: s g + t x = a
-            a, b, s, s1, t, t1 = g, x, 1, 0, 0, 1
-            while b:
-                q = a // b
-                a, b, s, s1, t, t1 = b, a - q * b, s1, s - q * s1, t1, t - q * t1
-            if a < 0:
-                a, s, t = -a, -s, -t
-            lam = [s * y for y in lam]
-            lam[r], g = t, a
-    return g, lam
+def _in_interval(rest: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """The interval bound, per (pair, node): rest, the sum the undecided
+    rows must make for Z = 0, lies between low and high, the sums of the
+    pair's negative and of its positive undecided steps."""
+    return (low[:, None] <= rest) & (rest <= high[:, None])
 
 
-def _divides(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """g | x elementwise, where 0 divides only 0."""
-    return np.where(g != 0, x % np.where(g != 0, g, 1) == 0, x == 0)
+def _divisible(rest: np.ndarray, gcd: np.ndarray) -> np.ndarray:
+    """The divisibility bound, per (pair, node): gcd, that of the pair's
+    undecided steps, divides rest.  Tested only on the pairs where gcd > 1;
+    where it is 0 the interval bound already asks rest = 0."""
+    ok = np.ones(rest.shape, dtype=bool)
+    pairs = np.flatnonzero(gcd > 1)
+    ok[pairs] = rest[pairs] % gcd[pairs, None] == 0
+    return ok
 
 
-def _gcd_rows(x: np.ndarray) -> np.ndarray:
-    """gcd over the first axis; a loop of in-place gcds is faster here than
-    np.gcd.reduce."""
-    g = np.zeros(x.shape[1:], dtype=x.dtype)
-    for row in x:
-        np.gcd(g, row, out=g)
-    return g
-
-
-def _lattice(d1: np.ndarray, z1: np.ndarray, d2: np.ndarray, z2: np.ndarray):
-    """The lattice L of Z^2 spanned by the pairs (d1[r, j], d2[r, i]) over
-    r, for every column j of d1 and column i of d2: (g1, h, member), with
-    g1[j] = gcd(d1[:, j]), det(L) = g1[j] h[i, j] (0 when L has rank < 2),
-    and member[i, j] true iff (z1[j], z2[i]) lies in L.
-
-    A Bezout vector lam of d1[:, j] (lam . d1[:, j] = g1) gives w = (g1, c)
-    in L, c = lam . d2[:, i]; each generator less d1[r, j] / g1 times w lies
-    on the second axis, so L meets that axis in h Z, h = gcd_r(d2[r, i] -
-    (d1[r, j] / g1) c), and L = Z w + Z (0, h).  When g1 = 0, lam and c are
-    0 and L = Z (0, gcd(d2[:, i])).  The Bezout coefficients can grow, so
-    the width is derived from them: c, every term of the gcd and the
-    remainder of the membership test are at most top (1 + |lam|_1 top),
-    top the largest |input|; past int64 they are Python ints."""
-    bez = [_bezout(col) for col in d1.T.tolist()]
-    top = max(int(np.abs(x).max(initial=0)) for x in (d1, z1, d2, z2))
-    wide = top * (1 + top * max((sum(map(abs, lam)) for _, lam in bez), default=0))
-    dt = next((t for t in (np.int32, np.int64) if wide <= np.iinfo(t).max), object)
-    g1 = np.array([g for g, _ in bez], dtype=dt)
-    one = np.where(g1 != 0, g1, 1)
-    lam = np.array([lam for _, lam in bez], dtype=float if wide < 1 << 53 else dt)
-    # exact in float64 below 2^53, where the product runs on BLAS
-    c = (d2.T.astype(lam.dtype) @ lam.reshape(d1.shape[::-1]).T).astype(dt)  # (i, j)
-    # u[r, i, j], so each gcd step takes one contiguous (i, j) plane
-    u = np.multiply((d1.astype(dt) // one)[:, None, :], c, dtype=dt)
-    np.subtract(d2.astype(dt)[:, :, None], u, out=u)
-    h = _gcd_rows(u)
-    rest = z2.astype(dt)[:, None] - c * (z1.astype(dt) // one)
-    member = _divides(g1, z1) & _divides(h, rest)
-    return g1, h, member
-
-
-def _pair_estimates(delta: np.ndarray, z0: np.ndarray) -> np.ndarray:
-    """P(Z = 0) per column, over uniform masks: exactly 0 when g =
-    gcd(delta) does not divide z0, [z0 = 0] when g = 0, and otherwise g
-    times the normal density at 0 of mean mu = z0 + sum(delta) / 2 and
-    variance sum(delta^2) / 4 (the local limit theorem on the lattice g Z).
-
-    Only those exact zeros are 0: a reachable 0 has -mu = sum t_r delta_r
-    with |t_r| <= 1/2, so by Cauchy-Schwarz its exponent is at most n / 2
-    over n free rows, and the exponent is capped there so that no density
-    underflows; unreachable zeros keep a small positive estimate."""
-    g = _gcd_rows(delta)
-    s = np.maximum((delta.astype(float) ** 2).sum(axis=0), 1)  # 0 only where g is
-    mu = z0 + delta.sum(axis=0) / 2
-    dens = g * np.sqrt(2 / (np.pi * s)) * np.exp(-np.minimum(2 * mu * mu / s, len(delta) / 2))
-    return np.where(g == 0, z0 == 0, np.where(_divides(g, z0), dens, 0.0))
-
-
-def _joint_estimates(d1, z1, p1, d2, z2, p2) -> np.ndarray:
-    """P(Z1 = 0 and Z2 = 0) for every column j of (d1, z1) and i of (d2,
-    z2), as an (i, j) array, given their one-pair estimates p1 and p2: 0
-    when z0 = (z1, z2) is not in the lattice L of the pairs (`_lattice`);
-    else det(L) times the normal density at 0 of mean z0 + sum / 2 and
-    covariance sum of v v^T / 4 over the pairs v; p1 when L has rank 1
-    (Z2 = 0 follows from Z1 = 0); p2 when d1 is 0.  As in
-    `_pair_estimates`, only those exact zeros are 0: the exponent of a
-    reachable 0 is at most n / 2, and it is kept in [0, n / 2] against
-    the rounding of a nearly singular covariance."""
-    g1, h, member = _lattice(d1, z1, d2, z2)
-    f1, f2 = d1.astype(float), d2.astype(float)
-    s11, s22, s12 = (f1 * f1).sum(axis=0), (f2 * f2).sum(axis=0)[:, None], f2.T @ f1
-    # 16 det(covariance) is a sum of squared 2x2 minors: at least 1 at rank
-    # 2, and only the rank-2 entries are kept
-    det = np.maximum(s11 * s22 - s12 * s12, 1)
-    mu1 = z1 + f1.sum(axis=0) / 2
-    mu2 = z2[:, None] + f2.sum(axis=0)[:, None] / 2
-    q = 2 * (s22 * mu1 * mu1 - 2 * s12 * mu1 * mu2 + s11 * mu2 * mu2) / det
-    # det(L) = g1 h can pass the width of h, so it is formed in float
-    dens = g1.astype(float) * h.astype(float) * (2 / np.pi) / np.sqrt(det)
-    dens *= np.exp(-np.clip(q, 0, len(d1) / 2))
-    est = np.where(g1 != 0, np.where(h != 0, dens, p1), p2[:, None])
-    return np.where(member, est, 0.0)
-
-
-def _estimates(columns: np.ndarray, groups):
-    """Estimated passes per mask of the one-column checks (a, B), one per
-    a in A of each group (A, B) in order: `single[i]`, the sum over b in B
-    of the pair estimate of (a, b), and `joint(i)[k]`, the sum over b1 in
-    B_i and b2 in B_k of the joint estimate of (a_i, b1) and (a_k, b2).
-    An estimate of 0 is exact: no mask passes.  Each column pair is
-    estimated once, however many checks share it."""
-    cols = columns.shape[1]
-    keys = np.concatenate([(A[:, None] * cols + B).ravel() for A, B in groups])
-    seen = np.zeros(cols * cols, dtype=bool)
-    seen[keys] = True
-    a, b = np.divmod(np.flatnonzero(seen), cols)
-    # profile[a] - profile[b] = z0 + sum_r e_r delta[r], e the free-row bits
-    delta = columns[2:, a].astype(np.int64) - columns[2:, b]
-    shift = columns[0].astype(np.int64) + columns[1]
-    z0 = shift[a] - shift[b]
-    p = _pair_estimates(delta, z0)
-    row = (np.cumsum(seen) - 1)[keys]  # the checks' pairs, in order, as columns of delta
-    ends = np.cumsum(np.concatenate([np.full(len(A), len(B)) for A, B in groups]))
-    starts = np.concatenate([[0], ends[:-1]])
-
-    def per_check(est: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(est[row], starts)
-
-    def joint(i: int) -> np.ndarray:
-        own = row[starts[i] : ends[i]]
-        est = _joint_estimates(delta[:, own], z0[own], p[own], delta, z0, p)
-        return per_check(est.sum(axis=1))
-
-    return per_check(p), joint
-
-
-def _rank_checks(checks, single: np.ndarray, joint):
-    """The one-column checks (a, B) to join, and the one to test first,
-    from their estimated passes: `single[i]` for check i alone and
-    `joint(i)[k]` for checks i and k together.  The join takes the check
-    of least estimate and its partner on another column of least joint
-    estimate, ties going to the better single rank.  The test leads with
-    the best single check that is not joined (a joined one if all are).
-    Other ties go by check order."""
-    rank = np.argsort(single, kind="stable").tolist()
-    picked = rank[:1]
-    others = [i for i in rank if checks[i][0] != checks[rank[0]][0]]
-    if others:
-        picked.append(others[int(np.argmin(joint(rank[0])[others]))])
-    lead = next((i for i in rank if i not in picked), picked[0])
-    return [checks[i] for i in picked], checks[lead]
-
-
-def _multipliers(n: int) -> np.ndarray:
-    """splitmix64 of 1..n, the key multipliers: j*C + D would collide on
-    every row difference with sum(delta_j) = sum(j * delta_j) = 0."""
-    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
-    z = (z ^ z >> 27) * 0x94D049BB133111EB
-    return z ^ z >> 31
-
-
-def join(low: np.ndarray, high: np.ndarray):
-    """Index pairs (i, j), flat over the (batch, row) axes, of every low
-    row equal to a high row of its batch, and of any others whose keys
-    collide, so callers re-test each pair (Horowitz-Sahni, JACM 1974).
-
-    One sort makes the pairs.  A row's key holds, from the top, its dot
-    product with `_multipliers` modulo 2^64 (the batch index one more
-    column), a side bit (0 low, 1 high) at bit b, and its flat index in the
-    low b bits, b the bit length of the larger side's last index.  Both
-    sides are sorted as one array, so each run of equal dot products lists
-    its low rows, then its high rows, and only the runs that hold both
-    sides make pairs.  Dropping the low b + 1 bits of the dot product only
-    adds collisions: 44 bits remain while a side has at most 2^19 rows."""
-    sizes = [math.prod(rows.shape[:-1]) for rows in (low, high)]
-    b = max(max(sizes) - 1, 0).bit_length()
-    c = _multipliers(low.shape[-1] + 1)
-    keys = np.empty(sum(sizes), dtype=np.uint64)
-    for side, (rows, key) in enumerate(zip((low, high), (keys[: sizes[0]], keys[sizes[0] :]))):
-        grid = key.reshape(rows.shape[:-1])
-        grid[:] = np.arange(len(rows), dtype=np.uint64)[:, None] * c[0]
-        for j in range(rows.shape[-1]):
-            grid += rows[..., j].astype(np.uint64) * c[j + 1]
-        key &= ~np.uint64((2 << b) - 1)
-        key |= np.arange(sizes[side], dtype=np.uint64) | np.uint64(side << b)
-    del low, high, rows  # frees the callers' temporary tables
-    keys.sort()
-    # a run's dot product and side bit: a low run is even, and the high
-    # run of the same dot product follows it as the next odd number
-    run = keys >> np.uint64(b)
-    mid = np.flatnonzero((run[:-1] ^ run[1:]) == np.uint64(1))  # a run's last low
-    start = np.searchsorted(run, run[mid])
-    highs = np.searchsorted(run, run[mid] + np.uint64(1), "right") - mid - 1
-    del run
-    keys &= np.uint64((1 << b) - 1)  # now the flat indices
-    keys = keys.view(np.int64)
-    # each high of those runs, with the lows of its run before it
-    where = np.repeat(mid + 1 - np.cumsum(highs) + highs, highs) + np.arange(highs.sum())
-    first, count = np.repeat(start, highs), np.repeat(mid + 1 - start, highs)
-    lo = np.repeat(first - np.cumsum(count) + count, count)
-    lo += np.arange(lo.size)
-    lo = keys[lo]
-    return lo, np.repeat(keys[where], count)
+def _search_hits(columns: np.ndarray, groups) -> np.ndarray:
+    """Ascending masks over the free rows that pass every check, by the
+    branch and bound over prefixes of the free rows that `verify_degree`
+    describes."""
+    free = len(columns) - 2
+    # one (q-divisible column a, q-free columns B) check per a, q ascending,
+    # as pairs (a, b), contiguous per check
+    checks = [(a, B) for A, B in groups for a in A]
+    sizes = [len(B) for _, B in checks]
+    check = np.repeat(np.arange(len(checks)), sizes)
+    a = np.repeat([a for a, _ in checks], sizes)
+    b = np.concatenate([B for _, B in checks])
+    # Z = profile[a] - profile[b] = z0 + sum_r e_r delta[r], e the free-row bits
+    wide = columns.astype(np.int64)
+    delta = wide[2:, a] - wide[2:, b]
+    shift = wide[0] + wide[1]
+    order = np.argsort(-np.abs(delta).sum(axis=1), kind="stable")
+    delta = delta[order]
+    # every partial sum of delta or of a profile difference is at most twice
+    # the largest column abs-sum
+    dt = int_dtype(2 * int(np.abs(wide).sum(axis=0).max()))
+    # row i bounds the rows order[i:]; row free, with none left, is 0
+    low, high, gcd = (np.zeros((free + 1, len(b)), dtype=dt) for _ in range(3))
+    low[:free] = np.cumsum(np.minimum(delta, 0)[::-1], axis=0)[::-1]
+    high[:free] = np.cumsum(np.maximum(delta, 0)[::-1], axis=0)[::-1]
+    # (abs: accumulate passes its first row through as it is)
+    gcd[:free] = np.gcd.accumulate(np.abs(delta[::-1]), axis=0)[::-1]
+    delta = delta.astype(dt)
+    # per pair and node, rest = -z0 - (the node's prefix sum): Z = 0 iff the
+    # undecided rows add exactly rest
+    masks = np.zeros(1, dtype=np.int64)
+    rest = (shift[b] - shift[a]).astype(dt)[:, None]
+    starts = np.flatnonzero(np.diff(check, prepend=-1))
+    for i in range(free + 1):
+        if i:
+            masks = np.concatenate([masks, masks | 1 << order[i - 1]])
+            rest = np.concatenate([rest, rest - delta[i - 1, :, None]], axis=1)
+        ok = _in_interval(rest, low[i], high[i]) & _divisible(rest, gcd[i])
+        # a node lives while each check has some b whose Z can still be 0
+        # (bits packed along the nodes: reduceat over bool rows is ~10x slower)
+        alive = np.bitwise_and.reduce(np.bitwise_or.reduceat(np.packbits(ok, axis=1), starts))
+        keep = np.flatnonzero(np.unpackbits(alive, count=len(masks)))
+        masks = masks[keep]
+        if not masks.size:
+            return masks
+        # a child reaches a subset of what its parent reaches, so a pair dead
+        # on the whole frontier stays dead; every check keeps one
+        live = np.flatnonzero(ok[:, keep].any(axis=1))
+        rest = rest.take(live, axis=0).take(keep, axis=1)
+        if len(live) < len(check):  # most levels drop no pair; skip the copies
+            delta, low, high, gcd = delta[:, live], low[:, live], high[:, live], gcd[:, live]
+            check = check[live]
+            starts = np.flatnonzero(np.diff(check, prepend=-1))
+    # the leaves, where both bounds say Z = 0, take the exact test too
+    bits = (masks[:, None] >> np.arange(free) & 1).astype(columns.dtype)
+    return np.sort(masks[_passing(bits @ columns[2:] + columns[0] + columns[1], groups)])
 
 
 def _check_scan_bound(d: int, free: int) -> None:
     if free > MAX_FREE_ROWS:
         raise ValueError(f"{d} has {free} free divisor rows, beyond the scan bound {MAX_FREE_ROWS}")
-
-
-def _join_hits(columns: np.ndarray, groups) -> np.ndarray:
-    """Ascending masks over the free rows that pass every check, by the
-    Horowitz-Sahni join that `verify_degree` describes."""
-    free = len(columns) - 2
-    h = free // 2
-    low = subset_sums(columns[2:][:h])
-    high = subset_sums(columns[2:][h:])
-    high += columns[0] + columns[1]  # in place: at 38 free rows a copy is 39 MiB
-
-    def profiles(masks: np.ndarray) -> np.ndarray:
-        return low[masks & ((1 << h) - 1)] + high[masks >> h]
-
-    # one (q-divisible column a, q-free columns B) check per a, q ascending
-    checks = [(a, B) for A, B in groups for a in A]
-    joined, lead = _rank_checks(checks, *_estimates(columns, groups))
-    # one column first prunes a full chunk at |B| compares a row; then every
-    # check, the joined ones too, since the join keys may collide
-    tests = [([lead[0]], lead[1])] + groups
-
-    a_cols = np.array([a for a, _ in joined], dtype=np.intp)
-    low_a, high_a = low[:, a_cols], high[:, a_cols]
-    combos = np.array(list(itertools.product(*(B for _, B in joined))), dtype=np.intp)
-    per_batch = max(1, _CHUNK // max(len(low), len(high)))
-    hits = [np.zeros(0, dtype=np.int64)]
-    for i in range(0, len(combos), per_batch):
-        bs = combos[i : i + per_batch]
-        lo, hi = join(np.subtract(low_a, low[:, bs].transpose(1, 0, 2), dtype=np.int64),
-                      np.subtract(high[:, bs].transpose(1, 0, 2), high_a, dtype=np.int64))
-        # in place: at 1680 a (b1, b2) batch joins ~2 million pairs.  Each
-        # table has a power of two rows, so the mask takes a flat index's row
-        lo &= len(low) - 1
-        hi &= len(high) - 1
-        hi <<= h
-        candidates = np.bitwise_or(lo, hi, out=hi)
-        for j in range(0, len(candidates), _CHUNK):
-            chunk = candidates[j : j + _CHUNK]
-            hits.append(chunk[_passing(profiles(chunk), tests)])
-    # sorted and de-duplicated; np.unique would first import numpy.ma (~17 ms)
-    hits = np.sort(np.concatenate(hits))
-    return hits[np.diff(hits, prepend=-1) != 0]
 
 
 def verify_degree(d: int) -> ConjectureReport:
@@ -420,30 +239,31 @@ def verify_degree(d: int) -> ConjectureReport:
     when, for every prime q dividing d, every q-divisible column's profile
     matches some q-free column's (`_passing`).
 
-    The candidates come from one of two sources, and the choice changes
-    only the speed.  When the 2^(|D|-2) masks fit one chunk (_CHUNK), one
+    The hits come from one of two sources, and the choice changes only
+    the speed.  When the 2^(|D|-2) masks fit one chunk (_CHUNK), one
     `subset_sums` table over the free rows, plus rows 1 and 2, holds every
     profile, and every mask is tested at once, one check per prime.
 
-    Past one chunk the free rows split into a low half of h = (|D|-2)//2
-    rows and a high half (plus rows 1 and 2), each tabulated by
-    `subset_sums`, so a subset t is the pair (t mod 2^h, t >> h) and its
-    profile is low[lo] + high[hi].  The scan is then a Horowitz-Sahni join
-    on the two most selective one-column checks (a, B), ranked by their
-    estimated passes, read off the integer rows of R(d) (`_estimates`):
-    the best check (a1, B1) and its partner (a2, B2) on another column of
-    least estimated joint passes.  For each (b1, b2) in B1 x B2
-    the two equalities profile[a] == profile[b] become one row equality,
-    (low[a1]-low[b1], low[a2]-low[b2]) against (high[b1]-high[a1],
-    high[b2]-high[a2]), and `join` matches every equal pair, and any whose
-    keys collide.  Passing both checks is necessary for a hit, and every
-    matched (lo, hi) goes through the per-prime test, the joined checks
-    included, _CHUNK at a time, after the best unjoined check, so the
-    estimates change only the speed; the hits are sorted and a
-    subset that matched several (b1, b2) is reported once.  With _CHUNK
-    patched below 2^(|D|-2) small degrees join too: 4, with one check
-    column, on rows of one difference; 2 has one mask, which always fits a
-    chunk.  Raises ValueError when |D|-2 exceeds MAX_FREE_ROWS.
+    Past one chunk, `_search_hits` decides the free rows one at a time,
+    breadth-first, keeping every prefix that may still complete to a
+    passing mask.  Each one-column check (a, B) becomes the pairs (a, b),
+    b in B, and each pair's difference Z = profile[a] - profile[b] is z0
+    (rows 1 and 2) plus sum_r e_r delta_r, e_r the bit of free row r and
+    delta_r = R[r][a] - R[r][b].  The rows are decided in descending order
+    of sum |delta_r| over all pairs, so the large steps are fixed first.
+    After a prefix, every completion puts Z in [cur + sum of the negative
+    undecided delta_r, cur + sum of the positive ones] and in cur + gZ, g
+    the gcd of the undecided delta_r (`_in_interval`, `_divisible`; the
+    second only where g > 1).  Both are suffix arrays over the row order,
+    built once per degree.  A prefix is dropped when some check has no b
+    whose Z can reach 0 under both bounds, which no passing mask fails.
+    After each level, the pairs that no surviving prefix can zero are
+    dropped for good: a child reaches a subset of what its parent reaches.
+    The full-depth leaves go through the per-prime test, so the bounds
+    change only the speed.  With _CHUNK patched below 2^(|D|-2) small
+    degrees search too: 4, with one check column; 2 has one mask, which
+    always fits a chunk.  Raises ValueError when |D|-2 exceeds
+    MAX_FREE_ROWS.
     """
     if d < 2 or d % 2:
         raise ValueError(f"degree must be even and >= 2, got {d}")
@@ -474,7 +294,7 @@ def verify_degree(d: int) -> ConjectureReport:
         table += columns[0] + columns[1]
         hits = _passing(table, groups)
     else:
-        hits = _join_hits(columns, groups)
+        hits = _search_hits(columns, groups)
     masks = [
         divs[:2] + tuple(r for i, r in enumerate(divs[2:]) if t >> i & 1) for t in hits.tolist()
     ]

@@ -28,7 +28,7 @@ Phi_{p^n}.  D of the difference of the two sums is linear in the chosen
 elements, so a subset is a solution exactly when D of its lower
 elements equals minus D of its upper ones.  The sweep divides by no
 polynomial, while `is_solution`, its exact oracle, divides by Phi_{p^n}.
-Each half's 2^((p^n - 1)/2) subset sums form one table, `coprime.join`
+Each half's 2^((p^n - 1)/2) subset sums form one table, `join`
 matches the two tables' rows by hashed keys, and every matched pair is
 tested for exact equality.  The choice w = z^{p^{n-1}} (rather than
 another primitive p-th root) is harmless: other choices are reached by
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import time
 from dataclasses import dataclass
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cyclotomic
-from .coprime import join, subset_sums
+from .coprime import subset_sums
 from .cyclotomic import CycSum
 
 MAX_MODULUS = 32  # 2^5: tables of 2^15 and 2^16 rows; 7^2 needs 2^24 (1.57 GB)
@@ -246,11 +247,64 @@ def _flip_rows(p: int, n: int) -> np.ndarray:
     return arr.astype(cyclotomic.int_dtype(int(np.abs(arr).sum(axis=0).max())))
 
 
+def _multipliers(n: int) -> np.ndarray:
+    """splitmix64 of 1..n, the key multipliers: j*C + D would collide on
+    every row difference with sum(delta_j) = sum(j * delta_j) = 0."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
+    z = (z ^ z >> 27) * 0x94D049BB133111EB
+    return z ^ z >> 31
+
+
+def join(low: np.ndarray, high: np.ndarray):
+    """Index pairs (i, j), flat over the (batch, row) axes, of every low
+    row equal to a high row of its batch, and of any others whose keys
+    collide, so callers re-test each pair (Horowitz-Sahni, JACM 1974).
+
+    One sort makes the pairs.  A row's key holds, from the top, its dot
+    product with `_multipliers` modulo 2^64 (the batch index one more
+    column), a side bit (0 low, 1 high) at bit b, and its flat index in the
+    low b bits, b the bit length of the larger side's last index.  Both
+    sides are sorted as one array, so each run of equal dot products lists
+    its low rows, then its high rows, and only the runs that hold both
+    sides make pairs.  Dropping the low b + 1 bits of the dot product only
+    adds collisions: 44 bits remain while a side has at most 2^19 rows."""
+    sizes = [math.prod(rows.shape[:-1]) for rows in (low, high)]
+    b = max(max(sizes) - 1, 0).bit_length()
+    c = _multipliers(low.shape[-1] + 1)
+    keys = np.empty(sum(sizes), dtype=np.uint64)
+    for side, (rows, key) in enumerate(zip((low, high), (keys[: sizes[0]], keys[sizes[0] :]))):
+        grid = key.reshape(rows.shape[:-1])
+        grid[:] = np.arange(len(rows), dtype=np.uint64)[:, None] * c[0]
+        for j in range(rows.shape[-1]):
+            grid += rows[..., j].astype(np.uint64) * c[j + 1]
+        key &= ~np.uint64((2 << b) - 1)
+        key |= np.arange(sizes[side], dtype=np.uint64) | np.uint64(side << b)
+    del low, high, rows  # frees the callers' temporary tables
+    keys.sort()
+    # a run's dot product and side bit: a low run is even, and the high
+    # run of the same dot product follows it as the next odd number
+    run = keys >> np.uint64(b)
+    mid = np.flatnonzero((run[:-1] ^ run[1:]) == np.uint64(1))  # a run's last low
+    start = np.searchsorted(run, run[mid])
+    highs = np.searchsorted(run, run[mid] + np.uint64(1), "right") - mid - 1
+    del run
+    keys &= np.uint64((1 << b) - 1)  # now the flat indices
+    keys = keys.view(np.int64)
+    # each high of those runs, with the lows of its run before it
+    where = np.repeat(mid + 1 - np.cumsum(highs) + highs, highs) + np.arange(highs.sum())
+    first, count = np.repeat(start, highs), np.repeat(mid + 1 - start, highs)
+    lo = np.repeat(first - np.cumsum(count) + count, count)
+    lo += np.arange(lo.size)
+    lo = keys[lo]
+    return lo, np.repeat(keys[where], count)
+
+
 def enumerate_solutions(p: int, n: int) -> list[IndexSet]:
     """All solution sets for the modulus p^n, sorted by bitmask.
 
     Joins the subset sums of the first h flip rows with the negated
-    subset sums of the rest (`coprime.join`); a candidate pair is a
+    subset sums of the rest (`join`); a candidate pair is a
     solution exactly when its two rows are equal, tested on every pair.
     """
     N = _check_modulus(p, n, enforce_bound=True)

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import join_oracle as jo
 from burnside import coprime as cp
+from burnside import nullsets as ns
 from burnside.ramanujan import divisor_data, matrix_formula
 
 
@@ -59,32 +61,41 @@ def real_hits(d):
 
 def take_source(monkeypatch, source, d):
     """Patch _CHUNK below 2^free, and never above the default, to force
-    the join, or keep the default for the direct path; checks that d then
+    the search, or keep the default for the direct path; checks that d then
     takes `source`."""
     free = len(divisor_data(d).divisors) - 2
-    if source == "join":
+    if source == "search":
         monkeypatch.setattr(cp, "_CHUNK", min(cp._CHUNK, max(1, 1 << free >> 1)))
     assert (1 << free <= cp._CHUNK) == (source == "direct")
 
 
-def spy(monkeypatch, name):
-    """Wrap cp.<name> and return the list its calls are appended to."""
-    calls, inner = [], getattr(cp, name)
+def take_join(monkeypatch, d):
+    """take_source(..., "search", d) with the join oracle in place of the
+    search, so that d goes through `join_oracle.join_hits`."""
+    take_source(monkeypatch, "search", d)
+    monkeypatch.setattr(cp, "_search_hits", jo.join_hits)
+
+
+def spy(monkeypatch, name, module=cp):
+    """Wrap module.<name> and return the list its calls are appended to."""
+    calls, inner = [], getattr(module, name)
 
     def wrapped(*args):
         calls.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(cp, name, wrapped)
+    monkeypatch.setattr(module, name, wrapped)
     return calls
 
 
-SOURCES = ("direct", "join")
+SOURCES = ("direct", "search")
 
 
 def over_sources(name, values, skip=()):
     """Parametrize `name` over values and `source` over SOURCES; the direct
-    path keeps the plain id of the value and the join adds "-join"."""
+    path keeps the plain id of the value and the search adds "-join", the
+    suffix of the join that the search replaced, so that ids stay
+    comparable across versions."""
     return pytest.mark.parametrize(
         f"{name}, source",
         [
@@ -174,8 +185,8 @@ class TestConjectureScan:
                 assert len(P.classes) == 1 and cp.is_coprime(P), (d, E)
 
     def test_table_checkpoints_match_scratch_profiles(self):
-        # the join's split: a low half of (k-2)//2 free rows, and the rest
-        # plus rows 1 and 2 in the high half
+        # subset sums over split rows: a low half of (k-2)//2 free rows, and
+        # the rest plus rows 1 and 2 in the high half
         for d in [12, 60, 96, 240, 360]:
             R = matrix_formula(d)
             k = len(R.divisors)
@@ -194,7 +205,8 @@ class TestConjectureScan:
 
     def test_every_hit_reported_in_ascending_order(self, monkeypatch):
         # rows 2.. zeroed: every profile is constant, so every E containing
-        # {1, 2} is coprime; two-candidate chunks span eight test chunks
+        # {1, 2} is coprime; a chunk of two masks sends 12 to the search,
+        # which keeps every prefix
         monkeypatch.setattr(cp, "matrix_formula", _flat)
         monkeypatch.setattr(cp, "_CHUNK", 2)
         expected = brute_force_hits(_flat(12))
@@ -204,8 +216,8 @@ class TestConjectureScan:
         assert not rep.holds
 
     def test_flat_matrix_candidates_span_chunks(self, monkeypatch):
-        # every one of the 2^10 masks at 60 hits, so all of them are join
-        # candidates, tested in 16 chunks of 64
+        # every one of the 2^10 masks at 60 hits, so the search keeps every
+        # prefix, and its frontier grows to all 2^10 leaves
         monkeypatch.setattr(cp, "matrix_formula", _flat)
         monkeypatch.setattr(cp, "_CHUNK", 64)
         expected = brute_force_hits(_flat(60))
@@ -215,8 +227,8 @@ class TestConjectureScan:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_partial_survivors_match_brute_force(self, monkeypatch, seed):
         # a seeded sparse 0/1 matrix with row 1 constant: in 8-mask groups
-        # some masks die and others survive, so in 8-candidate chunks the
-        # surviving indices must be carried through every compaction
+        # some masks die and others survive, so the search must carry the
+        # surviving masks through every level's compaction
         scrambled = _scrambled(seed)
         monkeypatch.setattr(cp, "matrix_formula", scrambled)
         monkeypatch.setattr(cp, "_CHUNK", 8)
@@ -234,10 +246,10 @@ class TestConjectureScan:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_join_on_least_selective_checks(self, monkeypatch, seed):
-        # the join checks only narrow the candidates: ranking the checks on
-        # their negated estimates joins the least selective pair, the most
-        # likely to pass together, with the same hits
-        rank = cp._rank_checks
+        # the join oracle's checks only narrow its candidates: ranking them
+        # on their negated estimates joins the least selective pair, the
+        # most likely to pass together, with the same hits as the search
+        rank = jo._rank_checks
         picked = []
 
         def worst(checks, single, joint):
@@ -247,19 +259,19 @@ class TestConjectureScan:
 
         expected = {d: cp.verify_degree(d).coprime_masks for d in (60, 240, 360)}
         scrambled = _scrambled(seed)
-        monkeypatch.setattr(cp, "_rank_checks", worst)
+        monkeypatch.setattr(jo, "_rank_checks", worst)
         for d, masks in expected.items():
             with monkeypatch.context() as m:
-                take_source(m, "join", d)
+                take_join(m, d)
                 assert cp.verify_degree(d).coprime_masks == masks
         monkeypatch.setattr(cp, "matrix_formula", scrambled)
-        take_source(monkeypatch, "join", 60)
+        take_join(monkeypatch, 60)
         assert list(cp.verify_degree(60).coprime_masks) == brute_force_hits(scrambled(60))
         assert len(picked) == 4
         for joined, best in picked[:3]:
             assert [a for a, _ in joined] != [a for a, _ in best]
 
-    @over_sources("d", [2, 4, 8, 16], skip={(2, "join")})
+    @over_sources("d", [2, 4, 8, 16], skip={(2, "search")})
     def test_few_check_columns_match_brute_force(self, monkeypatch, d, source):
         # 2 has no check column and 4 one; at 8 and 16 every check has B = {1}.
         # 2 has no free row, so its one mask always fits a chunk
@@ -303,8 +315,8 @@ class TestConjectureScan:
     @over_sources("entry", [1 << 20, 1 << 40])
     def test_entries_past_32_bit_keys_match_brute_force(self, monkeypatch, entry, source):
         # rows 6 and 12 as in the int16 test: with entries of 2^20 the
-        # differences span 2^23, past 32 bits; at 2^40 the key products
-        # wrap modulo 2^64, and every equal pair must still be joined
+        # differences span 2^23, past 32 bits; at 2^40 they span 2^43, and
+        # every profile and difference must still be exact in int64
         formula = cp.matrix_formula
 
         def widened(d):
@@ -318,52 +330,24 @@ class TestConjectureScan:
         take_source(monkeypatch, source, 12)
         assert list(cp.verify_degree(12).coprime_masks) == expected
 
-    def test_join_keys_equal_on_equal_differences(self):
-        # entries up to +-2^40 wrap the keys modulo 2^64, but a row met on
-        # both sides must still be joined, and only within its batch: both
-        # batches hold the same 49 rows, in reverse order on the high side
-        edge = np.array([-(1 << 40), -1024, -1, 0, 1, 1024, 1 << 40])
-        pairs = np.array(np.meshgrid(edge, edge)).reshape(2, -1).T  # (rows, m)
-        low = np.stack([pairs, pairs[:, ::-1]])  # (batch, rows, m)
-        high = low[:, ::-1].copy()
-        n = len(pairs)
-        lo, hi = cp.join(low, high)
-        assert sorted(zip(lo.tolist(), hi.tolist())) == [
-            (b * n + i, b * n + n - 1 - i) for b in range(2) for i in range(n)
-        ]
-
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_join_returns_every_equal_pair_once(self, data):
-        # entries from 3-5 values, so a run of equal keys holds several lows
-        # and several highs; the sides differ in rows, and either may have none
-        batches, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
-        values = data.draw(st.lists(st.integers(-(1 << 40), 1 << 40), min_size=3, max_size=5,
-                                    unique=True))
-        n_low = data.draw(st.integers(0, 8))
-        n_high = data.draw(st.integers(0, 8).filter(lambda n: n != n_low))
-        low, high = (data.draw(arrays(np.int64, (batches, n, m), elements=st.sampled_from(values)))
-                     for n in (n_low, n_high))
-        lo, hi = cp.join(low, high)
-        assert lo.dtype == hi.dtype == np.int64
-        pairs = list(zip(lo.tolist(), hi.tolist()))
-        assert len(set(pairs)) == len(pairs)
-        equal = {
-            (b * n_low + i, b * n_high + j)
-            for b in range(batches) for i in range(n_low) for j in range(n_high)
-            if (low[b, i] == high[b, j]).all()
-        }
-        assert equal <= set(pairs)
-        assert all(0 <= i < batches * n_low and 0 <= j < batches * n_high for i, j in pairs)
+    def test_search_agrees_with_join_past_brute_force(self, monkeypatch):
+        # the 38 degrees past one chunk up to 840, 16 to 30 free rows, where
+        # brute force would decide 2^16 masks and more one at a time: the
+        # search and the join oracle, two exact methods, report the same masks
+        degrees = [d for d in range(2, 841, 2) if len(divisor_data(d).divisors) - 2 > 14]
+        assert (len(degrees), degrees[0], degrees[-1]) == (38, 180, 840)
+        search = {d: cp.verify_degree(d).coprime_masks for d in degrees}
+        monkeypatch.setattr(cp, "_search_hits", jo.join_hits)
+        assert {d: cp.verify_degree(d).coprime_masks for d in degrees} == search
 
     @pytest.mark.parametrize("seed", range(40))
     def test_rank_checks_as_by_pass_rate(self, seed):
-        # the rule on hand-built estimated pass rates, against a plain
-        # restatement: the least single estimate leads the join; its partner
-        # on another column has the least joint estimate, ties going to the
-        # better single rank; the test leads with the best check not joined.
-        # Estimates drawn from few values force ties, and few check columns
-        # leave some best checks with no partner.
+        # the join oracle's rule on hand-built estimated pass rates, against
+        # a plain restatement: the least single estimate leads the join; its
+        # partner on another column has the least joint estimate, ties going
+        # to the better single rank; the test leads with the best check not
+        # joined.  Estimates drawn from few values force ties, and few check
+        # columns leave some best checks with no partner.
         def by_rate(checks, single, table):
             order = sorted(range(len(checks)), key=lambda i: (single[i], i))
             joined = order[:1]
@@ -386,7 +370,7 @@ class TestConjectureScan:
             asked.append(i)
             return table[i]
 
-        assert cp._rank_checks(checks, single, joint) == by_rate(checks, single, table)
+        assert jo._rank_checks(checks, single, joint) == by_rate(checks, single, table)
         assert asked in ([], [int(np.argmin(single))])
 
     def test_rank_checks_ties_by_check_order(self):
@@ -397,10 +381,10 @@ class TestConjectureScan:
         single = np.array([0.1, 0.2, 0.1, 0.3])
         table = np.zeros((4, 4))
         table[0] = [9.0, 9.0, 0.5, 0.5]
-        assert cp._rank_checks(checks, single, lambda i: table[i]) == (
+        assert jo._rank_checks(checks, single, lambda i: table[i]) == (
             [checks[0], checks[2]], checks[1])
         # the lead falls back to a joined check when every check is joined
-        assert cp._rank_checks(checks[2:], single[2:], lambda i: table[2:, 2:][i]) == (
+        assert jo._rank_checks(checks[2:], single[2:], lambda i: table[2:, 2:][i]) == (
             [checks[2], checks[3]], checks[2])
 
     @given(st.data())
@@ -426,7 +410,7 @@ class TestConjectureScan:
         z1, z2 = (np.array([data.draw(st.one_of(st.integers(-30, 30), combos.map(col.dot)))
                             for col in d.T]) for d in (d1, d2))
         scale = data.draw(st.sampled_from([1, 3**13, 3**18, 3**25, 3**32]))
-        g1, h, member = cp._lattice(d1 * scale, z1 * scale, d2 * scale, z2 * scale)
+        g1, h, member = jo._lattice(d1 * scale, z1 * scale, d2 * scale, z2 * scale)
 
         def minors(vs):
             return math.gcd(*(x * w - y * v for (x, y), (v, w) in itertools.combinations(vs, 2)))
@@ -450,7 +434,7 @@ class TestConjectureScan:
     @pytest.mark.parametrize("doubled", [False, True], ids=["real", "doubled"])
     def test_zero_estimates_are_exact(self, monkeypatch, d, doubled):
         # every pair (a, b), and every (b1, a2, b2) with the lead column,
-        # rated 0 on the join path matches no mask at all.  R(d) itself
+        # rated 0 by the join oracle matches no mask at all.  R(d) itself
         # has no such zero; with the free rows doubled every difference
         # over them is even, so an odd difference of rows 1 and 2 is 0
         formula = cp.matrix_formula
@@ -462,8 +446,9 @@ class TestConjectureScan:
 
         if doubled:
             monkeypatch.setattr(cp, "matrix_formula", double)
-        pairs, joints = spy(monkeypatch, "_pair_estimates"), spy(monkeypatch, "_joint_estimates")
-        take_source(monkeypatch, "join", d)
+        pairs = spy(monkeypatch, "_pair_estimates", jo)
+        joints = spy(monkeypatch, "_joint_estimates", jo)
+        take_join(monkeypatch, d)
         cp.verify_degree(d)
         free = len(divisor_data(d).divisors) - 2
         bits = (np.arange(1 << free)[:, None] >> np.arange(free) & 1).astype(np.int64)
@@ -472,11 +457,11 @@ class TestConjectureScan:
             return bits @ delta + z0 == 0  # (mask, column)
 
         (delta, z0), = pairs
-        rated = cp._pair_estimates(delta, z0) == 0
+        rated = jo._pair_estimates(delta, z0) == 0
         assert rated.any() == doubled
         assert not zero(delta, z0)[:, rated].any()
         (d1, z1, p1, d2, z2, p2), = joints
-        rated = cp._joint_estimates(d1, z1, p1, d2, z2, p2) == 0
+        rated = jo._joint_estimates(d1, z1, p1, d2, z2, p2) == 0
         assert rated.any() == doubled
         both = zero(d2, z2).T.astype(np.int64) @ zero(d1, z1).astype(np.int64)
         assert not both[rated].any()
@@ -486,7 +471,8 @@ class TestConjectureScan:
         # the one-check join candidates of (a, B), counted exactly from the
         # half tables: the sum over b in B of the (lo, hi) pairs with
         # low[lo, a] - low[lo, b] == high[hi, b] - high[hi, a]
-        calls = spy(monkeypatch, "_estimates")
+        calls = spy(monkeypatch, "_estimates", jo)
+        take_join(monkeypatch, d)
         cp.verify_degree(d)
         (columns, groups), = calls
         h = (len(columns) - 2) // 2
@@ -498,23 +484,23 @@ class TestConjectureScan:
             return int((np.searchsorted(x, y, "right") - np.searchsorted(x, y, "left")).sum())
 
         counts = [sum(matches(a, b) for b in B) for A, B in groups for a in A]
-        single, _ = cp._estimates(columns, groups)
+        single, _ = jo._estimates(columns, groups)
         best = int(np.argmin(single))
         assert sorted(counts).index(counts[best]) < 3, (counts[best], sorted(counts)[:3])
 
     @pytest.mark.parametrize("d", [4, 12, 16, 60])
     def test_zero_keys_leave_the_exact_test(self, monkeypatch, d):
         # every row keyed 0 makes every pair a candidate, so only the exact
-        # test of every check stands between the join and a wrong hit
-        monkeypatch.setattr(cp, "_multipliers", lambda n: np.zeros(n, dtype=np.uint64))
-        lo, _ = cp.join(np.zeros((2, 3, 2)), np.ones((2, 5, 2)))
+        # test of every check stands between the join oracle and a wrong hit
+        monkeypatch.setattr(ns, "_multipliers", lambda n: np.zeros(n, dtype=np.uint64))
+        lo, _ = ns.join(np.zeros((2, 3, 2)), np.ones((2, 5, 2)))
         assert len(lo) == 6 * 10
-        take_source(monkeypatch, "join", d)
+        take_join(monkeypatch, d)
         assert list(cp.verify_degree(d).coprime_masks) == real_hits(d)
 
     def test_real_degree_past_packed_keys(self, monkeypatch):
         # 2 (2^31 - 1): the bound is d, so the tables are int64 and the
-        # differences pass 32 bits; on the direct path and on the join
+        # differences pass 32 bits; on the direct path and on the search
         d = 2 * (2**31 - 1)
         assert cp.int_dtype(d) == np.int64 and 2 * d >= 2**32
         for source in SOURCES:
@@ -523,7 +509,7 @@ class TestConjectureScan:
                 assert list(cp.verify_degree(d).coprime_masks) == real_hits(d), source
 
     def test_candidate_sources_agree_to_240(self, monkeypatch):
-        # every mask at once where the masks fit one chunk, the join where
+        # every mask at once where the masks fit one chunk, the search where
         # _CHUNK is patched below 2^free: the same reports at every degree
         def report(d):
             rep = cp.verify_degree(d)
@@ -532,7 +518,7 @@ class TestConjectureScan:
         direct = {d: report(d) for d in range(2, 241, 2)}
         for d in range(4, 241, 2):
             with monkeypatch.context() as m:
-                take_source(m, "join", d)
+                take_source(m, "search", d)
                 assert report(d) == direct[d], d
 
     def test_direct_path_every_mask_hits(self, monkeypatch):
@@ -563,13 +549,13 @@ class TestConjectureScan:
         assert any(not killed_by(2, E) and killed_by(3, E) for E in masks)
         assert list(cp.verify_degree(60).coprime_masks) == expected
 
-    def test_join_runs_only_past_one_chunk(self, monkeypatch):
-        calls = {name: spy(monkeypatch, name) for name in ("_estimates", "_rank_checks", "join")}
+    def test_search_runs_only_past_one_chunk(self, monkeypatch):
+        calls = spy(monkeypatch, "_search_hits")
         for d in (2, 4, 12, 60, 120, 210):  # 0 to 14 free rows
             cp.verify_degree(d)
-        assert not any(calls.values())
+        assert not calls
         cp.verify_degree(360)  # 22 free rows
-        assert all(calls.values())
+        assert len(calls) == 1
 
     def test_scan_bound_refused_before_tables(self):
         start = time.perf_counter()
@@ -635,6 +621,82 @@ class TestConjectureScan:
         it = cp.iter_verify_range(20, jobs=2)
         assert iter(it) is it  # a generator, not a materialised list
         assert [r.d for r in it] == [2, 4, 6, 8, 10, 12, 14, 16, 18, 20]
+
+
+@st.composite
+def search_inputs(draw):
+    """A small integer matrix with row 1 constant, up to 12 free rows and
+    entries in [-3, 3], at the width verify_degree would give it, and 1-3
+    random checks (A, B) on its columns."""
+    free, m = draw(st.integers(0, 12)), draw(st.integers(2, 6))
+    rows = draw(arrays(np.int64, (free + 1, m), elements=st.integers(-3, 3)))
+    columns = np.concatenate([np.full((1, m), draw(st.integers(-3, 3))), rows])
+    columns = columns.astype(cp.int_dtype(int(np.abs(columns).sum(axis=0).max())))
+    cols = st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True)
+    groups = draw(st.lists(st.tuples(cols, cols), min_size=1, max_size=3))
+    return columns, [(np.array(sorted(A)), np.array(sorted(B))) for A, B in groups]
+
+
+def all_true(rest, *bound):
+    return np.ones(rest.shape, dtype=bool)
+
+
+class TestSearch:
+    @pytest.mark.parametrize("off", [(), ("_divisible",), ("_in_interval",)],
+                             ids=["both", "interval-alone", "gcd-alone"])
+    @given(search_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_search_matches_passing_on_every_mask(self, off, inputs):
+        # the search against the direct test of all 2^free masks, with both
+        # bounds and with each alone: a bound changes only the speed
+        columns, groups = inputs
+        table = cp.subset_sums(columns[2:]) + columns[0] + columns[1]
+        with pytest.MonkeyPatch.context() as m:
+            for name in off:
+                m.setattr(cp, name, all_true)
+            hits = cp._search_hits(columns, groups)
+        assert hits.tolist() == cp._passing(table, groups).tolist()
+
+    @pytest.mark.parametrize("bound, other", [("_in_interval", "_divisible"),
+                                              ("_divisible", "_in_interval")],
+                             ids=["interval", "gcd"])
+    @given(steps=st.lists(st.integers(-6, 6), min_size=1, max_size=8), z0=st.integers(-12, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_each_bound_keeps_exactly_the_prefixes_it_can(self, bound, other, steps, z0):
+        # one check with one pair (a, b) = (1, 0), whose Z is z0 plus the
+        # free rows' steps: with the other bound off, each level keeps
+        # exactly the children of the last level's nodes, the rows taken in
+        # descending |step| order, that the bound admits: rest = -z0 -
+        # (prefix sum) within the sums of the negative and of the positive
+        # undecided steps, or a multiple of their gcd (where it exceeds 1)
+        columns = np.array([[1, 1], [0, z0]] + [[0, x] for x in steps])
+        groups = [(np.array([1]), np.array([0]))]
+        kept, inner = [], getattr(cp, bound)
+
+        def counting(rest, *args):
+            ok = inner(rest, *args)
+            kept.append(int(ok.sum()))
+            return ok
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(cp, other, all_true)
+            m.setattr(cp, bound, counting)
+            cp._search_hits(columns, groups)
+        steps = sorted(steps, key=abs, reverse=True)
+        rests, expected = [-z0], []
+        for i in range(len(steps) + 1):
+            if i:
+                rests = [r - e * steps[i - 1] for r in rests for e in (0, 1)]
+            left = steps[i:]
+            low, high, g = sum(x for x in left if x < 0), sum(x for x in left if x > 0), math.gcd(*left)
+            if bound == "_in_interval":
+                rests = [r for r in rests if low <= r <= high]
+            else:
+                rests = [r for r in rests if g <= 1 or r % g == 0]
+            expected.append(len(rests))
+            if not rests:
+                break
+        assert kept == expected
 
 
 class TestRowSubset:

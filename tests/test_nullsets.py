@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from burnside import coprime
 from burnside import cyclotomic as cy
 from burnside import nullsets as ns
 
@@ -193,9 +193,47 @@ class TestEnumerate:
     def test_zero_keys_leave_the_exact_test(self, monkeypatch):
         # every row keyed 0 makes every pair of half sums a candidate, so
         # only the exact row test stands between the join and a wrong set
-        monkeypatch.setattr(coprime, "_multipliers", lambda n: np.zeros(n, dtype=np.uint64))
+        monkeypatch.setattr(ns, "_multipliers", lambda n: np.zeros(n, dtype=np.uint64))
         for p, n in SMALL_MODULI:
             assert [s.mask for s in ns.enumerate_solutions(p, n)] == exact_solutions(p, n)
+
+    def test_join_keys_equal_on_equal_differences(self):
+        # entries up to +-2^40 wrap the keys modulo 2^64, but a row met on
+        # both sides must still be joined, and only within its batch: both
+        # batches hold the same 49 rows, in reverse order on the high side
+        edge = np.array([-(1 << 40), -1024, -1, 0, 1, 1024, 1 << 40])
+        pairs = np.array(np.meshgrid(edge, edge)).reshape(2, -1).T  # (rows, m)
+        low = np.stack([pairs, pairs[:, ::-1]])  # (batch, rows, m)
+        high = low[:, ::-1].copy()
+        n = len(pairs)
+        lo, hi = ns.join(low, high)
+        assert sorted(zip(lo.tolist(), hi.tolist())) == [
+            (b * n + i, b * n + n - 1 - i) for b in range(2) for i in range(n)
+        ]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_join_returns_every_equal_pair_once(self, data):
+        # entries from 3-5 values, so a run of equal keys holds several lows
+        # and several highs; the sides differ in rows, and either may have none
+        batches, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        values = data.draw(st.lists(st.integers(-(1 << 40), 1 << 40), min_size=3, max_size=5,
+                                    unique=True))
+        n_low = data.draw(st.integers(0, 8))
+        n_high = data.draw(st.integers(0, 8).filter(lambda n: n != n_low))
+        low, high = (data.draw(arrays(np.int64, (batches, n, m), elements=st.sampled_from(values)))
+                     for n in (n_low, n_high))
+        lo, hi = ns.join(low, high)
+        assert lo.dtype == hi.dtype == np.int64
+        pairs = list(zip(lo.tolist(), hi.tolist()))
+        assert len(set(pairs)) == len(pairs)
+        equal = {
+            (b * n_low + i, b * n_high + j)
+            for b in range(batches) for i in range(n_low) for j in range(n_high)
+            if (low[b, i] == high[b, j]).all()
+        }
+        assert equal <= set(pairs)
+        assert all(0 <= i < batches * n_low and 0 <= j < batches * n_high for i, j in pairs)
 
     @pytest.mark.parametrize("p, n", ALL_MODULI)
     def test_flip_rows_width_from_column_abs_sum(self, monkeypatch, p, n):
