@@ -19,13 +19,13 @@ is an exact branch and bound over prefixes of the free rows
 (`_search_hits`).  For a check pair of columns (a, b), profile[a] -
 profile[b] is a fixed shift plus the free rows' steps R[r][a] - R[r][b]
 over the rows in E; a prefix of decisions confines the rest of that sum
-to an interval and to one residue class modulo the gcd of the undecided
-steps, and is dropped when some check has no b left whose difference can
-still be 0.  No passing mask is dropped, and the leaves go through the
-same test of every check (`_passing`) as the direct path, so the bounds
-change only the speed.  Every table entry and profile is bounded by the
-largest column abs-sum of R(d), which is d, and every difference by
-twice that: each is int16 while its bound fits and int64 beyond.
+to an interval, and is dropped when some check has no b left whose
+difference can still be 0.  No passing mask is dropped, and the leaves go
+through the same test of every check (`_passing`) as the direct path, so
+the bound changes only the speed.  Every table entry and profile is
+bounded by the largest column abs-sum of R(d), which is d, and every
+difference by twice that: each is int16 while its bound fits and int64
+beyond.
 
 A coprime partition is detected per prime q dividing d: some class lies
 entirely inside the q-divisible columns iff some q-divisible column's
@@ -48,9 +48,10 @@ from .cyclotomic import _factorize, int_dtype
 _CHUNK = 1 << 14
 # 38 free rows is every even degree below 2520 (1680 and 2160 have 40
 # divisors, 2520 has 48).  On one core of a 2-vCPU Xeon VM the search takes
-# 0.03 s at 1680 (5 421 nodes) and 0.01 s at 2160 (665 nodes), each under
-# 40 MB peak RSS.  2520, with its whole frontier held at once, took 2.0 s
-# at 264 MB, so raising the bound waits for a frontier tested in chunks.
+# ~0.02 s at 1680 (5 423 nodes) and ~0.005 s at 2160 (665 nodes), each under
+# 40 MB peak RSS.  2520 (174 263 nodes), with its whole frontier held at
+# once, took 0.9 s at 246 MB, so raising the bound waits for a frontier
+# tested in chunks.
 MAX_FREE_ROWS = 38
 
 
@@ -157,16 +158,6 @@ def _in_interval(rest: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndar
     return (low[:, None] <= rest) & (rest <= high[:, None])
 
 
-def _divisible(rest: np.ndarray, gcd: np.ndarray) -> np.ndarray:
-    """The divisibility bound, per (pair, node): gcd, that of the pair's
-    undecided steps, divides rest.  Tested only on the pairs where gcd > 1;
-    where it is 0 the interval bound already asks rest = 0."""
-    ok = np.ones(rest.shape, dtype=bool)
-    pairs = np.flatnonzero(gcd > 1)
-    ok[pairs] = rest[pairs] % gcd[pairs, None] == 0
-    return ok
-
-
 def _search_hits(columns: np.ndarray, groups) -> np.ndarray:
     """Ascending masks over the free rows that pass every check, by the
     branch and bound over prefixes of the free rows that `verify_degree`
@@ -176,7 +167,6 @@ def _search_hits(columns: np.ndarray, groups) -> np.ndarray:
     # as pairs (a, b), contiguous per check
     checks = [(a, B) for A, B in groups for a in A]
     sizes = [len(B) for _, B in checks]
-    check = np.repeat(np.arange(len(checks)), sizes)
     a = np.repeat([a for a, _ in checks], sizes)
     b = np.concatenate([B for _, B in checks])
     # Z = profile[a] - profile[b] = z0 + sum_r e_r delta[r], e the free-row bits
@@ -189,38 +179,29 @@ def _search_hits(columns: np.ndarray, groups) -> np.ndarray:
     # the largest column abs-sum
     dt = int_dtype(2 * int(np.abs(wide).sum(axis=0).max()))
     # row i bounds the rows order[i:]; row free, with none left, is 0
-    low, high, gcd = (np.zeros((free + 1, len(b)), dtype=dt) for _ in range(3))
+    low, high = (np.zeros((free + 1, len(b)), dtype=dt) for _ in range(2))
     low[:free] = np.cumsum(np.minimum(delta, 0)[::-1], axis=0)[::-1]
     high[:free] = np.cumsum(np.maximum(delta, 0)[::-1], axis=0)[::-1]
-    # (abs: accumulate passes its first row through as it is)
-    gcd[:free] = np.gcd.accumulate(np.abs(delta[::-1]), axis=0)[::-1]
     delta = delta.astype(dt)
     # per pair and node, rest = -z0 - (the node's prefix sum): Z = 0 iff the
     # undecided rows add exactly rest
     masks = np.zeros(1, dtype=np.int64)
     rest = (shift[b] - shift[a]).astype(dt)[:, None]
-    starts = np.flatnonzero(np.diff(check, prepend=-1))
+    starts = np.cumsum([0] + sizes[:-1])
     for i in range(free + 1):
         if i:
             masks = np.concatenate([masks, masks | 1 << order[i - 1]])
             rest = np.concatenate([rest, rest - delta[i - 1, :, None]], axis=1)
-        ok = _in_interval(rest, low[i], high[i]) & _divisible(rest, gcd[i])
+        ok = _in_interval(rest, low[i], high[i])
         # a node lives while each check has some b whose Z can still be 0
         # (bits packed along the nodes: reduceat over bool rows is ~10x slower)
         alive = np.bitwise_and.reduce(np.bitwise_or.reduceat(np.packbits(ok, axis=1), starts))
         keep = np.flatnonzero(np.unpackbits(alive, count=len(masks)))
-        masks = masks[keep]
+        # (take: rest[:, keep] is ~2x slower at 2520)
+        masks, rest = masks[keep], rest.take(keep, axis=1)
         if not masks.size:
             return masks
-        # a child reaches a subset of what its parent reaches, so a pair dead
-        # on the whole frontier stays dead; every check keeps one
-        live = np.flatnonzero(ok[:, keep].any(axis=1))
-        rest = rest.take(live, axis=0).take(keep, axis=1)
-        if len(live) < len(check):  # most levels drop no pair; skip the copies
-            delta, low, high, gcd = delta[:, live], low[:, live], high[:, live], gcd[:, live]
-            check = check[live]
-            starts = np.flatnonzero(np.diff(check, prepend=-1))
-    # the leaves, where both bounds say Z = 0, take the exact test too
+    # the leaves, where the interval bound says Z = 0, take the exact test too
     bits = (masks[:, None] >> np.arange(free) & 1).astype(columns.dtype)
     return np.sort(masks[_passing(bits @ columns[2:] + columns[0] + columns[1], groups)])
 
@@ -252,17 +233,15 @@ def verify_degree(d: int) -> ConjectureReport:
     delta_r = R[r][a] - R[r][b].  The rows are decided in descending order
     of sum |delta_r| over all pairs, so the large steps are fixed first.
     After a prefix, every completion puts Z in [cur + sum of the negative
-    undecided delta_r, cur + sum of the positive ones] and in cur + gZ, g
-    the gcd of the undecided delta_r (`_in_interval`, `_divisible`; the
-    second only where g > 1).  Both are suffix arrays over the row order,
-    built once per degree.  A prefix is dropped when some check has no b
-    whose Z can reach 0 under both bounds, which no passing mask fails.
-    After each level, the pairs that no surviving prefix can zero are
-    dropped for good: a child reaches a subset of what its parent reaches.
-    The full-depth leaves go through the per-prime test, so the bounds
-    change only the speed.  With _CHUNK patched below 2^(|D|-2) small
-    degrees search too: 4, with one check column; 2 has one mask, which
-    always fits a chunk.  Raises ValueError when |D|-2 exceeds
+    undecided delta_r, cur + sum of the positive ones] (`_in_interval`);
+    the two sums are suffix arrays over the row order, built once per
+    degree.  A prefix is dropped when some check has no b whose Z can
+    reach 0 within its interval, which no passing mask fails.  At full
+    depth the interval is [0, 0], so the survivors are already exactly
+    the passing masks; they still go through the per-prime test, so the
+    bound changes only the speed.  With _CHUNK patched below 2^(|D|-2)
+    small degrees search too: 4, with one check column; 2 has one mask,
+    which always fits a chunk.  Raises ValueError when |D|-2 exceeds
     MAX_FREE_ROWS.
     """
     if d < 2 or d % 2:

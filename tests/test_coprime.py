@@ -228,7 +228,7 @@ class TestConjectureScan:
     def test_partial_survivors_match_brute_force(self, monkeypatch, seed):
         # a seeded sparse 0/1 matrix with row 1 constant: in 8-mask groups
         # some masks die and others survive, so the search must carry the
-        # surviving masks through every level's compaction
+        # surviving masks, and their sums, through every level's pruning
         scrambled = _scrambled(seed)
         monkeypatch.setattr(cp, "matrix_formula", scrambled)
         monkeypatch.setattr(cp, "_CHUNK", 8)
@@ -642,13 +642,12 @@ def all_true(rest, *bound):
 
 
 class TestSearch:
-    @pytest.mark.parametrize("off", [(), ("_divisible",), ("_in_interval",)],
-                             ids=["both", "interval-alone", "gcd-alone"])
+    @pytest.mark.parametrize("off", [(), ("_in_interval",)], ids=["interval-alone", "none"])
     @given(search_inputs())
     @settings(max_examples=150, deadline=None)
     def test_search_matches_passing_on_every_mask(self, off, inputs):
-        # the search against the direct test of all 2^free masks, with both
-        # bounds and with each alone: a bound changes only the speed
+        # the search against the direct test of all 2^free masks, with the
+        # interval bound and with no bound: the bound changes only the speed
         columns, groups = inputs
         table = cp.subset_sums(columns[2:]) + columns[0] + columns[1]
         with pytest.MonkeyPatch.context() as m:
@@ -657,18 +656,28 @@ class TestSearch:
             hits = cp._search_hits(columns, groups)
         assert hits.tolist() == cp._passing(table, groups).tolist()
 
-    @pytest.mark.parametrize("bound, other", [("_in_interval", "_divisible"),
-                                              ("_divisible", "_in_interval")],
-                             ids=["interval", "gcd"])
+    @given(search_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_last_level_is_exact_alone(self, inputs):
+        # at full depth the interval is [0, 0], so a leaf lives iff each
+        # check has some b with Z = 0: with the leaves' re-test keeping
+        # every row, the search still returns exactly the passing masks
+        columns, groups = inputs
+        table = cp.subset_sums(columns[2:]) + columns[0] + columns[1]
+        expected = cp._passing(table, groups).tolist()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(cp, "_passing", lambda profiles, checks: np.arange(len(profiles)))
+            assert cp._search_hits(columns, groups).tolist() == expected
+
+    @pytest.mark.parametrize("bound", ["_in_interval"], ids=["interval"])
     @given(steps=st.lists(st.integers(-6, 6), min_size=1, max_size=8), z0=st.integers(-12, 12))
     @settings(max_examples=150, deadline=None)
-    def test_each_bound_keeps_exactly_the_prefixes_it_can(self, bound, other, steps, z0):
+    def test_each_bound_keeps_exactly_the_prefixes_it_can(self, bound, steps, z0):
         # one check with one pair (a, b) = (1, 0), whose Z is z0 plus the
-        # free rows' steps: with the other bound off, each level keeps
-        # exactly the children of the last level's nodes, the rows taken in
-        # descending |step| order, that the bound admits: rest = -z0 -
-        # (prefix sum) within the sums of the negative and of the positive
-        # undecided steps, or a multiple of their gcd (where it exceeds 1)
+        # free rows' steps: each level keeps exactly the children of the
+        # last level's nodes, the rows taken in descending |step| order,
+        # that the bound admits: rest = -z0 - (prefix sum) within the sums
+        # of the negative and of the positive undecided steps
         columns = np.array([[1, 1], [0, z0]] + [[0, x] for x in steps])
         groups = [(np.array([1]), np.array([0]))]
         kept, inner = [], getattr(cp, bound)
@@ -679,7 +688,6 @@ class TestSearch:
             return ok
 
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(cp, other, all_true)
             m.setattr(cp, bound, counting)
             cp._search_hits(columns, groups)
         steps = sorted(steps, key=abs, reverse=True)
@@ -688,11 +696,8 @@ class TestSearch:
             if i:
                 rests = [r - e * steps[i - 1] for r in rests for e in (0, 1)]
             left = steps[i:]
-            low, high, g = sum(x for x in left if x < 0), sum(x for x in left if x > 0), math.gcd(*left)
-            if bound == "_in_interval":
-                rests = [r for r in rests if low <= r <= high]
-            else:
-                rests = [r for r in rests if g <= 1 or r % g == 0]
+            low, high = sum(x for x in left if x < 0), sum(x for x in left if x > 0)
+            rests = [r for r in rests if low <= r <= high]
             expected.append(len(rests))
             if not rests:
                 break
