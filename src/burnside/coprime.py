@@ -11,21 +11,22 @@ complementary half of the space is sound because row 1 of R(d) is
 constant, so adding divisor 1 to E shifts every profile equally and
 leaves the partition unchanged; under this convention the two conjectured
 solutions collapse to the single full mask.  When the 2^free masks fit
-one test chunk (`_CHUNK`: 280 of the 300 even degrees up to 600, those
-with at most 14 free rows), one table of all subset sums of the free rows
-(`subset_sums`, built by doubling, the enumerator `nullsets` shares) holds
-every profile, and every mask is tested at once.  Past one chunk the scan
-is an exact branch and bound over prefixes of the free rows
-(`_search_hits`).  For a check pair of columns (a, b), profile[a] -
-profile[b] is a fixed shift plus the free rows' steps R[r][a] - R[r][b]
-over the rows in E; a prefix of decisions confines the rest of that sum
-to an interval, and is dropped when some check has no b left whose
-difference can still be 0.  No passing mask is dropped, and the leaves go
-through the same test of every check (`_passing`) as the direct path, so
-the bound changes only the speed.  Every table entry and profile is
-bounded by the largest column abs-sum of R(d), which is d, and every
-difference by twice that: each is int16 while its bound fits and int64
-beyond.
+one test chunk (`_CHUNK`: 258 of the 300 even degrees up to 600, those
+with at most 13 free rows), one table of all subset sums of the free rows
+(`subset_sums`, built by doubling) holds every profile, and every mask is
+tested at once.  Past one chunk the scan is an exact branch and bound
+over prefixes of the free rows (`_search_hits`, on the kernel
+`_branch_and_bound` that `nullsets` runs too).  For a check pair of
+columns (a, b), profile[a] - profile[b] is a fixed shift plus the free
+rows' steps R[r][a] - R[r][b] over the rows in E; a prefix of decisions
+confines the rest of that sum to an interval, and is dropped when some
+check has no b left whose difference can still be 0.  No passing mask is
+dropped, and the leaves go through the same test of every check
+(`_passing`) as the direct path, so the bound changes only the speed.
+Every table entry and profile is bounded by the largest column abs-sum of
+R(d), which is d, and every value of the search by |shift| plus the abs-sum
+of the pair's steps, at most twice that: each is int16 while its bound
+fits and int64 beyond.
 
 A coprime partition is detected per prime q dividing d: some class lies
 entirely inside the q-divisible columns iff some q-divisible column's
@@ -44,8 +45,11 @@ import numpy as np
 from .ramanujan import RamanujanMatrix, divisor_data, matrix_formula
 from .cyclotomic import _factorize, int_dtype
 
-# masks tested at once on the direct path; past it the search
-_CHUNK = 1 << 14
+# masks tested at once on the direct path; past it the search.  This is the
+# measured crossover (`verify_degree`, best of 30, one core of a 2-vCPU Xeon
+# VM): table against search ~1.5 against ~0.8 ms at 120 (14 free rows),
+# ~0.46 against ~0.56 ms at 144 (13), ~0.30 against ~0.49 ms at 192 (12)
+_CHUNK = 1 << 13
 # 38 free rows is every even degree below 2520 (1680 and 2160 have 40
 # divisors, 2520 has 48).  On one core of a 2-vCPU Xeon VM the search takes
 # ~0.02 s at 1680 (5 423 nodes) and ~0.005 s at 2160 (665 nodes), each under
@@ -158,6 +162,43 @@ def _in_interval(rest: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndar
     return (low[:, None] <= rest) & (rest <= high[:, None])
 
 
+def _branch_and_bound(steps: np.ndarray, rest: np.ndarray, starts, bits) -> np.ndarray:
+    """Masks of the subsets e of the rows of `steps` (decided in row order,
+    row i setting mask bit bits[i]) whose sum hits `rest` on some column of
+    every check, the checks being the runs of columns that begin at
+    `starts`.  Breadth-first over prefixes: per column and node, rest is
+    what the undecided rows must still add, and a node lives while each
+    check has a column whose `_in_interval` holds, rest between the sums of
+    the column's negative and of its positive undecided steps.  No
+    completing subset is dropped, and at full depth the interval is [0, 0],
+    so the leaves are exactly the subsets that pass.  Every rest and suffix
+    sum is within max over columns of |rest| + sum |step|, which picks the
+    width."""
+    n = len(steps)
+    wide = steps.astype(np.int64)
+    dt = int_dtype(int((np.abs(rest) + np.abs(wide).sum(axis=0)).max(initial=0)))
+    # row i bounds the rows i:; row n, with none left, is 0
+    low, high = (np.zeros((n + 1, wide.shape[1]), dtype=dt) for _ in range(2))
+    low[:n] = np.cumsum(np.minimum(wide, 0)[::-1], axis=0)[::-1]
+    high[:n] = np.cumsum(np.maximum(wide, 0)[::-1], axis=0)[::-1]
+    steps = wide.astype(dt)
+    masks = np.zeros(1, dtype=np.int64)
+    rest = rest.astype(dt)[:, None]
+    for i in range(n + 1):
+        if i:
+            masks = np.concatenate([masks, masks | 1 << bits[i - 1]])
+            rest = np.concatenate([rest, rest - steps[i - 1, :, None]], axis=1)
+        ok = _in_interval(rest, low[i], high[i])
+        # (bits packed along the nodes: reduceat over bool rows is ~10x slower)
+        alive = np.bitwise_and.reduce(np.bitwise_or.reduceat(np.packbits(ok, axis=1), starts))
+        keep = np.flatnonzero(np.unpackbits(alive, count=len(masks)))
+        # (take: rest[:, keep] is ~2x slower at 2520)
+        masks, rest = masks[keep], rest.take(keep, axis=1)
+        if not masks.size:
+            break
+    return masks
+
+
 def _search_hits(columns: np.ndarray, groups) -> np.ndarray:
     """Ascending masks over the free rows that pass every check, by the
     branch and bound over prefixes of the free rows that `verify_degree`
@@ -169,38 +210,13 @@ def _search_hits(columns: np.ndarray, groups) -> np.ndarray:
     sizes = [len(B) for _, B in checks]
     a = np.repeat([a for a, _ in checks], sizes)
     b = np.concatenate([B for _, B in checks])
-    # Z = profile[a] - profile[b] = z0 + sum_r e_r delta[r], e the free-row bits
+    # Z = profile[a] - profile[b] = z0 + sum_r e_r delta[r], e the free-row
+    # bits, so Z = 0 iff the free rows add -z0
     wide = columns.astype(np.int64)
     delta = wide[2:, a] - wide[2:, b]
     shift = wide[0] + wide[1]
     order = np.argsort(-np.abs(delta).sum(axis=1), kind="stable")
-    delta = delta[order]
-    # every partial sum of delta or of a profile difference is at most twice
-    # the largest column abs-sum
-    dt = int_dtype(2 * int(np.abs(wide).sum(axis=0).max()))
-    # row i bounds the rows order[i:]; row free, with none left, is 0
-    low, high = (np.zeros((free + 1, len(b)), dtype=dt) for _ in range(2))
-    low[:free] = np.cumsum(np.minimum(delta, 0)[::-1], axis=0)[::-1]
-    high[:free] = np.cumsum(np.maximum(delta, 0)[::-1], axis=0)[::-1]
-    delta = delta.astype(dt)
-    # per pair and node, rest = -z0 - (the node's prefix sum): Z = 0 iff the
-    # undecided rows add exactly rest
-    masks = np.zeros(1, dtype=np.int64)
-    rest = (shift[b] - shift[a]).astype(dt)[:, None]
-    starts = np.cumsum([0] + sizes[:-1])
-    for i in range(free + 1):
-        if i:
-            masks = np.concatenate([masks, masks | 1 << order[i - 1]])
-            rest = np.concatenate([rest, rest - delta[i - 1, :, None]], axis=1)
-        ok = _in_interval(rest, low[i], high[i])
-        # a node lives while each check has some b whose Z can still be 0
-        # (bits packed along the nodes: reduceat over bool rows is ~10x slower)
-        alive = np.bitwise_and.reduce(np.bitwise_or.reduceat(np.packbits(ok, axis=1), starts))
-        keep = np.flatnonzero(np.unpackbits(alive, count=len(masks)))
-        # (take: rest[:, keep] is ~2x slower at 2520)
-        masks, rest = masks[keep], rest.take(keep, axis=1)
-        if not masks.size:
-            return masks
+    masks = _branch_and_bound(delta[order], shift[b] - shift[a], np.cumsum([0] + sizes[:-1]), order)
     # the leaves, where the interval bound says Z = 0, take the exact test too
     bits = (masks[:, None] >> np.arange(free) & 1).astype(columns.dtype)
     return np.sort(masks[_passing(bits @ columns[2:] + columns[0] + columns[1], groups)])
@@ -226,8 +242,8 @@ def verify_degree(d: int) -> ConjectureReport:
     profile, and every mask is tested at once, one check per prime.
 
     Past one chunk, `_search_hits` decides the free rows one at a time,
-    breadth-first, keeping every prefix that may still complete to a
-    passing mask.  Each one-column check (a, B) becomes the pairs (a, b),
+    breadth-first (`_branch_and_bound`), keeping every prefix that may
+    still complete to a passing mask.  Each one-column check (a, B) becomes the pairs (a, b),
     b in B, and each pair's difference Z = profile[a] - profile[b] is z0
     (rows 1 and 2) plus sum_r e_r delta_r, e_r the bit of free row r and
     delta_r = R[r][a] - R[r][b].  The rows are decided in descending order

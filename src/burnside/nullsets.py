@@ -19,28 +19,29 @@ with empty remainder); for n >= 3 this is strictly smaller than the full
 set, so a solver that assumes |O| = p^n - 1 is the only solution is wrong
 for every such modulus.
 
-Enumeration decides all 2^(p^n - 1) subsets by a meet-in-the-middle
-join (Horowitz-Sahni).  Since Phi_{p^n}(X) = Phi_p(X^{p^{n-1}}), a sum
-vanishes exactly when its coefficients are constant on each progression
-R(r), 0 <= r < p^{n-1}: the differences D(a) = (a[r + k p^{n-1}] - a[r])
-along them are a linear map whose kernel is exactly the multiples of
+Enumeration decides all 2^(p^n - 1) subsets by an exact branch and
+bound.  Since Phi_{p^n}(X) = Phi_p(X^{p^{n-1}}), a sum vanishes exactly
+when its coefficients are constant on each progression R(r),
+0 <= r < p^{n-1}: the differences D(a) = (a[r + k p^{n-1}] - a[r]) along
+them are a linear map whose kernel is exactly the multiples of
 Phi_{p^n}.  D of the difference of the two sums is linear in the chosen
-elements, so a subset is a solution exactly when D of its lower
-elements equals minus D of its upper ones.  The sweep divides by no
-polynomial, while `is_solution`, its exact oracle, divides by Phi_{p^n}.
-Each half's 2^((p^n - 1)/2) subset sums form one table, `join`
-matches the two tables' rows by hashed keys, and every matched pair is
-tested for exact equality.  The choice w = z^{p^{n-1}} (rather than
-another primitive p-th root) is harmless: other choices are reached by
-the exponent scalings i -> s*i with s = 1 mod p, and the solution family
-is closed under those maps, which the test suite checks.
+elements, so a subset is a solution exactly when its flip rows
+D(z^i - w^i) add to 0.  The sweep divides by no polynomial, while
+`is_solution`, its exact oracle, divides by Phi_{p^n}.  The elements are
+decided one at a time (`coprime._branch_and_bound`, the kernel the
+conjecture search runs too), and a prefix is dropped when some coordinate
+of D can no longer reach 0 between the sums of its negative and of its
+positive undecided entries; each leaf is tested for an exact zero.  The
+choice w = z^{p^{n-1}} (rather than another primitive p-th root) is
+harmless: other choices are reached by the exponent scalings i -> s*i
+with s = 1 mod p, and the solution family is closed under those maps,
+which the test suite checks.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 import time
 from dataclasses import dataclass
@@ -48,10 +49,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cyclotomic
-from .coprime import subset_sums
+from .coprime import _branch_and_bound
 from .cyclotomic import CycSum
 
-MAX_MODULUS = 32  # 2^5: tables of 2^15 and 2^16 rows; 7^2 needs 2^24 (1.57 GB)
+# 7^2: `nullsets 7 2 --verify` takes ~0.2 s at ~31 MB peak RSS as a process,
+# ~2 ms over 895 nodes in process (one core of a 2-vCPU Xeon VM).  The
+# next modulus, 2^6, has C(32, 16) ~ 6e8 solutions, and the 80
+# elements of 3^4 overflow an int64 mask.
+MAX_MODULUS = 49
 
 
 @functools.lru_cache(maxsize=None)
@@ -247,73 +252,24 @@ def _flip_rows(p: int, n: int) -> np.ndarray:
     return arr.astype(cyclotomic.int_dtype(int(np.abs(arr).sum(axis=0).max())))
 
 
-def _multipliers(n: int) -> np.ndarray:
-    """splitmix64 of 1..n, the key multipliers: j*C + D would collide on
-    every row difference with sum(delta_j) = sum(j * delta_j) = 0."""
-    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
-    z = (z ^ z >> 27) * 0x94D049BB133111EB
-    return z ^ z >> 31
-
-
-def join(low: np.ndarray, high: np.ndarray):
-    """Index pairs (i, j), flat over the (batch, row) axes, of every low
-    row equal to a high row of its batch, and of any others whose keys
-    collide, so callers re-test each pair (Horowitz-Sahni, JACM 1974).
-
-    One sort makes the pairs.  A row's key holds, from the top, its dot
-    product with `_multipliers` modulo 2^64 (the batch index one more
-    column), a side bit (0 low, 1 high) at bit b, and its flat index in the
-    low b bits, b the bit length of the larger side's last index.  Both
-    sides are sorted as one array, so each run of equal dot products lists
-    its low rows, then its high rows, and only the runs that hold both
-    sides make pairs.  Dropping the low b + 1 bits of the dot product only
-    adds collisions: 44 bits remain while a side has at most 2^19 rows."""
-    sizes = [math.prod(rows.shape[:-1]) for rows in (low, high)]
-    b = max(max(sizes) - 1, 0).bit_length()
-    c = _multipliers(low.shape[-1] + 1)
-    keys = np.empty(sum(sizes), dtype=np.uint64)
-    for side, (rows, key) in enumerate(zip((low, high), (keys[: sizes[0]], keys[sizes[0] :]))):
-        grid = key.reshape(rows.shape[:-1])
-        grid[:] = np.arange(len(rows), dtype=np.uint64)[:, None] * c[0]
-        for j in range(rows.shape[-1]):
-            grid += rows[..., j].astype(np.uint64) * c[j + 1]
-        key &= ~np.uint64((2 << b) - 1)
-        key |= np.arange(sizes[side], dtype=np.uint64) | np.uint64(side << b)
-    del low, high, rows  # frees the callers' temporary tables
-    keys.sort()
-    # a run's dot product and side bit: a low run is even, and the high
-    # run of the same dot product follows it as the next odd number
-    run = keys >> np.uint64(b)
-    mid = np.flatnonzero((run[:-1] ^ run[1:]) == np.uint64(1))  # a run's last low
-    start = np.searchsorted(run, run[mid])
-    highs = np.searchsorted(run, run[mid] + np.uint64(1), "right") - mid - 1
-    del run
-    keys &= np.uint64((1 << b) - 1)  # now the flat indices
-    keys = keys.view(np.int64)
-    # each high of those runs, with the lows of its run before it
-    where = np.repeat(mid + 1 - np.cumsum(highs) + highs, highs) + np.arange(highs.sum())
-    first, count = np.repeat(start, highs), np.repeat(mid + 1 - start, highs)
-    lo = np.repeat(first - np.cumsum(count) + count, count)
-    lo += np.arange(lo.size)
-    lo = keys[lo]
-    return lo, np.repeat(keys[where], count)
-
-
 def enumerate_solutions(p: int, n: int) -> list[IndexSet]:
     """All solution sets for the modulus p^n, sorted by bitmask.
 
-    Joins the subset sums of the first h flip rows with the negated
-    subset sums of the rest (`join`); a candidate pair is a
-    solution exactly when its two rows are equal, tested on every pair.
+    The subsets of the flip rows that add to 0, by the branch and bound
+    `coprime._branch_and_bound` with every coordinate its own check.  The
+    elements are decided by descending residue mod p^(n-1), each residue's
+    progression in ascending order, so each progression is decided whole
+    and the coordinates along it close; every leaf is re-tested exactly.
     """
     N = _check_modulus(p, n, enforce_bound=True)
     rows = _flip_rows(p, n)
-    h = (N - 1) // 2
-    low, high = subset_sums(rows[:h]), subset_sums(-rows[h:])
-    a, b = join(low[None], high[None])  # one batch
-    equal = (low[a] == high[b]).all(axis=1)
-    masks = np.sort((a[equal] | b[equal] << h) << 1)
+    step = p ** (n - 1)
+    order = (np.arange(step)[::-1, None] + step * np.arange(p)).ravel()
+    order = order[order > 0]  # 0 is no element
+    cols = rows.shape[1]
+    masks = _branch_and_bound(rows[order - 1], np.zeros(cols, dtype=np.int64), np.arange(cols), order)
+    bits = (masks[:, None] >> np.arange(1, N) & 1).astype(rows.dtype)
+    masks = np.sort(masks[~(bits @ rows).any(axis=1)])
     return [IndexSet(p, n, m) for m in masks.tolist()]
 
 

@@ -1,5 +1,21 @@
-"""The Horowitz-Sahni join over the free rows, kept as an exact oracle for
-`coprime._search_hits`.
+"""The Horowitz-Sahni join (JACM 1974), kept as an exact oracle for both
+branch and bound searches: `coprime._search_hits` and
+`nullsets.enumerate_solutions`.
+
+`join(low, high)` matches the equal rows of two tables.  A row's key
+holds, from the top, its dot product with `_multipliers` modulo 2^64 (the
+batch index one more column), a side bit (0 low, 1 high) at bit b, and its
+flat index in the low b bits, b the bit length of the larger side's last
+index.  Both sides are sorted as one array, so each run of equal dot
+products lists its low rows, then its high rows, and only the runs that
+hold both sides make pairs.  Colliding keys only add pairs, which every
+caller re-tests exactly.
+
+`join_solutions(p, n)` returns the masks of `nullsets.enumerate_solutions`
+by joining the subset sums of the lower half of the flip rows with the
+negated subset sums of the upper half, each pair tested for exact equality.
+At 2^5 the halves have 2^15 and 2^16 rows; 7^2 would need two 2^24-row
+tables (1.57 GB), so the oracle stops at 32.
 
 `join_hits(columns, groups)` takes the arguments of `_search_hits` and
 returns the same ascending masks by an independent method, so the search
@@ -16,7 +32,7 @@ best check (a1, B1) and its partner (a2, B2) on another column of least
 estimated joint passes.  For each (b1, b2) in B1 x B2 the two equalities
 profile[a] == profile[b] become one row equality, (low[a1]-low[b1],
 low[a2]-low[b2]) against (high[b1]-high[a1], high[b2]-high[a2]), and
-`nullsets.join` matches every equal pair, and any whose keys collide.
+`join` matches every equal pair, and any whose keys collide.
 Every matched (lo, hi) goes through `coprime._passing`, the joined checks
 included, `coprime._CHUNK` at a time, after the best unjoined check, so
 the estimates change only the speed; the hits are sorted and a mask that
@@ -26,11 +42,72 @@ matched several (b1, b2) is reported once.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from burnside import coprime as cp
 from burnside import nullsets as ns
+
+
+def _multipliers(n: int) -> np.ndarray:
+    """splitmix64 of 1..n, the key multipliers: j*C + D would collide on
+    every row difference with sum(delta_j) = sum(j * delta_j) = 0."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
+    z = (z ^ z >> 27) * 0x94D049BB133111EB
+    return z ^ z >> 31
+
+
+def join(low: np.ndarray, high: np.ndarray):
+    """Index pairs (i, j), flat over the (batch, row) axes, of every low
+    row equal to a high row of its batch, and of any others whose keys
+    collide, keyed as the module docstring describes.  Dropping the low
+    b + 1 bits of the dot product only adds collisions: 44 bits remain
+    while a side has at most 2^19 rows."""
+    sizes = [math.prod(rows.shape[:-1]) for rows in (low, high)]
+    b = max(max(sizes) - 1, 0).bit_length()
+    c = _multipliers(low.shape[-1] + 1)
+    keys = np.empty(sum(sizes), dtype=np.uint64)
+    for side, (rows, key) in enumerate(zip((low, high), (keys[: sizes[0]], keys[sizes[0] :]))):
+        grid = key.reshape(rows.shape[:-1])
+        grid[:] = np.arange(len(rows), dtype=np.uint64)[:, None] * c[0]
+        for j in range(rows.shape[-1]):
+            grid += rows[..., j].astype(np.uint64) * c[j + 1]
+        key &= ~np.uint64((2 << b) - 1)
+        key |= np.arange(sizes[side], dtype=np.uint64) | np.uint64(side << b)
+    del low, high, rows  # frees the callers' temporary tables
+    keys.sort()
+    # a run's dot product and side bit: a low run is even, and the high
+    # run of the same dot product follows it as the next odd number
+    run = keys >> np.uint64(b)
+    mid = np.flatnonzero((run[:-1] ^ run[1:]) == np.uint64(1))  # a run's last low
+    start = np.searchsorted(run, run[mid])
+    highs = np.searchsorted(run, run[mid] + np.uint64(1), "right") - mid - 1
+    del run
+    keys &= np.uint64((1 << b) - 1)  # now the flat indices
+    keys = keys.view(np.int64)
+    # each high of those runs, with the lows of its run before it
+    where = np.repeat(mid + 1 - np.cumsum(highs) + highs, highs) + np.arange(highs.sum())
+    first, count = np.repeat(start, highs), np.repeat(mid + 1 - start, highs)
+    lo = np.repeat(first - np.cumsum(count) + count, count)
+    lo += np.arange(lo.size)
+    lo = keys[lo]
+    return lo, np.repeat(keys[where], count)
+
+
+def join_solutions(p: int, n: int) -> np.ndarray:
+    """Ascending masks of the solution sets for p^n, by the join of the
+    subset sums of the first h flip rows with the negated subset sums of
+    the rest; a candidate pair is a solution exactly when its two rows are
+    equal, tested on every pair."""
+    N = p**n
+    rows = ns._flip_rows(p, n)
+    h = (N - 1) // 2
+    low, high = cp.subset_sums(rows[:h]), cp.subset_sums(-rows[h:])
+    a, b = join(low[None], high[None])  # one batch
+    equal = (low[a] == high[b]).all(axis=1)
+    return np.sort((a[equal] | b[equal] << h) << 1)
 
 
 def _bezout(v: list[int]) -> tuple[int, list[int]]:
@@ -216,8 +293,8 @@ def join_hits(columns: np.ndarray, groups) -> np.ndarray:
     hits = [np.zeros(0, dtype=np.int64)]
     for i in range(0, len(combos), per_batch):
         bs = combos[i : i + per_batch]
-        lo, hi = ns.join(np.subtract(low_a, low[:, bs].transpose(1, 0, 2), dtype=np.int64),
-                      np.subtract(high[:, bs].transpose(1, 0, 2), high_a, dtype=np.int64))
+        lo, hi = join(np.subtract(low_a, low[:, bs].transpose(1, 0, 2), dtype=np.int64),
+                   np.subtract(high[:, bs].transpose(1, 0, 2), high_a, dtype=np.int64))
         # in place: at 1680 a (b1, b2) batch joins ~2 million pairs.  Each
         # table has a power of two rows, so the mask takes a flat index's row
         lo &= len(low) - 1

@@ -471,9 +471,9 @@ class TestNullsetsCommand:
         assert code == 2
 
     # 10**18 + 3 is past every modulus bound, and 2**(10**12) is a ~125 GB
-    # integer: both must be refused from p and n alone, as
-    # must 7^2, the first modulus past the bound (two 2^24-row tables)
-    @pytest.mark.parametrize("p, n", [(10**18 + 3, 2), (2, 10**12), (7, 2)])
+    # integer: both must be refused from p and n alone, as must 2^6, the
+    # first modulus past the bound (C(32, 16) ~ 6e8 solutions)
+    @pytest.mark.parametrize("p, n", [(10**18 + 3, 2), (2, 10**12), (2, 6)])
     def test_over_bound_modulus_refused_at_once(self, p, n, monkeypatch, capsys):
         def primality(d):
             raise AssertionError(f"tested {d} for primality before checking the bound")
@@ -481,7 +481,7 @@ class TestNullsetsCommand:
         monkeypatch.setattr(nullsets.cyclotomic, "is_prime", primality)
         code, out = run_cli(["nullsets", str(p), str(n), "--verify"])
         assert code == cli.EXIT_USAGE and out == ""
-        assert "exceeds the enumeration bound 32" in capsys.readouterr().err
+        assert "exceeds the enumeration bound 49" in capsys.readouterr().err
 
 
 class TestExamplesCommand:

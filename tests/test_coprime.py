@@ -13,7 +13,6 @@ from hypothesis.extra.numpy import arrays
 
 import join_oracle as jo
 from burnside import coprime as cp
-from burnside import nullsets as ns
 from burnside.ramanujan import divisor_data, matrix_formula
 
 
@@ -61,11 +60,13 @@ def real_hits(d):
 
 def take_source(monkeypatch, source, d):
     """Patch _CHUNK below 2^free, and never above the default, to force
-    the search, or keep the default for the direct path; checks that d then
-    takes `source`."""
+    the search, or up to 2^free, and never below the default, to force the
+    direct path; checks that d then takes `source`."""
     free = len(divisor_data(d).divisors) - 2
     if source == "search":
         monkeypatch.setattr(cp, "_CHUNK", min(cp._CHUNK, max(1, 1 << free >> 1)))
+    else:
+        monkeypatch.setattr(cp, "_CHUNK", max(cp._CHUNK, 1 << free))
     assert (1 << free <= cp._CHUNK) == (source == "direct")
 
 
@@ -492,8 +493,8 @@ class TestConjectureScan:
     def test_zero_keys_leave_the_exact_test(self, monkeypatch, d):
         # every row keyed 0 makes every pair a candidate, so only the exact
         # test of every check stands between the join oracle and a wrong hit
-        monkeypatch.setattr(ns, "_multipliers", lambda n: np.zeros(n, dtype=np.uint64))
-        lo, _ = ns.join(np.zeros((2, 3, 2)), np.ones((2, 5, 2)))
+        monkeypatch.setattr(jo, "_multipliers", lambda n: np.zeros(n, dtype=np.uint64))
+        lo, _ = jo.join(np.zeros((2, 3, 2)), np.ones((2, 5, 2)))
         assert len(lo) == 6 * 10
         take_join(monkeypatch, d)
         assert list(cp.verify_degree(d).coprime_masks) == real_hits(d)
@@ -509,17 +510,16 @@ class TestConjectureScan:
                 assert list(cp.verify_degree(d).coprime_masks) == real_hits(d), source
 
     def test_candidate_sources_agree_to_240(self, monkeypatch):
-        # every mask at once where the masks fit one chunk, the search where
-        # _CHUNK is patched below 2^free: the same reports at every degree
-        def report(d):
-            rep = cp.verify_degree(d)
+        # every mask at once where _CHUNK is patched up to 2^free, the search
+        # where it is patched below: the same reports at every degree
+        def report(d, source):
+            with monkeypatch.context() as m:
+                take_source(m, source, d)
+                rep = cp.verify_degree(d)
             return rep.subsets_scanned, rep.coprime_masks, rep.holds
 
-        direct = {d: report(d) for d in range(2, 241, 2)}
         for d in range(4, 241, 2):
-            with monkeypatch.context() as m:
-                take_source(m, "search", d)
-                assert report(d) == direct[d], d
+            assert report(d, "search") == report(d, "direct"), d
 
     def test_direct_path_every_mask_hits(self, monkeypatch):
         # rows 2.. zeroed: all 16 masks at 12 hit, in one chunk
@@ -551,11 +551,12 @@ class TestConjectureScan:
 
     def test_search_runs_only_past_one_chunk(self, monkeypatch):
         calls = spy(monkeypatch, "_search_hits")
-        for d in (2, 4, 12, 60, 120, 210):  # 0 to 14 free rows
+        for d in (2, 4, 12, 60, 144):  # 0 to 13 free rows
             cp.verify_degree(d)
         assert not calls
-        cp.verify_degree(360)  # 22 free rows
-        assert len(calls) == 1
+        for d in (120, 210, 360):  # 14, 14 and 22 free rows
+            cp.verify_degree(d)
+        assert len(calls) == 3
 
     def test_scan_bound_refused_before_tables(self):
         start = time.perf_counter()
@@ -637,11 +638,57 @@ def search_inputs(draw):
     return columns, [(np.array(sorted(A)), np.array(sorted(B))) for A, B in groups]
 
 
+@st.composite
+def kernel_inputs(draw):
+    """Up to 10 integer rows over 1-6 columns with entries in [-3, 3], a
+    target per column in [-6, 6], the columns cut into checks at random
+    starts (every column its own check in half the draws), and as the
+    rows' mask bits a permutation of 0..n-1 shifted by up to 2."""
+    n, m = draw(st.integers(0, 10)), draw(st.integers(1, 6))
+    steps = draw(arrays(np.int64, (n, m), elements=st.integers(-3, 3)))
+    rest = draw(arrays(np.int64, m, elements=st.integers(-6, 6)))
+    singletons = draw(st.booleans())
+    cuts = [singletons or draw(st.booleans()) for _ in range(m - 1)]
+    starts = np.array([0] + [j for j in range(1, m) if cuts[j - 1]])
+    shift = draw(st.integers(0, 2))
+    return steps, rest, starts, [b + shift for b in draw(st.permutations(range(n)))]
+
+
 def all_true(rest, *bound):
     return np.ones(rest.shape, dtype=bool)
 
 
 class TestSearch:
+    @given(kernel_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_branch_and_bound_matches_brute_force(self, inputs):
+        # every subset of the rows summed and compared with the target on
+        # each column: a subset passes when each check has a column it hits
+        steps, rest, starts, bits = inputs
+        n = len(steps)
+        hit = (np.arange(1 << n)[:, None] >> np.arange(n) & 1) @ steps == rest
+        ends = starts.tolist()[1:] + [len(rest)]
+        passing = np.all([hit[:, s:t].any(axis=1) for s, t in zip(starts, ends)], axis=0)
+        expected = sorted(sum(1 << bits[r] for r in range(n) if t >> r & 1)
+                          for t in np.flatnonzero(passing).tolist())
+        assert sorted(cp._branch_and_bound(steps, rest, starts, bits).tolist()) == expected
+
+    @pytest.mark.parametrize("top", [16383, 16384], ids=["int16", "int64"])
+    def test_branch_and_bound_width_from_its_bound(self, monkeypatch, top):
+        # steps top and 16384 on one column, target 0: |rest| + sum |step|
+        # is 32767, the last int16 value, or 32768, past it, where an int16
+        # search would wrap the upper bound to -32768 and lose the empty set
+        bounds, inner = [], cp.int_dtype
+
+        def spy(bound):
+            bounds.append(bound)
+            return inner(bound)
+
+        monkeypatch.setattr(cp, "int_dtype", spy)
+        hits = cp._branch_and_bound(np.array([[top], [16384]]), np.zeros(1, dtype=np.int64),
+                                    np.array([0]), [0, 1])
+        assert hits.tolist() == [0] and bounds == [top + 16384]
+
     @pytest.mark.parametrize("off", [(), ("_in_interval",)], ids=["interval-alone", "none"])
     @given(search_inputs())
     @settings(max_examples=150, deadline=None)

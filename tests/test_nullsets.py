@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import join_oracle as jo
+from burnside import coprime as cp
 from burnside import cyclotomic as cy
 from burnside import nullsets as ns
 
 SMALL_MODULI = [(2, 2), (2, 3), (3, 2), (2, 4)]
-ALL_MODULI = SMALL_MODULI + [(5, 2), (3, 3), (2, 5)]  # every p^n <= 32
+JOIN_MODULI = SMALL_MODULI + [(5, 2), (3, 3), (2, 5)]  # every p^n <= 32
+ALL_MODULI = JOIN_MODULI + [(7, 2)]  # every admitted p^n, up to MAX_MODULUS = 49
 
 
 def members(p, n, *items):
@@ -71,7 +74,7 @@ class TestProgressionTable:
         def refuse(*args):
             raise AssertionError("classification touched the enumeration")
 
-        for name in ("join", "_flip_rows", "subset_sums"):
+        for name in ("_branch_and_bound", "_flip_rows"):
             monkeypatch.setattr(ns, name, refuse)
         monkeypatch.setattr(ns.cyclotomic, "reduced_coeffs", refuse)
         kinds = {ns.classify(ns.IndexSet(2, 3, m)).kind for m in range(0, 256, 2)}
@@ -186,16 +189,23 @@ class TestEnumerate:
         assert all(ns.classify(s).kind != ns.NOT_SOLUTION for s in sols)
 
     def test_matches_is_solution_on_every_subset(self):
-        # the join against the subset-by-subset exact test
+        # the search against the subset-by-subset exact test
         for p, n in SMALL_MODULI:
             assert [s.mask for s in ns.enumerate_solutions(p, n)] == exact_solutions(p, n)
 
-    def test_zero_keys_leave_the_exact_test(self, monkeypatch):
-        # every row keyed 0 makes every pair of half sums a candidate, so
-        # only the exact row test stands between the join and a wrong set
-        monkeypatch.setattr(ns, "_multipliers", lambda n: np.zeros(n, dtype=np.uint64))
+    def test_unpruned_leaves_take_the_exact_test(self, monkeypatch):
+        # with the interval bound keeping every node, every subset reaches a
+        # leaf, so only the leaves' exact test stands between the search
+        # and a wrong set
+        monkeypatch.setattr(cp, "_in_interval", lambda rest, low, high: np.ones(rest.shape, bool))
         for p, n in SMALL_MODULI:
             assert [s.mask for s in ns.enumerate_solutions(p, n)] == exact_solutions(p, n)
+
+    @pytest.mark.parametrize("p, n", JOIN_MODULI)
+    def test_search_matches_join_oracle(self, p, n):
+        # two exact methods past brute force: the branch and bound and the
+        # Horowitz-Sahni join of the half sums
+        assert [s.mask for s in ns.enumerate_solutions(p, n)] == jo.join_solutions(p, n).tolist()
 
     def test_join_keys_equal_on_equal_differences(self):
         # entries up to +-2^40 wrap the keys modulo 2^64, but a row met on
@@ -206,7 +216,7 @@ class TestEnumerate:
         low = np.stack([pairs, pairs[:, ::-1]])  # (batch, rows, m)
         high = low[:, ::-1].copy()
         n = len(pairs)
-        lo, hi = ns.join(low, high)
+        lo, hi = jo.join(low, high)
         assert sorted(zip(lo.tolist(), hi.tolist())) == [
             (b * n + i, b * n + n - 1 - i) for b in range(2) for i in range(n)
         ]
@@ -223,7 +233,7 @@ class TestEnumerate:
         n_high = data.draw(st.integers(0, 8).filter(lambda n: n != n_low))
         low, high = (data.draw(arrays(np.int64, (batches, n, m), elements=st.sampled_from(values)))
                      for n in (n_low, n_high))
-        lo, hi = ns.join(low, high)
+        lo, hi = jo.join(low, high)
         assert lo.dtype == hi.dtype == np.int64
         pairs = list(zip(lo.tolist(), hi.tolist()))
         assert len(set(pairs)) == len(pairs)
@@ -267,10 +277,12 @@ class TestEnumerate:
             assert [s.mask for s in ns.enumerate_solutions(p, n)] == sorted(built), (p, n)
 
     def test_bound_enforced(self, monkeypatch):
-        # 7^2 is the first modulus past 2^5 = 32: refused before any table
-        monkeypatch.setattr(ns, "subset_sums", None)
-        with pytest.raises(ValueError, match="exceeds the enumeration bound 32"):
-            ns.enumerate_solutions(7, 2)
+        # 2^6 is the first modulus past 7^2 = 49: refused before the search
+        calls = []
+        monkeypatch.setattr(ns, "_branch_and_bound", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="exceeds the enumeration bound 49"):
+            ns.enumerate_solutions(2, 6)
+        assert not calls
 
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
@@ -358,6 +370,13 @@ class TestVerification:
         assert rep.ok
         assert rep.smallest_nonempty == 8 == rep.subsets_scanned.bit_length() - 1
         # at n = 2 the smallest nonempty solution is the full set itself
+
+    def test_72(self):
+        # the largest admitted modulus: two solutions, the empty set and the
+        # full set of p^2 - 1 = 48 elements
+        rep = ns.verify_classification(7, 2)
+        assert rep.ok and rep.solution_count == 2
+        assert rep.smallest_nonempty == 48
 
     def test_members_round_trip(self):
         O = members(3, 2, 1, 4, 7)
