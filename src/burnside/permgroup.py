@@ -177,11 +177,12 @@ def check_point_budget(points: int) -> None:
 
 def cycle_points(g: Permutation, start: int) -> list[int]:
     """The cycle of g through `start`: start, g(start), g(g(start)), ..."""
+    images = g.images
     pts = [start]
-    x = g[start]
+    x = images[start]
     while x != start:
         pts.append(x)
-        x = g[x]
+        x = images[x]
     return pts
 
 
@@ -310,18 +311,29 @@ def suborbits(G: PermGroup, base: int = 0) -> list[list[int]]:
     2003, Lemma 4.2.1).  With y = t[a](x) and the inverse transversal u[a]
     = t[a]^-1, the edge from x to its image is u[a, y] - u[h(a), h(y)]; the
     suborbits are the classes of these edges, joined by `_merge` in chunks
-    of coset rows of at most `_CHUNK` entries.  u has two sources:
+    of coset rows of at most `_CHUNK` entries (and as many entries of
+    columns, for the near-affine generators below).  u has two sources:
 
     * a regular K = Z_n1 x .. x Z_nk whose unit translations lead G, or
       the full cycle that `relabel` makes the translation of Z_m
       (`_regular_abelian`).  With the labels moved so that `base` is 0,
-      t[a] is x -> x + a and u[a, y] = y - a, digit by digit.  A generator
-      h(x) = phi(x) + h(0) with phi additive, n_i phi(e_i) = 0 (a
-      translation, the reflection of `dihedral`, the multiplier of
-      `affine`, the swap of `wreath`), gives the edges x - phi(x) in every
-      coset row: one row.  A phi that fails n_i phi(e_i) = 0 is no
-      homomorphism, and its rows differ.  No m x m table: a few length-m
-      arrays and chunks of 32 KiB per digit.
+      t[a] is x -> x + a and u[a, y] = y - a, digit by digit, and the
+      edges of coset row a are x - (h(a + x) - h(a)).  A generator h is
+      merged in one of three ways:
+      - exactly affine, h(x) = phi(x) + h(0) with phi additive, n_i
+        phi(e_i) = 0 (a translation, the reflection of `dihedral`, the
+        multiplier of `affine`, the swap of `wreath`): every row is x -
+        phi(x), so one row;
+      - near-affine: f = phi + c fitted by majority (phi(e_i) the most
+        common h(y + e_i) - h(y), c the most common h(y) - phi(y)), phi
+        additive and h = f off a set D with 2|D| < m (the transposition of
+        `sym`, the lifted transpositions of `wreath`): the row x - phi(x),
+        which every x meets in some row a with a and a + x off D, then
+        the full rows a in D and the entries y in D of every row, at most
+        (2|D| + 1) m edges;
+      - otherwise every coset row: a phi that fails n_i phi(e_i) = 0 is
+        no homomorphism, and its rows differ.
+      No m x m table: a few length-m arrays and chunks of 32 KiB per digit.
     * otherwise, a search over points, which is also the transitivity
       check, fills u[h(a)] = u[a] h^-1 by a gather: one int16 m x m table,
       512 MiB at MAX_DEGREE.
@@ -333,6 +345,7 @@ def suborbits(G: PermGroup, base: int = 0) -> list[list[int]]:
     dtype = int_dtype(m - 1)  # u[a, y] and y - a lie in [1 - m, m - 1]
     points = np.arange(m, dtype=dtype)
     label = points.copy()
+    step = max(1, _CHUNK // m)  # coset rows per chunk
     source = _regular_abelian(G, base)
     if source is not None:
         moduli, G, base, back = source
@@ -358,10 +371,30 @@ def suborbits(G: PermGroup, base: int = 0) -> list[list[int]]:
             hd = digits[:, x]  # the digits of g(x)
             P = (hd[:, strides % m] - hd[:, :1]) % mods  # column i: the digits of phi(e_i)
             phi = P @ digits % mods  # the digits of phi(x) = sum x_i phi(e_i)
-            if not (P * mods.T % mods).any() and np.array_equal((phi + hd[:, :1]) % mods, hd):
-                _merge(label, points, strides @ phi)  # x - phi(x) in every coset row
-            else:
-                gens.append(columns[:, x])
+            D = points[:0]
+            if not np.array_equal((phi + hd[:, :1]) % mods, hd):
+                # fit phi + c by majority, phi(e_i) the most common h(y + e_i) - h(y)
+                # and c the most common h(y) - phi(y); D is where h differs.  The
+                # leading translations commute with the shift of base to 0
+                shifts = (np.array(t.images) for t in G.generators[: len(moduli)])
+                P = digits[:, [np.bincount(strides @ ((hd[:, t] - hd) % mods), minlength=m).argmax()
+                               for t in shifts]]
+                phi = P @ digits % mods
+                c = np.bincount(strides @ ((hd - phi) % mods), minlength=m).argmax()
+                D = np.flatnonzero(strides @ ((phi + digits[:, [c]]) % mods) != x)
+            if (P * mods.T % mods).any() or 2 * len(D) >= m:
+                gens.append(columns[:, x])  # no homomorphism, or too far from one: every row
+                continue
+            # off D, row a gives y - a -> phi(y - a); every x has some a with a and
+            # a + x off D since 2|D| < m: one row x - phi(x), then the rows and
+            # the columns of D
+            _merge(label, points, strides @ phi)
+            h = columns[:, x]
+            for r in range(0, len(D), step):
+                rows = D[r : r + step]
+                a, ha = columns[:, rows], h[:, rows]
+                _merge(label, np.concatenate([u(a, columns), u(columns, a)], None),
+                       np.concatenate([u(ha, h), u(h, ha)], None))
         pos = pos if back is None else pos[back]
     else:
         columns, pos = points, None
@@ -385,7 +418,6 @@ def suborbits(G: PermGroup, base: int = 0) -> list[list[int]]:
         def u(a, y):
             rows = table[a]  # every y in order is the row itself, with no gather
             return rows if y is points else rows.take(y, axis=1)
-    step = max(1, _CHUNK // m)
     for h in gens:  # the images, or their digits, of each generator
         for a in range(0, m, step):
             _merge(label, u(columns[..., a : a + step], columns), u(h[..., a : a + step], h))

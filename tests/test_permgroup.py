@@ -5,6 +5,7 @@ import time
 import tracemalloc
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,6 +108,20 @@ def orbital_suborbits(G, base=0):
     for x in range(m):
         classes.setdefault(first[base, x], []).append(x)
     return sorted(classes.values())
+
+
+def merged_edges(G, base=0):
+    """`suborbits(G, base)` and the number of edges it passed to `_merge`."""
+    sizes = []
+
+    def spy(label, a, b):
+        sizes.append(np.size(a))
+        merge(label, a, b)
+
+    merge = pg._merge
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pg, "_merge", spy)
+        return pg.suborbits(G, base), sum(sizes)
 
 
 def unit_translations(moduli):
@@ -347,6 +362,53 @@ class TestSuborbits:
         G = pg.PermGroup(6, (a, b, pg.Permutation((5, 2, 3, 0, 1, 4))))
         assert pg.suborbits(G, 4) == orbital_suborbits(G, 4) == stabiliser_orbits(G, 4)
 
+    @settings(max_examples=150, deadline=None)
+    @given(case=groups_led_by_translations(), data=st.data())
+    def test_near_affine_generator_merges_the_rows_and_columns_of_its_defects(self, case, data):
+        # h = A pi: an affine A(x) = s x + c of K after a permutation pi of
+        # support below m/4, so the majority fit finds A and D = supp(pi)
+        G, moduli = case
+        m, k = G.degree, len(moduli)
+        gens, digits, label = unit_translations(moduli)
+        s = data.draw(st.sampled_from([s for s in range(1, max(moduli) + 1)
+                                       if all(math.gcd(s, n) == 1 for n in moduli)]))
+        c = data.draw(st.integers(0, m - 1))
+        A = [label([s * x + y for x, y in zip(digits[z], digits[c])]) for z in range(m)]
+        moved = data.draw(st.lists(st.integers(0, m - 1), unique=True, max_size=-(-m // 4) - 1))
+        pi = list(range(m))
+        for x, y in zip(moved, data.draw(st.permutations(moved))):
+            pi[x] = y
+        h = pg.Permutation(tuple(A[pi[x]] for x in range(m)))
+        support = sum(x != y for x, y in enumerate(pi))
+        where = data.draw(st.integers(k, len(G.generators)))
+        G = pg.PermGroup(m, G.generators[:where] + (h,) + G.generators[where:])
+        base = data.draw(st.integers(0, m - 1))
+        subs = pg.suborbits(G, base)
+        assert subs == orbital_suborbits(G, base)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pg, "_regular_abelian", lambda G, base: None)
+            assert pg.suborbits(G, base) == subs
+        # h alone: the row x - phi(x), then a row and a column per point of D
+        assert merged_edges(pg.PermGroup(m, (*gens, h)), base)[1] == (2 * support + 1) * m
+
+    def test_defects_on_half_the_points_take_every_row(self):
+        # h = (1,2) on Z_4: the most common step is 2 and c = 0, so the fit
+        # x -> 2x misses h at D = {2, 3}, 2|D| = m; 2x is no bijection, and
+        # its row x - 2x would join 2 to the base point
+        h = pg.parse_permutation("(1,2)", 4)
+        G = pg.PermGroup(4, (full_cycle(4), h))
+        subs, edges = merged_edges(G)
+        assert subs == orbital_suborbits(G) == [[0], [1, 2, 3]]
+        assert edges == 4 * 4
+
+    def test_non_additive_majority_fit_takes_every_row(self):
+        # on Z_3 x Z_2 the most common steps give phi(e_0) = (1, 1) and
+        # phi(e_1) = (1, 0), and phi + 0 misses h only at 5; but 2 (1, 1) =
+        # (2, 0) is not 0, so phi is no homomorphism and its rows differ
+        (a, b), _, _ = unit_translations((3, 2))
+        G = pg.PermGroup(6, (a, b, pg.Permutation((0, 2, 3, 5, 4, 1))))
+        assert pg.suborbits(G) == orbital_suborbits(G) == stabiliser_orbits(G) == [[0], [1, 2, 3, 4, 5]]
+
     def test_rotation_path_builds_no_table(self):
         G = pg.dihedral(4096)
         tracemalloc.start()
@@ -370,6 +432,22 @@ class TestSuborbits:
             tracemalloc.stop()
         assert sorted(len(s) for s in subs) == [1, 126, 3969]
         # the search path's inverse transversal alone would be 4096^2 int16, 32 MiB
+        assert peak < 8 * 2**20, peak
+
+    def test_sparse_rows_build_no_table(self):
+        # each lifted transposition of wreath:128 misses the identity on
+        # |D| = 2 x 128 of its m = 16 384 points and merges (2|D| + 1) m
+        # edges, and the coordinate swap is affine: one row
+        G = pg.wreath_product_action(128).group
+        tracemalloc.start()
+        try:
+            subs, edges = merged_edges(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(len(s) for s in subs) == [1, 254, 16129]
+        assert edges == (1 + 2 * 513) * G.degree
+        # the search path's inverse transversal alone would be 16384^2 int16, 512 MiB
         assert peak < 8 * 2**20, peak
 
     def test_search_path_holds_one_table(self):
