@@ -252,27 +252,7 @@ def _cmd_examples(args, out: _Output) -> int:
     name = args.name
     d = 3 if args.d is None else args.d
     permgroup.check_point_budget(_family_points(name, d))
-    if name == "wreath":
-        W = permgroup.wreath_product_action(d)
-        subs = permgroup.suborbits(W.group)
-        payload = {
-            "construction": "wreath",
-            "d": d,
-            "degree": d * d,
-            "encoding": "pair (i, j) is the point i*d + j",
-            "primitive": permgroup.first_nontrivial_blocks(W.group, subs) is None,
-            "two_transitive": len(subs) == 2,
-            "suborbit_sizes": sorted(len(s) for s in subs),
-            "embedded_regular": permgroup.regular_check(
-                d * d, list(W.embedded_abelian)
-            ),
-        }
-        ok = (
-            payload["primitive"]
-            and not payload["two_transitive"]
-            and payload["embedded_regular"]
-        ) or d == 2
-    elif name == "manning":
+    if name == "manning":
         rep = method.manning_invariance_check(d)
         payload = {
             "construction": "manning",
@@ -282,34 +262,49 @@ def _cmd_examples(args, out: _Output) -> int:
             "violation": [list(x) for x in rep.violation] if rep.violation else None,
         }
         ok = rep.galois_invariant and (rep.violation is not None or d <= 2)
-    else:  # ex42
-        if args.d not in (None, 4):
-            raise ValueError("the three-generator counterexample is specific to d=4")
-        W = permgroup.wreath_product_action(4)
+    else:  # wreath, or ex42 on the wreath product at d = 4
+        if name == "ex42":
+            if args.d not in (None, 4):
+                raise ValueError("the three-generator counterexample is specific to d=4")
+            d = 4
+        W = permgroup.wreath_product_action(d)
         subs = permgroup.suborbits(W.group)
-        a = W.embedded_abelian[0]
-        k1 = permgroup.second_coordinate_perm(
-            permgroup.parse_permutation("(0,1)(2,3)", 4), 4
-        )
-        k2 = permgroup.second_coordinate_perm(
-            permgroup.parse_permutation("(0,2)(1,3)", 4), 4
-        )
-        payload = {
-            "construction": "ex42",
-            "d": 4,
-            "degree": 16,
-            "generators": [str(a), str(k1), str(k2)],
+        primitive = permgroup.first_nontrivial_blocks(W.group, subs) is None
+        two_transitive = len(subs) == 2
+        if name == "wreath":
+            regular = permgroup.regular_check(d * d, list(W.embedded_abelian))
+            payload = {
+                "construction": "wreath",
+                "d": d,
+                "degree": d * d,
+                "encoding": "pair (i, j) is the point i*d + j",
+                "primitive": primitive,
+                "two_transitive": two_transitive,
+                "suborbit_sizes": sorted(len(s) for s in subs),
+                "embedded_regular": regular,
+            }
+        else:
+            a = W.embedded_abelian[0]
+            k1 = permgroup.second_coordinate_perm(
+                permgroup.parse_permutation("(0,1)(2,3)", 4), 4
+            )
+            k2 = permgroup.second_coordinate_perm(
+                permgroup.parse_permutation("(0,2)(1,3)", 4), 4
+            )
             # (a, k2, k1) are the unit translations of Z_4 x Z_2 x Z_2 on the
             # pair labels, so the check takes the translation path, no search
-            "regular_c4xc2xc2": permgroup.regular_check(16, [a, k2, k1]),
-            "primitive": permgroup.first_nontrivial_blocks(W.group, subs) is None,
-            "two_transitive": len(subs) == 2,
-        }
-        ok = (
-            payload["regular_c4xc2xc2"]
-            and payload["primitive"]
-            and not payload["two_transitive"]
-        )
+            regular = permgroup.regular_check(16, [a, k2, k1])
+            payload = {
+                "construction": "ex42",
+                "d": 4,
+                "degree": 16,
+                "generators": [str(a), str(k1), str(k2)],
+                "regular_c4xc2xc2": regular,
+                "primitive": primitive,
+                "two_transitive": two_transitive,
+            }
+        # the product action is primitive from d = 3; S_2 wr C_2 is imprimitive
+        ok = (primitive and not two_transitive and regular) or d == 2
     payload["verdict"] = "holds" if ok else "fails"
     if args.format == "pretty":
         for key, value in payload.items():

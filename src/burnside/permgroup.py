@@ -257,9 +257,11 @@ def translation_moduli(G: PermGroup) -> tuple[int, ...] | None:
 
 def _regular_abelian(G: PermGroup, base: int):
     """The translation source of `suborbits`: (moduli, G, base, None) for G
-    led by unit translations (`translation_moduli`), else (moduli, H, 0,
-    back) for H = G relabelled along its first full cycle (`relabel`, one
-    walk) and back the map old point -> new label; or None."""
+    led by unit translations (`translation_moduli`), whose classes at base
+    are those at 0 moved by the translation x -> x + base; else (moduli, H,
+    0, back) for H = G relabelled along its first full cycle (`relabel`,
+    one walk, with base at label 0) and back the map old point -> new
+    label; or None."""
     moduli = translation_moduli(G)
     if moduli is not None:
         return moduli, G, base, None
@@ -316,21 +318,21 @@ def suborbits(G: PermGroup, base: int = 0) -> list[list[int]]:
 
     * a regular K = Z_n1 x .. x Z_nk whose unit translations lead G, or
       the full cycle that `relabel` makes the translation of Z_m
-      (`_regular_abelian`).  With the labels moved so that `base` is 0,
-      t[a] is x -> x + a and u[a, y] = y - a, digit by digit, and the
-      edges of coset row a are x - (h(a + x) - h(a)).  A generator h is
-      merged in one of three ways:
-      - exactly affine, h(x) = phi(x) + h(0) with phi additive, n_i
-        phi(e_i) = 0 (a translation, the reflection of `dihedral`, the
-        multiplier of `affine`, the swap of `wreath`): every row is x -
-        phi(x), so one row;
-      - near-affine: f = phi + c fitted by majority (phi(e_i) the most
-        common h(y + e_i) - h(y), c the most common h(y) - phi(y)), phi
-        additive and h = f off a set D with 2|D| < m (the transposition of
-        `sym`, the lifted transpositions of `wreath`): the row x - phi(x),
-        which every x meets in some row a with a and a + x off D, then
-        the full rows a in D and the entries y in D of every row, at most
-        (2|D| + 1) m edges;
+      (`_regular_abelian`).  The classes are built at base 0 and moved by
+      x -> x + base: the stabiliser of `base` is the stabiliser of 0
+      conjugated by that translation, which lies in G.  At base 0, t[a] is
+      x -> x + a and u[a, y] = y - a, digit by digit, and the edges of
+      coset row a are x - (h(a + x) - h(a)).  Each generator h past the
+      translations is fitted to f = phi + c by majority (phi(e_i) the most
+      common h(y + e_i) - h(y), c the most common h(y) - phi(y)); D is
+      where h differs from f.  It is then merged in one of two ways:
+      - fitted, when phi is additive (n_i phi(e_i) = 0) and 2|D| < m: the
+        row x - phi(x), which every x meets in some row a with a and a + x
+        off D, then the full rows a in D and the entries y in D of every
+        row, (2|D| + 1) m edges.  An affine h (the reflection of
+        `dihedral`, the multiplier of `affine`, the swap of `wreath`) has
+        D empty, so one row; the transposition of `sym` and the lifted
+        transpositions of `wreath` have a few points in D;
       - otherwise every coset row: a phi that fails n_i phi(e_i) = 0 is
         no homomorphism, and its rows differ.
       No m x m table: a few length-m arrays and chunks of 32 KiB per digit.
@@ -363,25 +365,19 @@ def suborbits(G: PermGroup, base: int = 0) -> list[list[int]]:
             # below the lower digits' span now, v < 0 exactly where the top one borrows
             return np.add(v, m, out=v, where=v < 0)  # a masked add: `% m` is slower
 
-        pos = u(columns[:, [base]], columns)[0]  # labels shifted so that base is 0
-        order = np.argsort(pos)  # the point at each label
+        pos = u(columns[:, [base]], columns)[0]  # x - base: the base-0 classes moved by base
+        shifts = [np.array(t.images) for t in G.generators[: len(moduli)]]  # y -> y + e_i
         gens = []
         for g in G.generators[len(moduli) :]:  # the leading translations add no edge
-            x = pos[np.array(g.images, dtype)[order]]  # g on the labels
+            x = np.array(g.images, dtype)
             hd = digits[:, x]  # the digits of g(x)
-            P = (hd[:, strides % m] - hd[:, :1]) % mods  # column i: the digits of phi(e_i)
+            # fit phi + c by majority, phi(e_i) the most common h(y + e_i) - h(y)
+            # and c the most common h(y) - phi(y); D is where h differs
+            P = digits[:, [np.bincount(strides @ ((hd[:, t] - hd) % mods), minlength=m).argmax()
+                           for t in shifts]]  # column i: the digits of phi(e_i)
             phi = P @ digits % mods  # the digits of phi(x) = sum x_i phi(e_i)
-            D = points[:0]
-            if not np.array_equal((phi + hd[:, :1]) % mods, hd):
-                # fit phi + c by majority, phi(e_i) the most common h(y + e_i) - h(y)
-                # and c the most common h(y) - phi(y); D is where h differs.  The
-                # leading translations commute with the shift of base to 0
-                shifts = (np.array(t.images) for t in G.generators[: len(moduli)])
-                P = digits[:, [np.bincount(strides @ ((hd[:, t] - hd) % mods), minlength=m).argmax()
-                               for t in shifts]]
-                phi = P @ digits % mods
-                c = np.bincount(strides @ ((hd - phi) % mods), minlength=m).argmax()
-                D = np.flatnonzero(strides @ ((phi + digits[:, [c]]) % mods) != x)
+            c = np.bincount(strides @ ((hd - phi) % mods), minlength=m).argmax()
+            D = np.flatnonzero(strides @ ((phi + digits[:, [c]]) % mods) != x)
             if (P * mods.T % mods).any() or 2 * len(D) >= m:
                 gens.append(columns[:, x])  # no homomorphism, or too far from one: every row
                 continue

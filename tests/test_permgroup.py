@@ -388,8 +388,26 @@ class TestSuborbits:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pg, "_regular_abelian", lambda G, base: None)
             assert pg.suborbits(G, base) == subs
-        # h alone: the row x - phi(x), then a row and a column per point of D
-        assert merged_edges(pg.PermGroup(m, (*gens, h)), base)[1] == (2 * support + 1) * m
+        # h alone: the row x - phi(x), then a row and a column per point of D,
+        # at any base as at 0, since the classes at base are those at 0 moved
+        H = pg.PermGroup(m, (*gens, h))
+        assert merged_edges(H, base)[1] == merged_edges(H)[1] == (2 * support + 1) * m
+
+    @pytest.mark.parametrize("make", [
+        lambda: pg.dihedral(12),  # the reflection x -> -x
+        lambda: pg.PermGroup(12, (full_cycle(12), pg.Permutation(
+            tuple((5 - x) % 12 for x in range(12))))),  # x -> 5 - x, c = 5
+        lambda: pg.affine(35, 4),  # the multiplier x -> 4x
+        lambda: pg.PermGroup(25, (*pg.wreath_product_action(5).embedded_abelian,
+                                  pg.coordinate_swap(5))),  # the swap of C_5 x C_5
+    ], ids=["dihedral", "reflection-c5", "affine", "wreath-swap"])
+    @pytest.mark.parametrize("base", [0, 1, 7])
+    def test_affine_generator_merges_one_row(self, make, base):
+        # an affine h fits with D empty: the one row x - phi(x), m edges
+        G = make()
+        subs, edges = merged_edges(G, base)
+        assert subs == orbital_suborbits(G, base)
+        assert edges == G.degree
 
     def test_defects_on_half_the_points_take_every_row(self):
         # h = (1,2) on Z_4: the most common step is 2 and c = 0, so the fit
